@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
-from .instances import (InstanceError, build_config_lp_gap, build_depth3_example,
-                        build_mmda, build_subtree_counterexample,
-                        desiderata_identities, instance_from_json,
-                        instance_to_json, make_params)
+from .instances import (InstanceError, LabeledInstance, build_config_lp_gap,
+                        build_depth3_example, build_mmda,
+                        build_subtree_counterexample, desiderata_identities,
+                        instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
 from .relaxations import (EnumerationCapExceeded, assignment_solution,
                           check_helper_lemma, closed_form_paths, count_paths,
@@ -30,6 +30,7 @@ from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
 from .rounding import audit_locality, audit_to_json, sample_forest
+from .scalars import PrecisionCapExceeded
 from .scans import scan_proof_function
 from .shadow import ConditionEvent, sa1_certificate, sample, shadow_model
 
@@ -88,7 +89,10 @@ def _instance_from_args(args):
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        return instance_from_json(data.get("instance", data))
+        inst = instance_from_json(data.get("instance", data))
+        if args.kinds == MMDA_ONLY and not isinstance(inst, LabeledInstance):
+            raise InstanceError(f"{args.command} needs a labeled mmda instance")
+        return inst
     kind = getattr(args, "kind", "mmda")
     if kind == "mmda":
         params = make_params(args.m, args.rho, epsilon=args.eps, ell=args.ell)
@@ -195,9 +199,10 @@ def cmd_sa1_report(args) -> int:
             e = next(iter(inst.edges_into_layer(i)))
             events.extend([ConditionEvent(e, True), ConditionEvent(e, False)])
     res = sa1_certificate(model, args.floor, args.ceiling, events=events)
+    status, code = _status(res.passed)
     payload = {
         "command": "sa1-report",
-        "status": "pass" if res.passed else "fail",
+        "status": status,
         "events_checked": res.events_checked,
         "events_skipped": res.events_skipped,
         "min_covering_slack": scalar_json_frac(res.min_covering_slack),
@@ -205,7 +210,7 @@ def cmd_sa1_report(args) -> int:
         "worst_covering": _loc(res.worst_covering),
         "worst_packing": _loc(res.worst_packing),
     }
-    return _emit(args, payload, EXIT_PASS if res.passed else EXIT_FAIL)
+    return _emit(args, payload, code)
 
 
 def scalar_json_frac(q):
@@ -234,37 +239,40 @@ def cmd_shadow_sample(args) -> int:
             worst = max(worst, dev)
         rows = [{"edge": str(e), "empirical": emp.marginal(e),
                  "exact": float(model.marginal(e))} for e in emp.edges[:20]]
+    status, code = _status(not args.exact or worst <= args.max_dev)
     payload = {
         "command": "shadow-sample", "samples": args.samples, "seed": args.seed,
         "rounds": args.rounds,
         "worst_marginal_deviation_se": worst,
         "max_dev": args.max_dev,
         "head": rows,
-        "status": "pass" if (not args.exact or worst <= args.max_dev) else "fail",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS if payload["status"] == "pass" else EXIT_FAIL)
+    return _emit(args, payload, code)
 
 
 def cmd_bruteforce(args) -> int:
     inst = _instance_from_args(args)
     res = bruteforce_best(inst, budget=args.budget)
+    status, code = _status(True, undecided=not res.complete)
     payload = {
         "command": "bruteforce",
         "quality": {"exact": str(res.quality.alpha), "approx": float(res.quality.alpha)},
         "complete": res.complete,
         "nodes_used": res.nodes_used,
         "edges": sorted([[list(u), list(v)] for u, v in res.solution.edges]),
-        "status": "pass" if res.complete else "undecided",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS if res.complete else EXIT_UNDECIDED)
+    return _emit(args, payload, code)
 
 
 def cmd_certificate(args) -> int:
     inst = _instance_from_args(args)
     cert = counting_certificate(inst)
+    status, code = _status(True)
     payload = {"command": "certificate", "certificate": cert.to_json(),
-               "status": "pass"}
-    return _emit(args, payload, EXIT_PASS)
+               "status": status}
+    return _emit(args, payload, code)
 
 
 def cmd_locally_good(args) -> int:
@@ -277,13 +285,14 @@ def cmd_locally_good(args) -> int:
         audits.append(audit_to_json(audit))
         if not audit.children_violations:
             zero_child_violations += 1
+    status, code = _status(True)
     payload = {
         "command": "locally-good", "seeds": args.seeds, "radius": args.radius,
         "zero_children_violation_rate": zero_child_violations / max(args.seeds, 1),
         "audits": audits,
-        "status": "pass",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS)
+    return _emit(args, payload, code)
 
 
 def cmd_ra(args) -> int:
@@ -299,7 +308,7 @@ def cmd_ra(args) -> int:
     if args.k <= 6:
         opt_val, _ = integral_optimum(inst)
         opt = str(opt_val)
-    ok = rep.meets_target and (davies_ok is not False)
+    status, code = _status(rep.meets_target and davies_ok is not False)
     payload = {
         "command": "ra", "k": args.k, "eps": str(Fraction(args.eps)),
         "instance": ra_instance_to_json(inst),
@@ -308,9 +317,9 @@ def cmd_ra(args) -> int:
         "meets_target": rep.meets_target,
         "davies_ok": davies_ok,
         "integral_optimum": opt,
-        "status": "pass" if ok else "fail",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS if ok else EXIT_FAIL)
+    return _emit(args, payload, code)
 
 
 def cmd_appendixb(args) -> int:
@@ -318,7 +327,7 @@ def cmd_appendixb(args) -> int:
     sol = build_config_solution(inst)
     rep = verify_config_solution(inst, sol)
     defeat = sa1_defeats(inst)
-    ok = rep.ok and defeat.all_infeasible
+    status, code = _status(rep.ok and defeat.all_infeasible)
     payload = {
         "command": "appendixb", "k": args.k,
         "config_solution": rep.summary(),
@@ -326,9 +335,9 @@ def cmd_appendixb(args) -> int:
                             "demand": None if w.demand is None else str(w.demand),
                             "supply": w.supply}
                    for v, w in sorted(defeat.witnesses.items())},
-        "status": "pass" if ok else "fail",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS if ok else EXIT_FAIL)
+    return _emit(args, payload, code)
 
 
 def cmd_appendixc(args) -> int:
@@ -336,31 +345,33 @@ def cmd_appendixc(args) -> int:
     res = bruteforce_best(inst, budget=args.budget)
     k = args.k
     bound = Fraction(int(k ** 0.5) + 1, k)
-    ok = res.quality.alpha <= bound
+    status, code = _status(res.quality.alpha <= bound)
     payload = {
         "command": "appendixc", "k": k,
         "quality": {"exact": str(res.quality.alpha), "approx": float(res.quality.alpha)},
         "bound": str(bound),
         "complete": res.complete,
-        "status": "pass" if ok else "fail",
+        "status": status,
     }
-    return _emit(args, payload, EXIT_PASS if ok else EXIT_FAIL)
+    return _emit(args, payload, code)
 
 
 def cmd_scan(args) -> int:
     rep = scan_proof_function(args.fn, args.lo, args.hi, args.points,
                               rho=args.rho, eps=args.eps_param)
-    ok = rep.all_satisfied
-    undecided = rep.undecided
-    status, code = _status(ok, undecided)
+    status, code = _status(rep.all_satisfied, rep.undecided)
     return _emit(args, {"command": "scan", "status": status, **rep.to_json()}, code)
 
 
 # --- wiring -----------------------------------------------------------------
 
 
+MMDA_ONLY = ("mmda",)
+
+
 def _add_instance_args(sub, kinds=("mmda", "config-gap", "subtree-cex", "example")):
     sub.add_argument("--kind", choices=kinds, default="mmda")
+    sub.set_defaults(kinds=kinds)
     sub.add_argument("--instance-file", default=None,
                      help="load the instance from a build report instead")
     sub.add_argument("--m", type=int, default=8)
@@ -388,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--allowance", type=parse_rational, default=Fraction(1))
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),
                    default="auto")
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-paths", help="path counting: dynamic program "
                                            "against the closed forms")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--samples", type=int, default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=int, default=0)
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sa1-report", help="conditioned-constraint sweep of the "
                                           "shadow distribution")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--floor", type=parse_rational, default=Fraction(1, 100))
     p.add_argument("--ceiling", type=parse_rational, default=Fraction(8))
     p.add_argument("--events", choices=("all", "layers"), default="layers")
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=1)
@@ -437,11 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.set_defaults(handler=cmd_certificate)
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius", type=int, default=1)
@@ -487,9 +498,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (InstanceError, EnumerationCapExceeded, ValueError) as exc:
+    except (InstanceError, EnumerationCapExceeded, ValueError,
+            ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except PrecisionCapExceeded as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

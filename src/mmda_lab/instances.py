@@ -13,7 +13,6 @@ counterexample, a hand-sized quality-1 example) share the same interface.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,6 +88,10 @@ class InstanceParams:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if not 0 < self.rho <= Fraction(1, 4):
             raise InstanceError(f"rho={self.rho} outside (0, 1/4]")
+        if not 0 < self.epsilon <= 1:
+            raise InstanceError(f"epsilon={self.epsilon} outside (0, 1]")
+        if self.rho * self.m < 1:
+            raise InstanceError(f"rho*m={self.rho * self.m} below 1")
         if self.ell * self.epsilon != 3:
             raise InstanceError("ell * epsilon must equal 3")
         for name, q in (("rho*m", self.rho * self.m),
@@ -121,13 +124,16 @@ class InstanceParams:
 
 def make_params(m: int, rho, epsilon=None, ell=None) -> InstanceParams:
     rho = Fraction(rho)
+    if ell is not None and ell < 1:
+        raise InstanceError(f"ell={ell} must be at least 1")
     if epsilon is None and ell is None:
         epsilon = Fraction(1)
     if epsilon is None:
         epsilon = Fraction(3, ell)
     epsilon = Fraction(epsilon)
     if ell is None:
-        ell = int(3 / epsilon)
+        # epsilon <= 0 is left for InstanceParams to reject
+        ell = int(3 / epsilon) if epsilon > 0 else 0
     return InstanceParams(m, rho, epsilon, ell)
 
 
@@ -212,9 +218,6 @@ class LayeredInstance:
     def in_degree(self, v: Vertex) -> int:
         return len(self.in_neighbors(v))
 
-    def edge_exists(self, u: Vertex, v: Vertex) -> bool:
-        return v in self.out_neighbors(u)
-
     def out_edges(self, v: Vertex):
         return [(v, w) for w in self.out_neighbors(v)]
 
@@ -288,57 +291,35 @@ class LabeledInstance(LayeredInstance):
     def in_degree(self, v: Vertex) -> int:
         return self.profile.delta_minus[v[0]] if v[0] > 0 else 0
 
+    def _step_ranks(self, mask: int, grow: bool) -> list[int]:
+        """Sorted colex ranks of the labels one step from ``mask``:
+        supersets with step more elements when ``grow``, else subsets with
+        step fewer."""
+        pool = ([b for b in range(self.params.m) if not mask >> b & 1] if grow
+                else bits_of(mask))
+        ranks = []
+        for flipped in combinations(pool, self.params.step):
+            new = mask
+            for b in flipped:
+                new ^= 1 << b
+            ranks.append(rank_colex(new))
+        return sorted(ranks)
+
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
         i = v[0]
         if i >= self.ell:
             return []
-        p = self.params
-        mask = self.label(v)
-        ranks = []
-        if i + 1 <= p.peak_layer:  # expanding: supersets
-            complement = [b for b in range(p.m) if not mask >> b & 1]
-            for extra in combinations(complement, p.step):
-                new = mask
-                for b in extra:
-                    new |= 1 << b
-                ranks.append(rank_colex(new))
-        else:  # collapsing: subsets
-            for removed in combinations(bits_of(mask), p.step):
-                new = mask
-                for b in removed:
-                    new &= ~(1 << b)
-                ranks.append(rank_colex(new))
-        return [(i + 1, r) for r in sorted(ranks)]
+        # expanding phase: successors are supersets
+        grow = i + 1 <= self.params.peak_layer
+        return [(i + 1, r) for r in self._step_ranks(self.label(v), grow)]
 
     def in_neighbors(self, v: Vertex) -> list[Vertex]:
         i = v[0]
         if i <= 0:
             return []
-        p = self.params
-        mask = self.label(v)
-        ranks = []
-        if i <= p.peak_layer:  # predecessor is a subset
-            for removed in combinations(bits_of(mask), p.step):
-                new = mask
-                for b in removed:
-                    new &= ~(1 << b)
-                ranks.append(rank_colex(new))
-        else:  # predecessor is a superset
-            complement = [b for b in range(p.m) if not mask >> b & 1]
-            for extra in combinations(complement, p.step):
-                new = mask
-                for b in extra:
-                    new |= 1 << b
-                ranks.append(rank_colex(new))
-        return [(i - 1, r) for r in sorted(ranks)]
-
-    def edge_exists(self, u: Vertex, v: Vertex) -> bool:
-        if v[0] != u[0] + 1:
-            return False
-        su, sv = self.label(u), self.label(v)
-        if v[0] <= self.params.peak_layer:
-            return su & sv == su
-        return sv & su == sv
+        # collapsing phase: predecessors are supersets
+        grow = i > self.params.peak_layer
+        return [(i - 1, r) for r in self._step_ranks(self.label(v), grow)]
 
     def reachable(self, v: Vertex, u: Vertex) -> bool:
         if v == u:
@@ -606,15 +587,6 @@ class GraphQueries:
             out.extend(self.inst.in_edges(z))
         return sorted(out)
 
-    def descendant_edges(self, e: Edge) -> list[Edge]:
-        """Edges starting at the end vertex of e or below it."""
-        _, v = e
-        starts = [v] + self.descendants(v)
-        out = []
-        for z in starts:
-            out.extend(self.inst.out_edges(z))
-        return sorted(out)
-
     def delta_plus(self, v: Vertex) -> list[Edge]:
         self._check(v)
         return self.inst.out_edges(v)
@@ -624,18 +596,6 @@ class GraphQueries:
         return self.inst.in_edges(v)
 
     # path accessors; a path is a tuple of edges
-    def children_paths(self, p: tuple) -> list[tuple]:
-        end = p[-1][1]
-        return [p + ((end, w),) for w in self.inst.out_neighbors(end)]
-
-    def descendant_paths(self, p: tuple, max_extra: int) -> list[tuple]:
-        out = [p]
-        frontier = [p]
-        for _ in range(max_extra):
-            frontier = [q for f in frontier for q in self.children_paths(f)]
-            out.extend(frontier)
-        return out
-
     def paths_into(self, v: Vertex, max_len: int) -> list[tuple]:
         """All paths of 1..max_len edges ending at v."""
         self._check(v)
@@ -701,8 +661,3 @@ def instance_from_json(data: dict) -> LayeredInstance:
              for v, entry in data["k"]}
     return ExplicitInstance(layers, out_adj, k_map)
 
-
-def dump_instance(inst: LayeredInstance, path: str):
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .instances import (Edge, InstanceError, LabeledInstance,
                         LayeredInstance, Vertex)
@@ -218,11 +219,26 @@ class SubtreeFamily:
             for t in inst.out_neighbors(f[1]):
                 yield (f[1], t), Fraction(1)
 
+    def triggers_of(self, e: Edge) -> list[tuple[Edge, Fraction]]:
+        """Triggers f with x_e^{(f)} > 0, with their values: the transpose
+        of :meth:`support`."""
+        inst = self.inst
+        out = []
+        layer = e[1][0]
+        if layer == 2:
+            out.append(((inst.source, e[0]), Fraction(1, self.c_small)))
+        elif layer == 3:
+            w, t = e
+            lt = self._label(t)
+            for v in inst.in_neighbors(w):
+                j = bin(lt & self._label(v)).count("1")
+                out.append(((inst.source, v), self.sink_split(j)))
+                out.append(((v, w), Fraction(1)))
+        out.append((e, Fraction(1)))
+        return out
+
     def solution_for(self, f: Edge) -> SparseSolution:
         return SparseSolution(self.inst, dict(self.support(f)))
-
-    def triggers(self):
-        return self.inst.all_edges()
 
 
 def subtree_solutions(inst: LabeledInstance) -> SubtreeFamily:
@@ -311,32 +327,20 @@ class PathSolution:
             raise EnumerationCapExceeded(
                 f"path enumeration above cap {self.cap}")
         inst = self.inst
-        # dummy-rooted
-        frontier = [(self.dummy,)]
-        yield (self.dummy,)
-        for _ in range(self.max_len - 1):
-            nxt = []
-            for p in frontier:
-                end = p[-1][1]
-                for w in inst.out_neighbors(end):
-                    q = p + ((end, w),)
-                    nxt.append(q)
-                    yield q
-            frontier = nxt
-        # paths rooted anywhere
-        for i in range(0, inst.ell):
-            for v in inst.vertices(i):
-                frontier = [((v, w),) for w in inst.out_neighbors(v)]
-                yield from frontier
-                for _ in range(self.max_len - 1):
-                    nxt = []
-                    for p in frontier:
-                        end = p[-1][1]
-                        for w in inst.out_neighbors(end):
-                            q = p + ((end, w),)
-                            nxt.append(q)
-                            yield q
-                    frontier = nxt
+        # the dummy root first, then every real vertex in layer order; each
+        # root's paths come out breadth-first
+        starts = chain([[(self.dummy,)]],
+                       ([((v, w),) for w in inst.out_neighbors(v)]
+                        for i in range(inst.ell) for v in inst.vertices(i)))
+        for frontier in starts:
+            yield from frontier
+            for _ in range(self.max_len - 1):
+                nxt = []
+                for p in frontier:
+                    end = p[-1][1]
+                    nxt.extend(p + ((end, w),) for w in inst.out_neighbors(end))
+                yield from nxt
+                frontier = nxt
 
 
 def path_solution(inst: LabeledInstance, rounds: int,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import (EQ, GT, LT, UNDECIDED, PrecisionCapExceeded, Scalar,
-                      as_scalar, compare_certified, scalar_to_json)
+from .scalars import (EQ, GT, LT, UNDECIDED, Monomial, PrecisionCapExceeded,
+                      Rat, Scalar, as_scalar, compare_certified, iv_div,
+                      scalar_to_json)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ class ViolationReport:
 
 
 def _safe_div(lhs: Scalar, rhs: Scalar) -> Scalar | None:
-    from .scalars import Interval, Monomial, Rat, iv_div
     if isinstance(lhs, Rat) and isinstance(rhs, Rat) and rhs.value != 0:
         return Rat(lhs.value / rhs.value)
     if isinstance(lhs, Monomial) and isinstance(rhs, Monomial):
@@ -79,38 +79,29 @@ def _safe_div(lhs: Scalar, rhs: Scalar) -> Scalar | None:
         return None
 
 
-def check_ge(cid: str, lhs, rhs, kind: str = "covering") -> ConstraintCheck:
-    """Record lhs >= rhs with a certified comparison."""
+def _check(cid: str, kind: str, lhs, rhs, accept: tuple[str, ...]) -> ConstraintCheck:
+    """Record a certified comparison; satisfied when its outcome is in accept."""
     lhs, rhs = as_scalar(lhs), as_scalar(rhs)
     try:
         cmp = compare_certified(lhs, rhs)
     except PrecisionCapExceeded:
         cmp = UNDECIDED
-    sat = None if cmp == UNDECIDED else cmp in (GT, EQ)
+    sat = None if cmp == UNDECIDED else cmp in accept
     return ConstraintCheck(cid, kind, lhs, rhs, sat, cmp != UNDECIDED,
                            _safe_div(lhs, rhs))
+
+
+def check_ge(cid: str, lhs, rhs, kind: str = "covering") -> ConstraintCheck:
+    """Record lhs >= rhs with a certified comparison."""
+    return _check(cid, kind, lhs, rhs, (GT, EQ))
 
 
 def check_le(cid: str, lhs, rhs, kind: str = "packing") -> ConstraintCheck:
-    lhs, rhs = as_scalar(lhs), as_scalar(rhs)
-    try:
-        cmp = compare_certified(lhs, rhs)
-    except PrecisionCapExceeded:
-        cmp = UNDECIDED
-    sat = None if cmp == UNDECIDED else cmp in (LT, EQ)
-    return ConstraintCheck(cid, kind, lhs, rhs, sat, cmp != UNDECIDED,
-                           _safe_div(lhs, rhs))
+    return _check(cid, kind, lhs, rhs, (LT, EQ))
 
 
 def check_eq(cid: str, lhs, rhs, kind: str = "equality") -> ConstraintCheck:
-    lhs, rhs = as_scalar(lhs), as_scalar(rhs)
-    try:
-        cmp = compare_certified(lhs, rhs)
-    except PrecisionCapExceeded:
-        cmp = UNDECIDED
-    sat = None if cmp == UNDECIDED else cmp == EQ
-    return ConstraintCheck(cid, kind, lhs, rhs, sat, cmp != UNDECIDED,
-                           _safe_div(lhs, rhs))
+    return _check(cid, kind, lhs, rhs, (EQ,))
 
 
 def vacuous(cid: str, kind: str, lhs, rhs) -> ConstraintCheck:

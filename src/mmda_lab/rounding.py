@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import InstanceError, LabeledInstance, LayeredInstance
-from .scalars import Rat, compare_certified
+from .scalars import LT, Rat, compare_certified
 
 _U_BITS = 128
 
@@ -64,16 +64,6 @@ class SampledPathForest:
     seed: int
     truncated: bool
     inst: LayeredInstance
-
-    def children_count(self, path: tuple) -> int:
-        n = len(path)
-        return sum(1 for q in self.paths if len(q) == n + 1 and q[:n] == path)
-
-    def by_length(self) -> dict[int, list]:
-        out: dict[int, list] = {}
-        for p in self.paths:
-            out.setdefault(len(p) - 1, []).append(p)
-        return out
 
 
 def sample_forest(inst: LabeledInstance, seed: int,
@@ -150,31 +140,22 @@ def audit_locality(forest: SampledPathForest, radius: int,
         if len(q) >= 2:
             child_counts[q[:-1]] = child_counts.get(q[:-1], 0) + 1
 
-    k_cache: dict = {}
-
-    def k_for(v) -> Fraction:
-        key = v[0]
-        if key not in k_cache:
-            kv = inst.k_of(v)
-            f = kv.as_fraction()
-            if f is None:
-                # irrational requirement: any rational inside its enclosure
-                # works for the halving check below
-                iv = kv.to_interval(96)
-                f = Fraction(iv.approx()).limit_denominator(10 ** 9)
-            k_cache[key] = f
-        return k_cache[key]
-
+    # fewer than half the requirement, 2*cnt < k_p, decided by a certified
+    # comparison once per (layer, cnt); k_p depends only on the layer
+    short: dict[tuple[int, int], bool] = {}
     children = []
     children_violations = []
     for p in forest.paths:
         end = p[-1]
         if inst.is_sink(end):
             continue
-        kp = k_for(end)
+        kp = inst.k_of(end)
         cnt = child_counts.get(p, 0)
         children.append((p, cnt, kp))
-        if Fraction(cnt) < kp / 2:
+        key = (end[0], cnt)
+        if key not in short:
+            short[key] = compare_certified(2 * cnt, kp) == LT
+        if short[key]:
             children_violations.append((p, cnt, kp))
 
     congestion: dict[tuple, int] = {}

@@ -129,10 +129,6 @@ class Rat(Scalar):
         return f"Rat({self.value})"
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
-
-
 @dataclass(frozen=True)
 class Interval(Scalar):
     """Closed enclosure [lo, hi]; bounds are finite Fractions."""
@@ -399,16 +395,6 @@ class Monomial(Scalar):
     @classmethod
     def from_int(cls, n: int) -> "Monomial":
         return cls({p: Fraction(e) for p, e in _factor_int(n).items()})
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Monomial":
-        q = Fraction(q)
-        num = _factor_int(q.numerator)
-        den = _factor_int(q.denominator)
-        exps = {p: Fraction(e) for p, e in num.items()}
-        for p, e in den.items():
-            exps[p] = exps.get(p, Fraction(0)) - e
-        return cls(exps)
 
     @classmethod
     def from_factorial(cls, n: int) -> "Monomial":

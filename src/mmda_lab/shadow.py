@@ -30,9 +30,6 @@ class IndependentFamily:
     def __init__(self, inst: LayeredInstance):
         self.inst = inst
 
-    def value(self, f: Edge, e: Edge) -> Fraction:
-        return Fraction(1) if f == e else Fraction(0)
-
     def triggers_of(self, e: Edge):
         return [(e, Fraction(1))]
 
@@ -40,25 +37,11 @@ class IndependentFamily:
         yield f, Fraction(1)
 
 
-def _subtree_triggers(fam: SubtreeFamily, e: Edge):
-    """Triggers f with x_e^{(f)} > 0 for the depth-3 family, with values."""
-    inst = fam.inst
-    layer = e[1][0]
-    out = []
-    if layer == 2:
-        out.append(((inst.source, e[0]), Fraction(1, fam.c_small)))
-    elif layer == 3:
-        w, t = e
-        lt = inst.label(t)
-        for v in inst.in_neighbors(w):
-            j = bin(lt & inst.label(v)).count("1")
-            out.append(((inst.source, v), fam.sink_split(j)))
-            out.append(((v, w), Fraction(1)))
-    out.append((e, Fraction(1)))
-    return out
-
-
 class ShadowModel:
+    """Exact moments for a base solution x and a family of relocated
+    solutions; every family provides ``support(f)``, the edges trigger f
+    activates with their values, and its transpose ``triggers_of(e)``."""
+
     def __init__(self, inst: LayeredInstance, x, family):
         self.inst = inst
         self.x = x
@@ -77,11 +60,7 @@ class ShadowModel:
     def triggers_of(self, e: Edge) -> dict[Edge, Fraction]:
         t = self._triggers.get(e)
         if t is None:
-            if isinstance(self.family, SubtreeFamily):
-                pairs = _subtree_triggers(self.family, e)
-            else:
-                pairs = self.family.triggers_of(e)
-            t = self._triggers[e] = dict(pairs)
+            t = self._triggers[e] = dict(self.family.triggers_of(e))
         return t
 
     # --- exact moments -----------------------------------------------------
@@ -170,20 +149,8 @@ class MomentReport:
     event: ConditionEvent | None
     marginals: dict
     conditional: dict
-    multiplicity: dict
     vertex_out: dict
     vertex_in: dict
-
-    def to_json(self) -> dict:
-        enc = lambda d: {str(k): str(v) for k, v in sorted(d.items())}
-        return {
-            "event": self.event.label() if self.event else None,
-            "marginals": enc(self.marginals),
-            "conditional": enc(self.conditional),
-            "multiplicity": enc(self.multiplicity),
-            "vertex_out": enc(self.vertex_out),
-            "vertex_in": enc(self.vertex_in),
-        }
 
 
 def shadow_model(inst: LabeledInstance) -> ShadowModel:
@@ -199,18 +166,17 @@ def conditional_report(model: ShadowModel, event: ConditionEvent | None,
                        edges=None) -> MomentReport:
     inst = model.inst
     edges = list(edges) if edges is not None else list(inst.all_edges())
-    marg, cond, mult = {}, {}, {}
+    marg, cond = {}, {}
     v_out: dict[Vertex, Fraction] = {}
     v_in: dict[Vertex, Fraction] = {}
     for e in edges:
         marg[e] = model.marginal(e)
         cond[e] = (model.conditional_probability(e, event)
                    if event is not None else marg[e])
-        mult[e] = model.expected_multiplicity(e, event)
         u, v = e
         v_out[u] = v_out.get(u, Fraction(0)) + cond[e]
         v_in[v] = v_in.get(v, Fraction(0)) + cond[e]
-    return MomentReport(event, marg, cond, mult, v_out, v_in)
+    return MomentReport(event, marg, cond, v_out, v_in)
 
 
 @dataclass
@@ -330,13 +296,6 @@ class CounterexampleFamily:
     def __init__(self, inst: LayeredInstance):
         self.inst = inst
         self.public = set(getattr(inst, "public_sinks", ()))
-
-    def value(self, f: Edge, e: Edge) -> Fraction:
-        if f == e:
-            return Fraction(1)
-        if f[0] == self.inst.source and e[0] == f[1] and e[1] in self.public:
-            return Fraction(1)
-        return Fraction(0)
 
     def triggers_of(self, e: Edge):
         out = [(e, Fraction(1))]

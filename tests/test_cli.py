@@ -138,6 +138,32 @@ class TestCommands:
         assert data["samples"] == 400
 
 
+MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",
+                      "shadow-sample", "certificate", "locally-good")
+
+# inputs that must end in a usage error; EXPLICIT stands for a built
+# explicit (non-mmda) instance file
+REJECTED = (
+    [[cmd, "--kind", "example"] for cmd in MMDA_ONLY_COMMANDS]
+    + [[cmd, "--instance-file", "EXPLICIT"] for cmd in MMDA_ONLY_COMMANDS]
+    + [["shadow-sample", "--kind", "subtree-cex"],
+       ["build", "--eps", "-1"], ["build", "--m", "0"], ["build", "--ell", "0"],
+       ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"]])
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+    def test_usage_error_without_traceback(self, tmp_path, capsys, argv):
+        explicit = tmp_path / "example.json"
+        assert main(["build", "--kind", "example",
+                     "--out", str(explicit)]) == EXIT_PASS
+        argv = [str(explicit) if a == "EXPLICIT" else a for a in argv]
+        code = main([*argv, "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         a = tmp_path / "a.json"

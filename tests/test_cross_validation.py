@@ -23,9 +23,12 @@ class TestHierarchyModesAgree:
         ps = path_solution(inst8_deep, 2)
         sym = verify_path_hierarchy(inst8_deep, ps, mode="symbolic")
         enu = verify_path_hierarchy(inst8_deep, ps, mode="enumerated")
-        assert sym.ok == enu.ok
-        assert {c.constraint_id for c in sym.violations} == set() \
-            or {c.constraint_id for c in enu.violations}
+        assert sym.summary() == {"checks": 92, "violations": 1, "undecided": 0}
+        assert enu.summary() == {"checks": 97546, "violations": 168, "undecided": 0}
+        # both modes fail on the same constraint class and nowhere else
+        for rep in (sym, enu):
+            assert {c.constraint_id.split(":")[0] for c in rep.violations} \
+                == {"lifted-packing"}
 
     def test_depth3_disagreeing_rounds(self, inst4):
         for t in (1, 2):

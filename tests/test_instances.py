@@ -35,6 +35,12 @@ class TestParams:
             make_params(8, Fraction(1, 4), epsilon=Fraction(2, 3))
         with pytest.raises(InstanceError):
             make_params(8, Fraction(1, 4), epsilon=Fraction(1, 3))  # eps*rho*m = 2/3
+        for bad in ({"epsilon": Fraction(-1)}, {"epsilon": Fraction(0)},
+                    {"ell": 0}, {"ell": -3}):
+            with pytest.raises(InstanceError):
+                make_params(8, Fraction(1, 4), **bad)
+        with pytest.raises(InstanceError):
+            make_params(0, Fraction(1, 4))   # rho*m = 0: empty labels
 
     def test_size_cap(self):
         with pytest.raises(InstanceError):
@@ -111,12 +117,14 @@ class TestDeepInstance:
         inst = inst8_deep
         peak = inst.params.peak_layer
         for i in range(1, inst.ell + 1):
+            outs = {u: set(inst.out_neighbors(u)) for u in inst.vertices(i - 1)}
             for v in inst.vertices(i):
                 ins = set(inst.in_neighbors(v))
                 for u in inst.vertices(i - 1):
                     lu, lv = inst.label(u), inst.label(v)
                     nested = (lu & lv == lu) if i <= peak else (lv & lu == lv)
                     assert (u in ins) == nested
+                    assert (v in outs[u]) == nested
 
     def test_layered_structure(self, inst8_deep):
         for u, v in inst8_deep.all_edges():
@@ -126,6 +134,7 @@ class TestDeepInstance:
         inst = inst12
         peak = inst.params.peak_layer
         for i in range(1, inst.ell + 1):
+            outs = {u: set(inst.out_neighbors(u)) for u in inst.vertices(i - 1)}
             for v in inst.vertices(i):
                 ins = set(inst.in_neighbors(v))
                 lv = inst.label(v)
@@ -133,6 +142,7 @@ class TestDeepInstance:
                     lu = inst.label(u)
                     nested = (lu & lv == lu) if i <= peak else (lv & lu == lv)
                     assert (u in ins) == nested, (u, v)
+                    assert (v in outs[u]) == nested, (u, v)
 
 
 class TestDesiderata:

@@ -4,8 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from mmda_lab.relaxations import SparseSolution, assignment_solution
-from mmda_lab.shadow import (ConditionEvent, IndependentFamily, ShadowModel,
+from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
+                                make_params)
+from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
+                                  assignment_solution)
+from mmda_lab.shadow import (ConditionEvent, CounterexampleFamily,
+                             IndependentFamily, ShadowModel,
                              check_no_edge_dominates, conditional_report,
                              independent_model, sa1_certificate, sample,
                              shadow_model, two_layer_rounding_control)
@@ -147,6 +151,25 @@ class TestOracleAgreement:
             assert n < 2
 
 
+class TestFamilyProtocol:
+    @pytest.mark.parametrize("kind,size", [
+        ("independent", 4), ("subtree", 4), ("subtree", 8),
+        ("counterexample", 2), ("counterexample", 3)])
+    def test_support_and_triggers_are_transposes(self, kind, size):
+        if kind == "counterexample":
+            fam = CounterexampleFamily(build_subtree_counterexample(size))
+        else:
+            inst = build_mmda(make_params(size, Fraction(1, 4)))
+            fam = IndependentFamily(inst) if kind == "independent" \
+                else SubtreeFamily(inst)
+        edges = list(fam.inst.all_edges())
+        by_support = [((f, e), val) for f in edges for e, val in fam.support(f)]
+        by_trigger = [((f, e), val) for e in edges for f, val in fam.triggers_of(e)]
+        assert len(by_support) == len(by_trigger)
+        assert len(dict(by_support)) == len(by_support)
+        assert dict(by_support) == dict(by_trigger)
+
+
 class TestConditionalReports:
     def test_positive_event_boosts_children(self, inst8, model8):
         e1 = ((0, 0), (1, 0))
@@ -166,7 +189,7 @@ class TestConditionalReports:
         ev = ConditionEvent(((0, 0), (1, 0)), True)
         mr = conditional_report(model8, ev)
         for e in list(mr.conditional)[:50]:
-            assert mr.multiplicity[e] >= mr.conditional[e]
+            assert model8.expected_multiplicity(e, ev) >= mr.conditional[e]
 
     def test_zero_probability_event_rejected(self, inst8):
         sol = assignment_solution(inst8)

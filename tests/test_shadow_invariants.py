@@ -2,12 +2,14 @@
 controls that show where its key property comes from and where it breaks.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from mmda_lab.cli import main
 from mmda_lab.instances import build_subtree_counterexample
 from mmda_lab.relaxations import sink_inflow
 from mmda_lab.shadow import (ConditionEvent, counterexample_shadow_model,
@@ -101,8 +103,14 @@ class TestSkippedEvents:
         assert res.events_checked == 2 * inst.n_edges - res.events_skipped
 
 
+MIN_COVERING_SLACK = Fraction(10054130463127597956708659,
+                              17044555094048160000000000)
+MAX_PACKING_SUM = Fraction(1922149200821972655701325656490682556443063,
+                           530494369178953966710418628622720000000000)
+
+
 class TestFullConditionalSweep:
-    def test_recorded_fixture_levels(self, inst8, model8):
+    def test_recorded_fixture_levels(self, inst8, model8, tmp_path):
         # every edge, both signs: recorded floor/ceiling from the exact
         # engine; the run also exercises the skipped-event accounting
         t0 = time.monotonic()
@@ -112,6 +120,17 @@ class TestFullConditionalSweep:
         assert res.events_checked == 2 * inst8.n_edges
         assert res.events_skipped == 0
         # recorded fixture values: the binding conditionings
-        assert res.min_covering_slack > Fraction(1, 7)
-        assert res.max_packing_sum < 4
+        assert res.min_covering_slack == MIN_COVERING_SLACK
+        assert res.worst_covering[0] == "+1.0>2.0"
+        assert res.max_packing_sum == MAX_PACKING_SUM
+        assert res.worst_packing[0] == "+2.0>3.0"
         assert dt < 420, dt
+        # the six events of `sa1-report --events layers` reach the same
+        # extremes as the full sweep
+        out = tmp_path / "sa1.json"
+        assert main(["sa1-report", "--m", "8", "--rho", "1/4",
+                     "--events", "layers", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["events_checked"] == 6
+        assert Fraction(data["min_covering_slack"]["exact"]) == MIN_COVERING_SLACK
+        assert Fraction(data["max_packing_sum"]["exact"]) == MAX_PACKING_SUM
