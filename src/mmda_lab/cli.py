@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (InstanceError, EnumerationCapExceeded, ValueError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PrecisionCapExceeded as exc:

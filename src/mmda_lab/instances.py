@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .scalars import Monomial, Rat, Scalar
@@ -100,16 +101,18 @@ class InstanceParams:
             if Fraction(q).denominator != 1:
                 raise InstanceError(f"divisibility violation: {name}={q} not integral")
 
-    @property
+    # derived sizes, computed once; kept outside the fields, so equality
+    # and the hash do not see them
+    @cached_property
     def rho_m(self) -> int:
         return int(self.rho * self.m)
 
-    @property
+    @cached_property
     def step(self) -> int:
         """Label-size increment per layer, eps*rho*m."""
         return int(self.epsilon * self.rho * self.m)
 
-    @property
+    @cached_property
     def peak_layer(self) -> int:
         """Layer index 2/eps where labels reach size 2*rho*m."""
         return int(2 / self.epsilon)

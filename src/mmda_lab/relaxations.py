@@ -269,6 +269,8 @@ class PathSolution:
 
     def __init__(self, inst: LabeledInstance, rounds: int,
                  cap: int = ENUMERATION_CAP):
+        if rounds < 0:
+            raise InstanceError(f"rounds={rounds} must be non-negative")
         if rounds > inst.ell:
             raise InstanceError("rounds exceed instance depth")
         self.inst = inst

@@ -39,9 +39,13 @@ def floor_log2(x: Fraction) -> int:
     """Largest e with 2**e <= x, for x > 0."""
     if x <= 0:
         raise ValueError("floor_log2 needs a positive argument")
-    n, d = x.numerator, x.denominator
+    return _floor_log2(x.numerator, x.denominator)
+
+
+def _floor_log2(n: int, d: int) -> int:
+    # floor(log2(n/d)) for n, d > 0 in any terms; the bit-length guess
+    # is within 1 of the truth, fixed up by exact comparison
     e = n.bit_length() - d.bit_length()
-    # candidate is within 1 of the truth; fix up by exact comparison
     while _pow2_le(e + 1, n, d):
         e += 1
     while not _pow2_le(e, n, d):
@@ -62,22 +66,24 @@ def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
     ``up=True`` rounds toward +inf, ``up=False`` toward -inf, so the
     result always brackets x from the requested side.
     """
-    if x == 0:
-        return Fraction(0)
-    if x.denominator == 1 and abs(x.numerator).bit_length() <= prec:
-        return x
-    shift = prec - 1 - floor_log2(abs(x))
+    return Fraction(*_round_pair(x.numerator, x.denominator, prec, up))
+
+
+def _round_pair(n: int, d: int, prec: int, up: bool) -> tuple[int, int]:
+    # round_dyadic on n/d with d > 0, in any terms; the result is an
+    # unreduced pair (num, 2**shift) or (num, 1) of the same value
+    if n == 0:
+        return 0, 1
+    if d == 1 and abs(n).bit_length() <= prec:
+        return n, 1
+    shift = prec - 1 - _floor_log2(abs(n), d)
     if shift <= 0:
-        scaled = Fraction(x.numerator, x.denominator * (1 << -shift)) if shift else x
-        num = scaled.numerator // scaled.denominator
-        if up and num * scaled.denominator != scaled.numerator:
-            num += 1
-        return Fraction(num * (1 << -shift)) if shift else Fraction(num)
-    num = (x.numerator << shift) // x.denominator
-    exact = (x.numerator << shift) % x.denominator == 0
-    if up and not exact:
+        num, r = divmod(n, d << -shift)
+    else:
+        num, r = divmod(n << shift, d)
+    if up and r:
         num += 1
-    return Fraction(num, 1 << shift)
+    return (num << -shift, 1) if shift <= 0 else (num, 1 << shift)
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +210,32 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# certified elementary enclosures (exact-rational series with explicit tails)
+# certified elementary enclosures: exact-rational series with explicit
+# tails, accumulated over unreduced integer numerators and denominators
+# (no gcd in the loops) and reduced once, into the returned Fractions
 
 
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on atanh(z) for 0 <= z <= 1/2."""
     if z == 0:
         return Fraction(0), Fraction(0)
-    tol = Fraction(1, 1 << (prec + 4))
-    total = Fraction(0)
-    term = z
-    zz = z * z
+    s = prec + 4  # tol = 2**-s
+    tn, td = 0, 1  # total
+    mn, md = z.numerator, z.denominator  # term
+    zn, zd = mn * mn, md * md  # zz
     k = 0
-    while term / (2 * k + 1) > tol:
-        total += term / (2 * k + 1)
-        term *= zz
+    while mn << s > md * (2 * k + 1):
+        q = md * (2 * k + 1)
+        tn, td = tn * q + mn * td, td * q
+        mn, md = mn * zn, md * zd
         k += 1
         # keep intermediate sizes bounded
-        total = round_dyadic(total, prec + 16, up=False)
-        term = round_dyadic(term, prec + 16, up=True)
+        tn, td = _round_pair(tn, td, prec + 16, up=False)
+        mn, md = _round_pair(mn, md, prec + 16, up=True)
     # remainder: sum_{j>=k} z^(2j+1)/(2j+1) <= term/( (2k+1) (1-z^2) )
-    rem = term / ((2 * k + 1) * (1 - zz))
-    return total, total + rem + tol * (k + 2)
+    q = md * (2 * k + 1) * (zd - zn)  # rem = mn * zd / q
+    hi = ((tn * q + mn * zd * td) << s) + (k + 2) * td * q
+    return Fraction(tn, td), Fraction(hi, (td * q) << s)
 
 
 @lru_cache(maxsize=None)
@@ -261,21 +271,25 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on exp(x) for |x| <= 1."""
     if abs(x) > 1:
         raise ValueError("reduced exponential argument expected")
-    tol = Fraction(1, 1 << (prec + 4))
-    total = Fraction(1)
-    term = Fraction(1)
+    n, d = x.numerator, x.denominator
+    s = prec + 4  # tol = 2**-s
+    # total = t/den and term = num/den over the shared den = d**k * k!
+    t = den = num = 1
     k = 0
     while True:
         k += 1
-        term = term * x / k
-        total += term
-        if abs(term) <= tol and k >= 2:
+        dk = d * k
+        den *= dk
+        num *= n
+        t = t * dk + num
+        if abs(num) << s <= den and k >= 2:
             break
-    # |remainder| <= 2*|term| once |x|/(k+1) <= 1/2
-    rem = 2 * abs(term) + tol
-    return total - rem, total + rem
+    # |remainder| <= 2*|term| once |x|/(k+1) <= 1/2; plus tol
+    rem = (2 * abs(num) << s) + den
+    return Fraction((t << s) - rem, den << s), Fraction((t << s) + rem, den << s)
 
 
+@lru_cache(maxsize=4096)
 def exp2_point_bounds(x: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
     """Bounds on 2**x for rational x."""
     n = math.floor(x)

@@ -142,13 +142,15 @@ MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",
                       "shadow-sample", "certificate", "locally-good")
 
 # inputs that must end in a usage error; EXPLICIT stands for a built
-# explicit (non-mmda) instance file
+# explicit (non-mmda) instance file, MISSING for a path that does not exist
 REJECTED = (
     [[cmd, "--kind", "example"] for cmd in MMDA_ONLY_COMMANDS]
     + [[cmd, "--instance-file", "EXPLICIT"] for cmd in MMDA_ONLY_COMMANDS]
     + [["shadow-sample", "--kind", "subtree-cex"],
        ["build", "--eps", "-1"], ["build", "--m", "0"], ["build", "--ell", "0"],
-       ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"]])
+       ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"],
+       ["build", "--instance-file", "MISSING"],
+       ["verify-paths", "--m", "4", "--rounds", "-1"]])
 
 
 class TestRejectedInputs:
@@ -157,7 +159,8 @@ class TestRejectedInputs:
         explicit = tmp_path / "example.json"
         assert main(["build", "--kind", "example",
                      "--out", str(explicit)]) == EXIT_PASS
-        argv = [str(explicit) if a == "EXPLICIT" else a for a in argv]
+        paths = {"EXPLICIT": str(explicit), "MISSING": str(tmp_path / "missing.json")}
+        argv = [paths.get(a, a) for a in argv]
         code = main([*argv, "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE

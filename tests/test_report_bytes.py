@@ -1,0 +1,40 @@
+"""Golden report bytes: a speed-up must not move a single byte.
+
+Each command's report (and exit code) is compared with the recorded
+sha256 of its bytes. A changed hash means a changed value, encoding or
+order of checks; none of these may come from a fast path.
+"""
+
+import hashlib
+
+import pytest
+
+from mmda_lab.cli import main
+
+GOLDEN = [
+    ("verify-paths --m 16 --eps 1/2 --mode symbolic", 0,
+     "d2c5ebd7f996e6397cf88be0e97aa6ec8eddb1543605ff7530f8ded7ac065724"),
+    ("verify-lp --m 16 --eps 1/4", 0,
+     "a198bac2f894e2d3e4e2fb610dd757fce93eb9c8776fedfca5e52abd2a066ef1"),
+    ("scan --fn f_packing --lo 1e-4 --hi 1e-2", 0,
+     "9e5a30124c0de965ca8eaf3162ddd260bab2cf91684930717deeaf54b402705b"),
+    ("verify-paths --mode enumerated --m 4 --rounds 2", 4,
+     "cbff6fb94dea0cb88cdd38a22387d1420eb537633cbaf9347bc20193620a1a01"),
+    ("certificate --m 8", 0,
+     "a69e122398aabe6e9b527cf20e8746f04a0f3abd7dc6948f591c4c68c01890a0"),
+    ("ra --k 12 --eps 1/12 --cond 1 --alpha 5", 0,
+     "d7382fdfefee25b9cd8223d988a2a65bbbb80c11b52e4845f2c09592d5dae411"),
+    ("appendixb", 0,
+     "e5b652b6ed91d3267827e5e2a41c748c9a9ecabab64bc78179fac4511cdc9db6"),
+    ("appendixc", 0,
+     "7044707db3b5ba9e844932b6f400a1a38b687f7568d9073ad999cc8e8b78c031"),
+    ("build --m 8", 0,
+     "005342f3d9ac82dc1fad2612f8e513e921f0d9de26cd645842bf0738da9566ca"),
+]
+
+
+@pytest.mark.parametrize("command,code,sha256", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_report_sha256(tmp_path, command, code, sha256):
+    out = tmp_path / "report.json"
+    assert main([*command.split(), "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

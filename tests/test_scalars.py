@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mmda_lab.scalars import (EQ, GT, LT, UNDECIDED, Interval, Monomial,
-                              PrecisionCapExceeded, Rat, compare_certified,
-                              entropy_interval, entropy_value, exp2_interval,
-                              log2_binomial, log2_interval, scalar_add,
-                              scalar_mul)
+                              PrecisionCapExceeded, Rat, _atanh_bounds,
+                              _exp_bounds, compare_certified, entropy_interval,
+                              entropy_value, exp2_interval, floor_log2,
+                              log2_binomial, log2_interval, round_dyadic,
+                              scalar_add, scalar_mul)
 
 
 def near(iv, x, eps=1e-12):
@@ -174,3 +175,112 @@ class TestIntervals:
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
             Interval(Fraction(1), Fraction(0))
+
+
+# Reference kernels: the series as first written, on reduced Fractions.
+# The integer kernels in scalars must return exactly the same values.
+
+def _ref_floor_log2(x):
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    while Fraction(2) ** (e + 1) <= x:
+        e += 1
+    while Fraction(2) ** e > x:
+        e -= 1
+    return e
+
+
+def _ref_round_dyadic(x, prec, up):
+    if x == 0:
+        return Fraction(0)
+    if x.denominator == 1 and abs(x.numerator).bit_length() <= prec:
+        return x
+    shift = prec - 1 - _ref_floor_log2(abs(x))
+    scaled = x * Fraction(2) ** shift
+    num = math.ceil(scaled) if up else math.floor(scaled)
+    return num / Fraction(2) ** shift
+
+
+def _ref_atanh_bounds(z, prec):
+    if z == 0:
+        return Fraction(0), Fraction(0)
+    tol = Fraction(1, 1 << (prec + 4))
+    total = Fraction(0)
+    term = z
+    zz = z * z
+    k = 0
+    while term / (2 * k + 1) > tol:
+        total += term / (2 * k + 1)
+        term *= zz
+        k += 1
+        total = _ref_round_dyadic(total, prec + 16, up=False)
+        term = _ref_round_dyadic(term, prec + 16, up=True)
+    rem = term / ((2 * k + 1) * (1 - zz))
+    return total, total + rem + tol * (k + 2)
+
+
+def _ref_exp_bounds(x, prec):
+    tol = Fraction(1, 1 << (prec + 4))
+    total = Fraction(1)
+    term = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        term = term * x / k
+        total += term
+        if abs(term) <= tol and k >= 2:
+            break
+    rem = 2 * abs(term) + tol
+    return total - rem, total + rem
+
+
+def _oracle_arguments():
+    """Seeded (x, prec) pairs: dyadic in [-1, 1], non-dyadic, and edge values."""
+    import random
+    rng = random.Random(20240)
+    out = []
+    for prec in (64, 128, 256, 512):
+        for _ in range(6):
+            bits = prec + rng.choice((0, 8, 16))
+            out.append((Fraction(rng.randrange(-(1 << bits), (1 << bits) + 1),
+                                 1 << bits), prec))
+        for _ in range(3):
+            out.append((Fraction(rng.randrange(-10 ** 9, 10 ** 9),
+                                 rng.randrange(10 ** 9, 10 ** 10)), prec))
+        out += [(Fraction(x), prec) for x in (0, 1, -1, Fraction(1, 3))]
+    return out
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("x,prec", _oracle_arguments())
+    def test_exp_bounds_equal_reference(self, x, prec):
+        assert _exp_bounds(x, prec) == _ref_exp_bounds(x, prec)
+
+    @pytest.mark.parametrize("x,prec", _oracle_arguments())
+    def test_atanh_bounds_equal_reference(self, x, prec):
+        z = abs(x) / 2  # the kernel's domain is [0, 1/2]
+        assert _atanh_bounds(z, prec) == _ref_atanh_bounds(z, prec)
+
+    def test_atanh_of_one_third(self):
+        # _ln2_bounds passes this non-dyadic argument
+        for prec in (64, 256, 512):
+            z = Fraction(1, 3)
+            assert _atanh_bounds(z, prec) == _ref_atanh_bounds(z, prec)
+
+    def test_round_dyadic_equals_reference(self):
+        import random
+        rng = random.Random(7)
+        xs = [Fraction(rng.randrange(-10 ** 40, 10 ** 40), rng.randrange(1, 10 ** 25))
+              for _ in range(150)]
+        xs += [Fraction(rng.randrange(-(1 << 200), 1 << 200), 1 << rng.randrange(300))
+               for _ in range(150)]
+        xs += [Fraction(rng.randrange(-(1 << 90), 1 << 90)) for _ in range(50)]
+        xs += [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2, 3)]
+        for x in xs:
+            for prec in (1, 2, 16, 64, 100):
+                for up in (False, True):
+                    got = round_dyadic(x, prec, up)
+                    assert got == _ref_round_dyadic(x, prec, up), (x, prec, up)
+                    assert got >= x if up else got <= x
+            if x > 0:
+                assert floor_log2(x) == _ref_floor_log2(x)
