@@ -43,14 +43,10 @@ def floor_log2(x: Fraction) -> int:
 
 
 def _floor_log2(n: int, d: int) -> int:
-    # floor(log2(n/d)) for n, d > 0 in any terms; the bit-length guess
-    # is within 1 of the truth, fixed up by exact comparison
+    # floor(log2(n/d)) for n, d > 0 in any terms: with a, b the bit
+    # lengths, 2^(a-b-1) < n/d < 2^(a-b+1), so one exact probe decides
     e = n.bit_length() - d.bit_length()
-    while _pow2_le(e + 1, n, d):
-        e += 1
-    while not _pow2_le(e, n, d):
-        e -= 1
-    return e
+    return e if _pow2_le(e, n, d) else e - 1
 
 
 def _pow2_le(e: int, n: int, d: int) -> bool:

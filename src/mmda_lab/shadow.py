@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .instances import Edge, InstanceError, LabeledInstance, LayeredInstance, Vertex
-from .relaxations import SparseSolution, SubtreeFamily, assignment_solution
+from .relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
+                          assignment_solution)
 from .reports import ViolationReport, check_ge, check_le
 from .scalars import Rat
 
@@ -49,6 +51,8 @@ class ShadowModel:
         self._xcache: dict[Edge, Fraction] = {}
         self._triggers: dict[Edge, dict[Edge, Fraction]] = {}
         self._survival: dict[Edge, Fraction] = {}
+        self._marginal: dict[Edge, Fraction] = {}
+        self._labels: dict[Vertex, int] = {}
 
     # --- plumbing ---------------------------------------------------------
     def x_of(self, e: Edge) -> Fraction:
@@ -63,6 +67,10 @@ class ShadowModel:
             t = self._triggers[e] = dict(self.family.triggers_of(e))
         return t
 
+    @cached_property
+    def _support_arrays(self) -> _SupportArrays:
+        return _SupportArrays(self)
+
     # --- exact moments -----------------------------------------------------
     def survival(self, e: Edge) -> Fraction:
         """P[e not in A]."""
@@ -75,7 +83,10 @@ class ShadowModel:
         return s
 
     def marginal(self, e: Edge) -> Fraction:
-        return 1 - self.survival(e)
+        m = self._marginal.get(e)
+        if m is None:
+            m = self._marginal[e] = 1 - self.survival(e)
+        return m
 
     def pair_absent(self, e1: Edge, e2: Edge) -> Fraction:
         """P[e1 not in A and e2 not in A]."""
@@ -162,20 +173,97 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
     return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
 
 
-def conditional_report(model: ShadowModel, event: ConditionEvent | None,
-                       edges=None) -> MomentReport:
+def _atoms(cells: list[int], *sets: int) -> list[int]:
+    """The disjoint ``cells`` split by each of ``sets`` in turn: the Venn
+    atoms of the sets inside each cell."""
+    for s in sets:
+        cells = [c & s for c in cells] + [c & ~s for c in cells]
+    return cells
+
+
+class _EventMoments:
+    """Conditional edge probabilities and vertex in/out sums under one
+    event (None: unconditioned), each computed once per orbit class.
+
+    On a labelled instance with a layer-valued base solution and the
+    subtree or independent family, the model is invariant under the
+    permutations S_m of the ground set, so a value under the event on the
+    edge with labels (A, B) is constant on the orbits of the stabiliser of
+    (A, B) (Gatermann & Parrilo 2004).  An edge's orbit is fixed by its
+    layer and the Venn atom sizes of (L(u), L(v), A, B), a vertex's by its
+    layer and those of (L(v), A, B).  Any other model keys by the edge or
+    vertex itself.
+    """
+
+    def __init__(self, model: ShadowModel, event: ConditionEvent | None):
+        self.model = model
+        self.event = event
+        inst = model.inst
+        if (isinstance(inst, LabeledInstance) and isinstance(model.x, LayerSolution)
+                and isinstance(model.family, (SubtreeFamily, IndependentFamily))):
+            labels = model._labels
+
+            def label(v: Vertex) -> int:
+                lab = labels.get(v)
+                if lab is None:
+                    lab = labels[v] = inst.label(v)
+                return lab
+
+            ab = (label(event.edge[0]), label(event.edge[1])) if event else (0, 0)
+            cells = _atoms([(1 << inst.params.m) - 1], *ab)
+
+            def sizes(*sets: int) -> tuple:
+                return tuple(c.bit_count() for c in _atoms(cells, *sets))
+
+            self.edge_key = lambda e: (e[1][0], sizes(label(e[0]), label(e[1])))
+            self.vertex_key = lambda v: (v[0], sizes(label(v)))
+        else:
+            self.edge_key = self.vertex_key = lambda x: x
+        self._edge: dict = {}
+        self._vertex: dict = {}
+
+    def edge(self, e: Edge) -> Fraction:
+        return self._value(self.edge_key(e), e)
+
+    def _value(self, key, e: Edge) -> Fraction:
+        p = self._edge.get(key)
+        if p is None:
+            p = self._edge[key] = (self.model.marginal(e) if self.event is None else
+                                   self.model.conditional_probability(e, self.event))
+        return p
+
+    def _sum(self, edges) -> Fraction:
+        """Sum over ``edges``: each class once, times its edge count."""
+        reps: dict = {}
+        for e in edges:
+            key = self.edge_key(e)
+            n, rep = reps.get(key, (0, e))
+            reps[key] = (n + 1, rep)
+        return sum((n * self._value(key, e) for key, (n, e) in reps.items()), Fraction(0))
+
+    def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
+        """(sum over the in-edges, sum over the out-edges) of v."""
+        key = self.vertex_key(v)
+        sums = self._vertex.get(key)
+        if sums is None:
+            inst = self.model.inst
+            sums = self._vertex[key] = (self._sum((u, v) for u in inst.in_neighbors(v)),
+                                        self._sum((v, w) for w in inst.out_neighbors(v)))
+        return sums
+
+
+def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:
+    """Marginal and conditional probability of every edge, and every
+    vertex's conditional out-sum (non-sinks) and in-sum (non-sources)."""
     inst = model.inst
-    edges = list(edges) if edges is not None else list(inst.all_edges())
+    marginals = _EventMoments(model, None)
+    moments = _EventMoments(model, event)
     marg, cond = {}, {}
-    v_out: dict[Vertex, Fraction] = {}
-    v_in: dict[Vertex, Fraction] = {}
-    for e in edges:
-        marg[e] = model.marginal(e)
-        cond[e] = (model.conditional_probability(e, event)
-                   if event is not None else marg[e])
-        u, v = e
-        v_out[u] = v_out.get(u, Fraction(0)) + cond[e]
-        v_in[v] = v_in.get(v, Fraction(0)) + cond[e]
+    for e in inst.all_edges():
+        marg[e] = marginals.edge(e)
+        cond[e] = moments.edge(e)
+    v_out = {v: moments.vertex(v)[1] for i in range(inst.ell) for v in inst.vertices(i)}
+    v_in = {v: moments.vertex(v)[0] for i in range(1, inst.ell + 1) for v in inst.vertices(i)}
     return MomentReport(event, marg, cond, v_out, v_in)
 
 
@@ -202,9 +290,8 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
     inst = model.inst
     floor = Fraction(covering_slack_floor)
     ceiling = Fraction(packing_ceiling)
-    all_edges = list(inst.all_edges())
     if events is None:
-        events = [ConditionEvent(e, sign) for e in all_edges for sign in (True, False)]
+        events = [ConditionEvent(e, sign) for e in inst.all_edges() for sign in (True, False)]
     rep = ViolationReport()
     min_cov = None
     max_pack = None
@@ -218,18 +305,26 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
             skipped += 1
             continue
         checked += 1
-        mr = conditional_report(model, ev, all_edges)
+        moments = _EventMoments(model, ev)
+        seen = set()
         for i in range(inst.ell + 1):
             for v in inst.vertices(i):
-                inflow = Fraction(1) if v == inst.source else mr.vertex_in.get(v, Fraction(0))
+                # a vertex of a class met before has the same slack and
+                # packing, so the strict comparisons below, which keep the
+                # first vertex in (layer, rank) order to reach an extreme,
+                # cannot move on it
+                key = moments.vertex_key(v)
+                if key in seen:
+                    continue
+                seen.add(key)
+                pack, out = moments.vertex(v)
+                inflow = Fraction(1) if v == inst.source else pack
                 if i < inst.ell and inflow > 0:
                     kv = inst.k_of(v).as_fraction()
-                    out = mr.vertex_out.get(v, Fraction(0))
                     slack = out / (kv * inflow)
                     if min_cov is None or slack < min_cov:
                         min_cov, worst_cov = slack, (ev.label(), v)
                 if v != inst.source:
-                    pack = mr.vertex_in.get(v, Fraction(0))
                     if max_pack is None or pack > max_pack:
                         max_pack, worst_pack = pack, (ev.label(), v)
     if min_cov is not None:
@@ -381,23 +476,63 @@ class ShadowSample:
         assert self.active == frozenset(self.multiplicity)
 
 
+class _SupportArrays:
+    """Every trigger's support as CSR rows over the edges in ``all_edges``
+    order: row f lists the indices and float values of
+    ``family.support(f)``, in that order, so one sample's draws for all its
+    triggers are one contiguous stretch of its stream."""
+
+    def __init__(self, model: ShadowModel):
+        self.edges = list(model.inst.all_edges())
+        self.index = {e: i for i, e in enumerate(self.edges)}
+        self.thresholds = np.array([float(model.x_of(e)) for e in self.edges])
+        indptr, indices, probs = [0], [], []
+        for f in self.edges:
+            for e, val in model.family.support(f):
+                indices.append(self.index[e])
+                probs.append(float(val))
+            indptr.append(len(indices))
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.indices = np.array(indices, dtype=np.int64)
+        self.probs = np.array(probs)
+
+    def draw(self, seed: int, index: int, rounds: int):
+        """The index-th sample: its shadow (edge indices), the CSR positions
+        its last round drew with their outcomes, and the multiplicities.
+
+        Philox is counter-based, so one ``random`` call over the
+        concatenated supports of all triggers yields the same numbers as
+        one call per trigger in turn (Salmon et al., SC 2011).
+        """
+        n = len(self.edges)
+        gen = np.random.Generator(np.random.Philox(key=[seed, index]))
+        shadow = np.flatnonzero(gen.random(n) < self.thresholds)
+        triggers = shadow
+        pos = np.zeros(0, dtype=np.int64)
+        hit = np.zeros(0, dtype=bool)
+        mult = np.zeros(n, dtype=np.int64)
+        for _ in range(rounds):
+            starts = self.indptr[triggers]
+            lens = self.indptr[triggers + 1] - starts
+            pos = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+            hit = gen.random(len(pos)) < self.probs[pos]
+            mult = np.bincount(self.indices[pos[hit]], minlength=n)
+            triggers = np.flatnonzero(mult)
+        return shadow, pos, hit, mult
+
+
 def draw_one(model: ShadowModel, seed: int, index: int = 0) -> ShadowSample:
     """The index-th sample of the stream used by :func:`sample`."""
-    inst = model.inst
-    edges = list(inst.all_edges())
-    gen = np.random.Generator(np.random.Philox(key=[seed, index]))
-    us = gen.random(len(edges))
-    shadow = [e for e, u in zip(edges, us) if u < float(model.x_of(e))]
+    arrays = model._support_arrays
+    edges = arrays.edges
+    shadow, pos, hit, mult = arrays.draw(seed, index, rounds=1)
+    ends = np.cumsum(arrays.indptr[shadow + 1] - arrays.indptr[shadow])
     triggered = {}
-    mult: dict[Edge, int] = {}
-    for f in shadow:
-        supp = list(model.family.support(f))
-        hits = gen.random(len(supp))
-        got = frozenset(e for (e, val), u in zip(supp, hits) if u < float(val))
-        triggered[f] = got
-        for e in got:
-            mult[e] = mult.get(e, 0) + 1
-    return ShadowSample(frozenset(shadow), triggered, frozenset(mult), mult)
+    for f, p, h in zip(shadow, np.split(pos, ends[:-1]), np.split(hit, ends[:-1])):
+        triggered[edges[f]] = frozenset(edges[i] for i in arrays.indices[p[h]])
+    multiplicity = {edges[i]: int(mult[i]) for i in np.flatnonzero(mult)}
+    return ShadowSample(frozenset(edges[f] for f in shadow), triggered,
+                        frozenset(multiplicity), multiplicity)
 
 
 @dataclass
@@ -443,52 +578,33 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     so results do not depend on evaluation order.  ``rounds`` > 1 iterates
     the trigger step (exploratory only; the exact engine covers rounds=1).
     """
-    inst = model.inst
-    edges = list(inst.all_edges())
-    index = {e: i for i, e in enumerate(edges)}
-    n_edges = len(edges)
-    thresholds = np.array([float(model.x_of(e)) for e in edges])
-    supp_idx = []
-    supp_p = []
-    for f in edges:
-        pairs = [(index[e], float(val)) for e, val in model.family.support(f)]
-        supp_idx.append(np.array([i for i, _ in pairs], dtype=np.int64))
-        supp_p.append(np.array([p for _, p in pairs]))
-
+    arrays = model._support_arrays
+    edges, index = arrays.edges, arrays.index
     events = events or []
     ev_labels = [ev.label() for ev in events]
-    ev_edge_idx = [index[ev.edge] for ev in events]
-    counts = np.zeros(n_edges, dtype=np.int64)
-    mult_sums = np.zeros(n_edges, dtype=np.int64)
-    event_counts = dict.fromkeys(ev_labels, 0)
-    event_joint = np.zeros((len(events), n_edges), dtype=np.int64)
-
+    ev_edges = np.array([index[ev.edge] for ev in events], dtype=np.int64)
+    ev_signs = np.array([ev.positive for ev in events], dtype=bool)
+    counts = np.zeros(len(edges), dtype=np.int64)
+    mult_sums = np.zeros(len(edges), dtype=np.int64)
+    ev_counts = np.zeros(len(events), dtype=np.int64)
+    event_joint = np.zeros((len(events), len(edges)), dtype=np.int64)
     for i in range(n_samples):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        shadows = np.flatnonzero(gen.random(n_edges) < thresholds)
-        mult = np.zeros(n_edges, dtype=np.int32)
-        for _ in range(rounds):
-            nxt = np.zeros(n_edges, dtype=np.int32)
-            for f_idx in shadows:
-                hits = gen.random(len(supp_idx[f_idx])) < supp_p[f_idx]
-                np.add.at(nxt, supp_idx[f_idx][hits], 1)
-            mult = nxt
-            shadows = np.flatnonzero(nxt)
+        mult = arrays.draw(seed, i, rounds)[3]
         present = mult > 0
         counts += present
         mult_sums += mult
-        for j, (lab, eidx) in enumerate(zip(ev_labels, ev_edge_idx)):
-            happened = bool(present[eidx]) == events[j].positive
-            if happened:
-                event_counts[lab] += 1
-                event_joint[j] += present
+        happened = present[ev_edges] == ev_signs
+        ev_counts += happened
+        event_joint[happened] += present
+    event_counts = dict.fromkeys(ev_labels, 0)
+    for lab, c in zip(ev_labels, ev_counts):
+        event_counts[lab] += int(c)
     joint = {}
-    for j, lab in enumerate(ev_labels):
-        for e, idx in index.items():
-            if event_joint[j][idx]:
-                joint[(lab, e)] = int(event_joint[j][idx])
+    for lab, row in zip(ev_labels, event_joint):
+        for idx in np.flatnonzero(row):
+            joint[(lab, edges[idx])] = int(row[idx])
     return EmpiricalReport(
         n_samples, seed, rounds,
-        {e: int(counts[index[e]]) for e in edges},
-        {e: int(mult_sums[index[e]]) for e in edges},
+        {e: int(c) for e, c in zip(edges, counts)},
+        {e: int(c) for e, c in zip(edges, mult_sums)},
         event_counts, joint, edges)

@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
@@ -11,8 +13,9 @@ from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
 from mmda_lab.shadow import (ConditionEvent, CounterexampleFamily,
                              IndependentFamily, ShadowModel,
                              check_no_edge_dominates, conditional_report,
-                             independent_model, sa1_certificate, sample,
-                             shadow_model, two_layer_rounding_control)
+                             counterexample_shadow_model, independent_model,
+                             sa1_certificate, sample, shadow_model,
+                             two_layer_rounding_control)
 
 
 def oracle_joint(model, ea, eb):
@@ -58,6 +61,71 @@ def oracle_multiplicity_joint(model, e, e1):
                                   start=Fraction(1))
             total += p * mean_n * hit_1
     return total
+
+
+def hand_moments(model, ev):
+    """Every edge's conditional probability straight from the model, and
+    the per-vertex out- and in-sums of those values."""
+    cond = {e: model.conditional_probability(e, ev) for e in model.inst.all_edges()}
+    v_out, v_in = {}, {}
+    for (u, v), p in cond.items():
+        v_out[u] = v_out.get(u, Fraction(0)) + p
+        v_in[v] = v_in.get(v, Fraction(0)) + p
+    return cond, v_out, v_in
+
+
+def assert_report_matches_hand_sums(model, ev):
+    inst = model.inst
+    mr = conditional_report(model, ev)
+    cond, v_out, v_in = hand_moments(model, ev)
+    assert mr.conditional == cond
+    assert set(mr.vertex_out) == {v for i in range(inst.ell) for v in inst.vertices(i)}
+    assert set(mr.vertex_in) == {v for i in range(1, inst.ell + 1) for v in inst.vertices(i)}
+    for v, total in mr.vertex_out.items():
+        assert total == v_out.get(v, Fraction(0)), (ev.label(), v)
+    for v, total in mr.vertex_in.items():
+        assert total == v_in.get(v, Fraction(0)), (ev.label(), v)
+
+
+def oracle_sample(model, seed, n_samples, rounds=1, events=None):
+    """The sampler as one numpy draw per trigger, in shadow order: the
+    reference for the batched stream."""
+    edges = list(model.inst.all_edges())
+    index = {e: i for i, e in enumerate(edges)}
+    n_edges = len(edges)
+    thresholds = np.array([float(model.x_of(e)) for e in edges])
+    supp_idx, supp_p = [], []
+    for f in edges:
+        pairs = [(index[e], float(val)) for e, val in model.family.support(f)]
+        supp_idx.append(np.array([i for i, _ in pairs], dtype=np.int64))
+        supp_p.append(np.array([p for _, p in pairs]))
+    events = events or []
+    counts = np.zeros(n_edges, dtype=np.int64)
+    mult_sums = np.zeros(n_edges, dtype=np.int64)
+    event_counts = {ev.label(): 0 for ev in events}
+    event_joint = np.zeros((len(events), n_edges), dtype=np.int64)
+    for i in range(n_samples):
+        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
+        shadows = np.flatnonzero(gen.random(n_edges) < thresholds)
+        mult = np.zeros(n_edges, dtype=np.int32)
+        for _ in range(rounds):
+            nxt = np.zeros(n_edges, dtype=np.int32)
+            for f_idx in shadows:
+                hits = gen.random(len(supp_idx[f_idx])) < supp_p[f_idx]
+                np.add.at(nxt, supp_idx[f_idx][hits], 1)
+            mult = nxt
+            shadows = np.flatnonzero(nxt)
+        present = mult > 0
+        counts += present
+        mult_sums += mult
+        for j, ev in enumerate(events):
+            if bool(present[index[ev.edge]]) == ev.positive:
+                event_counts[ev.label()] += 1
+                event_joint[j] += present
+    joint = {(ev.label(), e): int(event_joint[j][index[e]])
+             for j, ev in enumerate(events) for e in edges if event_joint[j][index[e]]}
+    return ({e: int(counts[index[e]]) for e in edges},
+            {e: int(mult_sums[index[e]]) for e in edges}, event_counts, joint)
 
 
 class TestMarginals:
@@ -316,3 +384,63 @@ class TestSa1Certificate:
         res = sa1_certificate(model8, Fraction(2), Fraction(4),
                               events=[ConditionEvent(e, True)])
         assert not res.passed
+
+
+class TestOrbitQuotient:
+    """The engine evaluates one edge and one vertex per orbit class of the
+    event's stabiliser; every value must equal the direct per-edge sum."""
+
+    def test_two_events_per_class_m8(self, inst8, model8):
+        rng = random.Random(8)
+        for i in range(1, inst8.ell + 1):
+            layer = list(inst8.edges_into_layer(i))
+            for positive in (True, False):
+                for e in rng.sample(layer, 2):
+                    assert_report_matches_hand_sums(model8, ConditionEvent(e, positive))
+
+    def test_one_positive_event_per_layer_m12(self, inst12):
+        model = shadow_model(inst12)
+        rng = random.Random(12)
+        for i in range(1, inst12.ell + 1):
+            e = rng.choice(list(inst12.edges_into_layer(i)))
+            assert_report_matches_hand_sums(model, ConditionEvent(e, True))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_identity_keys_on_shared_sink_model(self, k):
+        model = counterexample_shadow_model(build_subtree_counterexample(k))
+        for e in model.inst.all_edges():
+            assert_report_matches_hand_sums(model, ConditionEvent(e, True))
+            if model.survival(e) != 0:
+                assert_report_matches_hand_sums(model, ConditionEvent(e, False))
+
+    def test_identity_keys_on_sparse_base_solution(self, inst4):
+        edges = list(inst4.all_edges())
+        x = SparseSolution(inst4, {e: Fraction(1, 2 + i % 5)
+                                   for i, e in enumerate(edges) if i % 3})
+        model = independent_model(inst4, x)
+        for e in edges[::4]:
+            if model.marginal(e) != 0:
+                assert_report_matches_hand_sums(model, ConditionEvent(e, True))
+            assert_report_matches_hand_sums(model, ConditionEvent(e, False))
+
+    def test_unconditioned_report_is_the_marginals(self, inst8, model8):
+        mr = conditional_report(model8, None)
+        assert mr.conditional == mr.marginals
+        assert mr.marginals == {e: model8.marginal(e) for e in inst8.all_edges()}
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_matches_per_trigger_oracle(self, inst8, model8, rounds):
+        events = []
+        for i in range(1, inst8.ell + 1):
+            e = next(iter(inst8.edges_into_layer(i)))
+            events += [ConditionEvent(e, True), ConditionEvent(e, False)]
+        emp = sample(model8, seed=21, n_samples=300, rounds=rounds, events=events)
+        counts, mult_sums, event_counts, joint = oracle_sample(
+            model8, seed=21, n_samples=300, rounds=rounds, events=events)
+        assert emp.counts == counts
+        assert emp.mult_sums == mult_sums
+        assert emp.event_counts == event_counts
+        assert emp.event_joint == joint
+        assert sum(event_counts.values()) > 300

@@ -124,7 +124,7 @@ class TestFullConditionalSweep:
         assert res.worst_covering[0] == "+1.0>2.0"
         assert res.max_packing_sum == MAX_PACKING_SUM
         assert res.worst_packing[0] == "+2.0>3.0"
-        assert dt < 420, dt
+        assert dt < 120, dt
         # the six events of `sa1-report --events layers` reach the same
         # extremes as the full sweep
         out = tmp_path / "sa1.json"
