@@ -30,9 +30,10 @@ from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
 from .rounding import audit_locality, audit_to_json, sample_forest
-from .scalars import PrecisionCapExceeded
+from .scalars import PrecisionCapExceeded, scalar_to_json
 from .scans import scan_proof_function
-from .shadow import ConditionEvent, sa1_certificate, sample, shadow_model
+from .shadow import (ConditionEvent, conditional_report, sa1_certificate, sample,
+                     shadow_model)
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +45,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def count_at_least(lo: int):
+    """argparse type: an integer count no smaller than ``lo``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{n} is below {lo}")
+        return n
+    return count
 
 
 def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
@@ -205,16 +216,16 @@ def cmd_sa1_report(args) -> int:
         "status": status,
         "events_checked": res.events_checked,
         "events_skipped": res.events_skipped,
-        "min_covering_slack": scalar_json_frac(res.min_covering_slack),
-        "max_packing_sum": scalar_json_frac(res.max_packing_sum),
+        "min_covering_slack": _exact(res.min_covering_slack),
+        "max_packing_sum": _exact(res.max_packing_sum),
         "worst_covering": _loc(res.worst_covering),
         "worst_packing": _loc(res.worst_packing),
     }
     return _emit(args, payload, code)
 
 
-def scalar_json_frac(q):
-    return None if q is None else {"exact": str(q), "approx": float(q)}
+def _exact(q):
+    return None if q is None else scalar_to_json(q)
 
 
 def _loc(t):
@@ -232,13 +243,13 @@ def cmd_shadow_sample(args) -> int:
     worst = 0.0
     rows = []
     if args.exact:
+        exact = {e: float(q) for e, q in conditional_report(model, None).marginals.items()}
         for e in emp.edges:
-            ex = float(model.marginal(e))
             se = emp.marginal_se(e)
-            dev = abs(emp.marginal(e) - ex) / se if se else 0.0
+            dev = abs(emp.marginal(e) - exact[e]) / se if se else 0.0
             worst = max(worst, dev)
-        rows = [{"edge": str(e), "empirical": emp.marginal(e),
-                 "exact": float(model.marginal(e))} for e in emp.edges[:20]]
+        rows = [{"edge": str(e), "empirical": emp.marginal(e), "exact": exact[e]}
+                for e in emp.edges[:20]]
     status, code = _status(not args.exact or worst <= args.max_dev)
     payload = {
         "command": "shadow-sample", "samples": args.samples, "seed": args.seed,
@@ -257,7 +268,7 @@ def cmd_bruteforce(args) -> int:
     status, code = _status(True, undecided=not res.complete)
     payload = {
         "command": "bruteforce",
-        "quality": {"exact": str(res.quality.alpha), "approx": float(res.quality.alpha)},
+        "quality": scalar_to_json(res.quality.alpha),
         "complete": res.complete,
         "nodes_used": res.nodes_used,
         "edges": sorted([[list(u), list(v)] for u, v in res.solution.edges]),
@@ -288,7 +299,7 @@ def cmd_locally_good(args) -> int:
     status, code = _status(True)
     payload = {
         "command": "locally-good", "seeds": args.seeds, "radius": args.radius,
-        "zero_children_violation_rate": zero_child_violations / max(args.seeds, 1),
+        "zero_children_violation_rate": zero_child_violations / args.seeds,
         "audits": audits,
         "status": status,
     }
@@ -313,7 +324,7 @@ def cmd_ra(args) -> int:
         "command": "ra", "k": args.k, "eps": str(Fraction(args.eps)),
         "instance": ra_instance_to_json(inst),
         "conditioned": args.cond,
-        "min_value": {"exact": str(rep.min_value), "approx": float(rep.min_value)},
+        "min_value": scalar_to_json(rep.min_value),
         "meets_target": rep.meets_target,
         "davies_ok": davies_ok,
         "integral_optimum": opt,
@@ -345,10 +356,12 @@ def cmd_appendixc(args) -> int:
     res = bruteforce_best(inst, budget=args.budget)
     k = args.k
     bound = Fraction(int(k ** 0.5) + 1, k)
-    status, code = _status(res.quality.alpha <= bound)
+    # an incomplete search only bounds the optimum from below
+    within = res.quality.alpha <= bound
+    status, code = _status(within, undecided=within and not res.complete)
     payload = {
         "command": "appendixc", "k": k,
-        "quality": {"exact": str(res.quality.alpha), "approx": float(res.quality.alpha)},
+        "quality": scalar_to_json(res.quality.alpha),
         "bound": str(bound),
         "complete": res.complete,
         "status": status,
@@ -414,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-paths", help="path counting: dynamic program "
                                            "against the closed forms")
     _add_instance_args(p, MMDA_ONLY); common(p)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--xi", type=parse_rational, default=Fraction(1, 3))
@@ -431,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
     _add_instance_args(p, MMDA_ONLY); common(p)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=count_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--rounds", type=count_at_least(1), default=1)
     p.add_argument("--max-dev", type=float, default=6.0,
                    help="largest tolerated |empirical - exact| in standard "
                         "errors over the all-edges sweep")
@@ -453,16 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
     _add_instance_args(p, MMDA_ONLY); common(p)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=count_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=count_at_least(0), default=1)
     p.set_defaults(handler=cmd_locally_good)
 
     p = sub.add_parser("ra", help="restricted-assignment matching distribution")
     common(p)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--eps", type=parse_rational, default=Fraction(1, 12))
-    p.add_argument("--cond", type=int, default=0)
+    p.add_argument("--cond", type=count_at_least(0), default=0)
     p.add_argument("--alpha", type=parse_rational, default=None)
     p.set_defaults(handler=cmd_ra)
 

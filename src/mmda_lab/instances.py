@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
-from .scalars import Monomial, Rat, Scalar
+from .scalars import MONO_ONE, Monomial, Rat, Scalar
 
 SIZE_CAP_DEFAULT = 24
 
@@ -178,7 +178,7 @@ def degree_profile(p: InstanceParams) -> DegreeProfile:
             dp = math.comb(p.label_size(i), p.step)
         gammas.append(g)
         dplus.append(dp)
-        ks.append(g.mul(Monomial.from_int(dp)) if dp > 1 else g)
+        ks.append(g.mul(Monomial.from_int(dp)))
     for i in range(1, p.ell + 1):
         if i <= p.peak_layer:
             dminus[i] = math.comb(p.label_size(i), p.step)
@@ -221,9 +221,6 @@ class LayeredInstance:
     def in_degree(self, v: Vertex) -> int:
         return len(self.in_neighbors(v))
 
-    def out_edges(self, v: Vertex):
-        return [(v, w) for w in self.out_neighbors(v)]
-
     def in_edges(self, v: Vertex):
         return [(u, v) for u in self.in_neighbors(v)]
 
@@ -244,16 +241,34 @@ class LayeredInstance:
     def n_edges(self) -> int:
         return sum(1 for _ in self.all_edges())
 
+    def frontiers(self, v: Vertex, forward: bool = True, keep=None):
+        """Walk from v towards the sinks (``forward``) or the source: for
+        v's layer and every further layer up to the end of the graph, empty
+        ones included, yield a dict from each vertex of that layer to its
+        number of paths from v (to v backward).  Only vertices z with
+        ``keep(z)`` enter the walk."""
+        step = self.out_neighbors if forward else self.in_neighbors
+        frontier = {v: 1}
+        yield frontier
+        for _ in range(self.ell - v[0] if forward else v[0]):
+            nxt: dict[Vertex, int] = {}
+            for w, c in frontier.items():
+                for z in step(w):
+                    if keep is None or keep(z):
+                        nxt[z] = nxt.get(z, 0) + c
+            frontier = nxt
+            yield frontier
+
     def reachable(self, v: Vertex, u: Vertex) -> bool:
         """True when u is reachable from v (reflexively)."""
-        if v == u:
-            return True
-        if v[0] >= u[0]:
-            return False
-        frontier = {v}
-        for _ in range(u[0] - v[0]):
-            frontier = {w for x in frontier for w in self.out_neighbors(x)}
-        return u in frontier
+        return v[0] <= u[0] and u in next(
+            islice(self.frontiers(v), u[0] - v[0], None), ())
+
+    def descendant_count_in_layer(self, v: Vertex, j: int) -> int:
+        """|D(v) cap L_j|, v itself counted when j is its layer."""
+        if j < v[0]:
+            return 0
+        return len(next(islice(self.frontiers(v), j - v[0], None), ()))
 
 
 class LabeledInstance(LayeredInstance):
@@ -267,10 +282,6 @@ class LabeledInstance(LayeredInstance):
 
     def layer_size(self, i: int) -> int:
         return self._sizes[i]
-
-    @property
-    def sinks(self):
-        return list(self.vertices(self.ell))
 
     def label(self, v: Vertex) -> int:
         return unrank_colex(v[1], self.params.label_size(v[0]))
@@ -324,41 +335,35 @@ class LabeledInstance(LayeredInstance):
         grow = i > self.params.peak_layer
         return [(i - 1, r) for r in self._step_ranks(self.label(v), grow)]
 
+    def linked(self, i: int, j: int, overlap: int) -> bool:
+        """Whether a vertex of layer i reaches a vertex of layer j >= i
+        whose label meets its own in ``overlap`` elements.
+
+        Within a phase the labels must nest; across the peak their union
+        must fit inside a peak label of size 2*rho*m.
+        """
+        p = self.params
+        size_i, size_j = p.label_size(i), p.label_size(j)
+        if j <= p.peak_layer:
+            return overlap == size_i
+        if i >= p.peak_layer:
+            return overlap == size_j
+        return size_i + size_j - overlap <= 2 * p.rho_m
+
     def reachable(self, v: Vertex, u: Vertex) -> bool:
-        if v == u:
-            return True
-        if not 0 <= u[0] - v[0]:
-            return False
-        peak = self.params.peak_layer
-        sv, su = self.label(v), self.label(u)
-        if u[0] <= peak:
-            return v[0] < u[0] and sv & su == sv
-        if v[0] >= peak:
-            return v[0] < u[0] and su & sv == su
-        # crossing the peak: some label of size 2*rho*m must contain both
-        union = sv | su
-        return bin(union).count("1") <= 2 * self.params.rho_m
+        return v == u or v[0] < u[0] and self.linked(
+            v[0], u[0], (self.label(v) & self.label(u)).bit_count())
 
     def descendant_count_in_layer(self, v: Vertex, j: int) -> int:
-        """|D(v) cap L_j| without enumeration."""
+        """|D(v) cap L_j| without enumeration: the labels of layer j,
+        counted by their overlap t with v's label."""
         p = self.params
         i = v[0]
-        if j < i or j > self.ell:
+        if not i <= j <= self.ell:
             return 0
-        if j == i:
-            return 1
         size_v, size_j = p.label_size(i), p.label_size(j)
-        if j <= p.peak_layer:
-            return math.comb(p.m - size_v, size_j - size_v)
-        if i >= p.peak_layer:
-            return math.comb(size_v, size_j)
-        # crossing the peak: count labels of size_j whose union with v's
-        # label still fits inside a peak label
-        total = 0
-        for t in range(0, min(size_v, size_j) + 1):
-            if size_v + size_j - t <= 2 * p.rho_m:
-                total += math.comb(size_v, t) * math.comb(p.m - size_v, size_j - t)
-        return total
+        return sum(math.comb(size_v, t) * math.comb(p.m - size_v, size_j - t)
+                   for t in range(min(size_v, size_j) + 1) if self.linked(i, j, t))
 
 
 class ExplicitInstance(LayeredInstance):
@@ -381,10 +386,6 @@ class ExplicitInstance(LayeredInstance):
 
     def vertices(self, i: int):
         return iter(self._layers[i])
-
-    @property
-    def sinks(self):
-        return list(self._layers[self.ell])
 
     def k_of(self, v: Vertex) -> Scalar:
         if self.is_sink(v):
@@ -529,7 +530,7 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
     prof = degree_profile(params)
     m, rm = params.m, params.rho_m
     one_over_eps = int(1 / params.epsilon)
-    running = Monomial.one()
+    running = MONO_ONE
     targets = {
         one_over_eps: Monomial.from_binomial(m, rm).div(
             Monomial.from_binomial(m - rm, rm)),
@@ -539,9 +540,7 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
     }
     out = []
     for i in range(params.ell):
-        running = running.mul(prof.gamma[i]).mul(Monomial.from_int(prof.delta_plus[i])
-                                                 if prof.delta_plus[i] > 1
-                                                 else Monomial.one())
+        running = running.mul(prof.gamma[i]).mul(Monomial.from_int(prof.delta_plus[i]))
         if i + 1 in targets:
             out.append((f"phase-prefix:{i + 1}",
                         compare_certified(running, targets[i + 1]) == "="))
@@ -565,21 +564,13 @@ class GraphQueries:
 
     def ancestors(self, v: Vertex) -> list[Vertex]:
         self._check(v)
-        out = []
-        frontier = {v}
-        for i in range(v[0], 0, -1):
-            frontier = {u for w in frontier for u in self.inst.in_neighbors(w)}
-            out.extend(frontier)
-        return sorted(set(out))
+        walk = islice(self.inst.frontiers(v, forward=False), 1, None)
+        return sorted(u for layer in walk for u in layer)
 
     def descendants(self, v: Vertex) -> list[Vertex]:
         self._check(v)
-        out = []
-        frontier = {v}
-        for i in range(v[0], self.inst.ell):
-            frontier = {u for w in frontier for u in self.inst.out_neighbors(w)}
-            out.extend(frontier)
-        return sorted(set(out))
+        walk = islice(self.inst.frontiers(v), 1, None)
+        return sorted(u for layer in walk for u in layer)
 
     def ancestor_edges(self, e: Edge) -> list[Edge]:
         """Edges ending at the start vertex of e or at one of its ancestors."""
@@ -589,14 +580,6 @@ class GraphQueries:
         for z in tops:
             out.extend(self.inst.in_edges(z))
         return sorted(out)
-
-    def delta_plus(self, v: Vertex) -> list[Edge]:
-        self._check(v)
-        return self.inst.out_edges(v)
-
-    def delta_minus(self, v: Vertex) -> list[Edge]:
-        self._check(v)
-        return self.inst.in_edges(v)
 
     # path accessors; a path is a tuple of edges
     def paths_into(self, v: Vertex, max_len: int) -> list[tuple]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from fractions import Fraction
 
 from .instances import InstanceError, LabeledInstance, LayeredInstance, Vertex
@@ -114,17 +114,6 @@ class BruteforceResult:
     infeasible_above: Fraction | None
 
 
-def _sink_layer_counts(inst: LayeredInstance, v: Vertex):
-    if isinstance(inst, LabeledInstance):
-        return inst.descendant_count_in_layer(v, inst.ell)
-    seen = {v}
-    frontier = {v}
-    while frontier:
-        frontier = {w for u in frontier for w in inst.out_neighbors(u)}
-        seen |= frontier
-    return sum(1 for u in seen if inst.is_sink(u))
-
-
 def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
     """Search for an arborescence with out-degree >= q*k_v everywhere.
 
@@ -154,7 +143,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
     def reach_sinks(v: Vertex) -> int:
         r = reach_cache.get(v)
         if r is None:
-            r = reach_cache[v] = _sink_layer_counts(inst, v)
+            r = reach_cache[v] = inst.descendant_count_in_layer(v, inst.ell)
         return r
 
     used: set[Vertex] = set()
@@ -221,6 +210,8 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
     for i in range(inst.ell):
         for v in inst.vertices(i):
             kv = inst.k_of(v).as_fraction()
+            if kv is None:
+                raise InstanceError("the integral search needs rational requirements")
             for d in range(1, inst.out_degree(v) + 1):
                 ratios.add(Fraction(d) / kv)
     cap = min(Fraction(inst.out_degree(v)) / inst.k_of(v).as_fraction()
@@ -354,17 +345,12 @@ def hall_infeasibility(inst: LayeredInstance, root: Vertex,
     vertices d layers below its root; when fewer are reachable, no such
     subtree (hence no fractional relocated solution of value 1) exists.
     """
-    i0 = root[0]
-    depth = depth if depth is not None else inst.ell - i0
+    depth = depth if depth is not None else inst.ell - root[0]
     demand = Fraction(1)
-    frontier = {root}
-    for d in range(1, depth + 1):
-        layer = i0 + d - 1
-        if layer >= inst.ell:
-            break
-        kmin = min(inst.k_of(v).as_fraction() for v in inst.vertices(layer))
+    walk = islice(inst.frontiers(root), 1, depth + 1)
+    for d, frontier in enumerate(walk, 1):
+        kmin = min(inst.k_of(v).as_fraction() for v in inst.vertices(root[0] + d - 1))
         demand *= kmin
-        frontier = {w for u in frontier for w in inst.out_neighbors(u)}
         if len(frontier) < demand:
             return HallWitness(True, d, demand, len(frontier))
     return HallWitness(False, None, None, None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .instances import (Edge, InstanceError, LabeledInstance,
                         LayeredInstance, Vertex)
@@ -71,7 +71,7 @@ def assignment_solution(inst: LabeledInstance) -> LayerSolution:
         gamma = prof.gamma[i - 1]
         values.append(gamma.mul(running))
         dm = prof.delta_minus[i]
-        running = running.mul(gamma).mul(Monomial.from_int(dm) if dm > 1 else MONO_ONE)
+        running = running.mul(gamma).mul(Monomial.from_int(dm))
     return LayerSolution(inst, values)
 
 
@@ -99,17 +99,16 @@ def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution,
     rep = ViolationReport()
     prof = inst.profile
     xs = sol.layer_values
-    mono = lambda n: Monomial.from_int(n) if n > 1 else MONO_ONE
 
-    rep.add(check_ge("covering:source", mono(prof.delta_plus[0]).mul(xs[1]),
-                     prof.k[0]))
+    rep.add(check_ge("covering:source",
+                     Monomial.from_int(prof.delta_plus[0]).mul(xs[1]), prof.k[0]))
     for i in range(1, inst.ell):
-        lhs = mono(prof.delta_plus[i]).mul(xs[i + 1])
-        inflow = mono(prof.delta_minus[i]).mul(xs[i])
+        lhs = Monomial.from_int(prof.delta_plus[i]).mul(xs[i + 1])
+        inflow = Monomial.from_int(prof.delta_minus[i]).mul(xs[i])
         rhs = prof.k[i].mul(inflow)
         rep.add(check_ge(f"covering:layer{i}", lhs, rhs))
     for i in range(1, inst.ell + 1):
-        inflow = mono(prof.delta_minus[i]).mul(xs[i])
+        inflow = Monomial.from_int(prof.delta_minus[i]).mul(xs[i])
         rep.add(check_le(f"packing:layer{i}", inflow, allowance))
     for i in range(1, inst.ell + 1):
         rep.add(check_le(f"bounds:layer{i}", xs[i], Rat(Fraction(1)), kind="bounds"))
@@ -267,8 +266,7 @@ class PathSolution:
     count fits under the cap).
     """
 
-    def __init__(self, inst: LabeledInstance, rounds: int,
-                 cap: int = ENUMERATION_CAP):
+    def __init__(self, inst: LabeledInstance, rounds: int):
         if rounds < 0:
             raise InstanceError(f"rounds={rounds} must be non-negative")
         if rounds > inst.ell:
@@ -276,7 +274,6 @@ class PathSolution:
         self.inst = inst
         self.rounds = rounds
         self.max_len = rounds + 1
-        self.cap = cap
         self.x = assignment_solution(inst)
         self.dummy = dummy_edge(inst)
 
@@ -325,9 +322,9 @@ class PathSolution:
         return total
 
     def enumerate_paths(self):
-        if self.path_count() > self.cap:
+        if self.path_count() > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"path enumeration above cap {self.cap}")
+                f"path enumeration above cap {ENUMERATION_CAP}")
         inst = self.inst
         # the dummy root first, then every real vertex in layer order; each
         # root's paths come out breadth-first
@@ -345,9 +342,8 @@ class PathSolution:
                 frontier = nxt
 
 
-def path_solution(inst: LabeledInstance, rounds: int,
-                  cap: int = ENUMERATION_CAP) -> PathSolution:
-    return PathSolution(inst, rounds, cap)
+def path_solution(inst: LabeledInstance, rounds: int) -> PathSolution:
+    return PathSolution(inst, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -356,34 +352,20 @@ def path_solution(inst: LabeledInstance, rounds: int,
 
 def count_paths_from(inst: LabeledInstance, v: Vertex) -> dict:
     """Exact path counts from v to every descendant, one forward pass."""
-    counts = {v: 1}
-    out = {v: 1}
-    frontier = counts
-    for _ in range(v[0], inst.ell):
-        nxt: dict[Vertex, int] = {}
-        for w, c in frontier.items():
-            for z in inst.out_neighbors(w):
-                nxt[z] = nxt.get(z, 0) + c
-        out.update(nxt)
-        frontier = nxt
+    out = {}
+    for layer in inst.frontiers(v):
+        out.update(layer)
     return out
 
 
 def count_paths(inst: LabeledInstance, v: Vertex, u: Vertex) -> int:
     """Exact number of directed paths from v to u (1 when v == u)."""
-    if v == u:
-        return 1
-    if v[0] > u[0] or not inst.reachable(v, u):
+    if not inst.reachable(v, u):
         return 0
-    counts = {v: 1}
-    for _ in range(u[0] - v[0]):
-        nxt: dict[Vertex, int] = {}
-        for w, c in counts.items():
-            for z in inst.out_neighbors(w):
-                if inst.reachable(z, u):
-                    nxt[z] = nxt.get(z, 0) + c
-        counts = nxt
-    return counts.get(u, 0)
+    # pruned to the vertices that still reach u: far cheaper than
+    # count_paths_from(inst, v)[u] on deep instances
+    walk = inst.frontiers(v, keep=lambda z: inst.reachable(z, u))
+    return next(islice(walk, u[0] - v[0], None)).get(u, 0)
 
 
 def closed_form_paths(inst: LabeledInstance, i: int, j: int,
@@ -397,24 +379,21 @@ def closed_form_paths(inst: LabeledInstance, i: int, j: int,
     p = inst.params
     if not (0 <= i <= j <= inst.ell):
         raise InstanceError("bad layer pair")
-    if i == j:
-        return 1
     si, sj = p.label_size(i), p.label_size(j)
     if label_overlap > min(si, sj) or label_overlap < 0:
         raise InstanceError("impossible overlap")
+    if not inst.linked(i, j, label_overlap):
+        return 0
     step = p.step
     peak = p.peak_layer
 
     def orderings(blocks: int) -> int:
         return math.factorial(blocks * step) // math.factorial(step) ** blocks
 
-    if j <= peak:
-        return orderings(j - i) if label_overlap == si else 0
-    if i >= peak:
-        return orderings(j - i) if label_overlap == sj else 0
+    if j <= peak or i >= peak:
+        return orderings(j - i)
+    # across the peak: the peak label contains the union of both labels
     union = si + sj - label_overlap
-    if union > 2 * p.rho_m:
-        return 0
     middle = math.comb(p.m - union, 2 * p.rho_m - union)
     return middle * orderings(j - peak) * orderings(peak - i)
 
@@ -479,7 +458,7 @@ def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport
 def verify_path_hierarchy(inst: LabeledInstance, ps: PathSolution,
                           mode: str = "auto") -> ViolationReport:
     if mode == "auto":
-        mode = "enumerated" if ps.path_count() <= min(ps.cap, 200_000) else "symbolic"
+        mode = "enumerated" if ps.path_count() <= 200_000 else "symbolic"
     if mode == "enumerated":
         return _verify_paths_enumerated(inst, ps)
     if mode == "symbolic":
@@ -501,8 +480,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
 
     # (1) lifted covering: children sum equals k at the endpoint, per layer
     for io in range(inst.ell):
-        lhs = prof.gamma[io].mul(Monomial.from_int(prof.delta_plus[io])
-                                 if prof.delta_plus[io] > 1 else MONO_ONE)
+        lhs = prof.gamma[io].mul(Monomial.from_int(prof.delta_plus[io]))
         rep.add(check_eq(f"lifted-covering:end-layer{io}", lhs, prof.k[io]))
     rep.add(vacuous("lifted-covering:end-sink", "equality",
                     Rat(Fraction(0)), Rat(Fraction(0))))
@@ -517,7 +495,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
             if j > i:
                 inv = inv.mul(prof.gamma[j - 1])
             count = max_paths_between_layers(inst, i, j)
-            lhs = inv.mul(Monomial.from_int(count) if count > 1 else MONO_ONE)
+            lhs = inv.mul(Monomial.from_int(count))
             rep.add(check_le(f"lifted-packing:({i},{j})", lhs, Rat(Fraction(1))))
 
     # (3)+(4) unlifted assignment constraints for y({e}) = x_e
@@ -561,13 +539,6 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         if len(p) > 1:
             by_prefix.setdefault(p[:-1], []).append(p)
 
-    def times(value: Scalar, count: int) -> Scalar:
-        if count == 0:
-            return Rat(Fraction(0))
-        if isinstance(value, Monomial):
-            return value.mul(Monomial.from_int(count)) if count > 1 else value
-        return Rat(value.as_fraction() * count)
-
     # (1) lifted covering
     for p in paths:
         if len(p) > t:
@@ -579,10 +550,9 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             rep.add(vacuous(f"lifted-covering:{_pid(p)}", "equality",
                             Rat(Fraction(0)), Rat(Fraction(0))))
             continue
-        total = times(ps.value(p + ((end, inst.out_neighbors(end)[0]),)),
-                      len(children))
-        rhs = inst.k_of(end).mul(ps.value(p)) if hasattr(inst.k_of(end), "mul") \
-            else Rat(inst.k_of(end).as_fraction() * ps.value(p).as_fraction())
+        child = ps.value(p + ((end, inst.out_neighbors(end)[0]),))
+        total = child.mul(Monomial.from_int(len(children)))
+        rhs = inst.k_of(end).mul(ps.value(p))
         rep.add(check_eq(f"lifted-covering:{_pid(p)}", total, rhs))
 
     # (2) lifted packing: group descendants of p by endpoint; value only
@@ -603,7 +573,8 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         first_layer = 0 if p[0] == ps.dummy else p[0][1][0]
         for v, count in sorted(ends.items()):
             extension = v[0] - p[-1][1][0]
-            total = times(ps.value_class(first_layer, len(p) + extension), count)
+            y = ps.value_class(first_layer, len(p) + extension)
+            total = y.mul(Monomial.from_int(count))
             rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints

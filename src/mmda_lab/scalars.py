@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -399,10 +400,6 @@ class Monomial(Scalar):
 
     # construction helpers ---------------------------------------------
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls({})
-
-    @classmethod
     def from_int(cls, n: int) -> "Monomial":
         return cls({p: Fraction(e) for p, e in _factor_int(n).items()})
 
@@ -423,6 +420,8 @@ class Monomial(Scalar):
 
     # algebra ------------------------------------------------------------
     def mul(self, other: "Monomial") -> "Monomial":
+        if not other.exponents:     # times one, e.g. Monomial.from_int(1)
+            return self
         exps = dict(self.exponents)
         for p, e in other.exponents:
             exps[p] = exps.get(p, Fraction(0)) + e
@@ -479,7 +478,7 @@ class Monomial(Scalar):
         return f"Monomial({body})"
 
 
-MONO_ONE = Monomial.one()
+MONO_ONE = Monomial()
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +594,17 @@ def log2_binomial(n: int, k: int, prec: int = DEFAULT_PRECISION,
 
 
 def scalar_to_json(x: Scalar | Fraction | int) -> dict:
-    """Exact string form plus a decimal approximation."""
+    """Exact string form plus a decimal approximation.  Exact values are
+    written in full, past CPython's int-to-str digit limit."""
     x = as_scalar(x)
-    if isinstance(x, Rat):
-        return {"exact": str(x.value), "approx": float(x.value)}
-    if isinstance(x, Monomial):
-        return {"monomial": {str(p): str(e) for p, e in x.exponents},
-                "approx": x.approx()}
-    return {"lo": str(x.lo), "hi": str(x.hi), "approx": x.approx()}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if isinstance(x, Rat):
+            return {"exact": str(x.value), "approx": float(x.value)}
+        if isinstance(x, Monomial):
+            return {"monomial": {str(p): str(e) for p, e in x.exponents},
+                    "approx": x.approx()}
+        return {"lo": str(x.lo), "hi": str(x.hi), "approx": x.approx()}
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -20,10 +20,6 @@ SIGN_POSITIVE = "positive"
 SIGN_NONPOSITIVE = "nonpositive"
 
 
-def _h(x: Fraction, prec: int) -> Interval:
-    return entropy_interval(x, prec)
-
-
 def f_packing(rho: Fraction, prec: int) -> Interval:
     """Worst-case exponent of the conditioned sink congestion sum.
 
@@ -32,19 +28,19 @@ def f_packing(rho: Fraction, prec: int) -> Interval:
     """
     r = Fraction(rho)
     q = r / (1 - r)
-    acc = iv_scale(_h(r, prec), 2 * r)
-    acc = iv_add(acc, iv_scale(_h(q * q, prec), -((1 - r) ** 2)))
-    acc = iv_add(acc, iv_scale(_h(q, prec), 2 * (1 - r)))
-    return iv_add(acc, iv_scale(_h(r, prec), Fraction(-2)))
+    acc = iv_scale(entropy_interval(r, prec), 2 * r)
+    acc = iv_add(acc, iv_scale(entropy_interval(q * q, prec), -((1 - r) ** 2)))
+    acc = iv_add(acc, iv_scale(entropy_interval(q, prec), 2 * (1 - r)))
+    return iv_add(acc, iv_scale(entropy_interval(r, prec), Fraction(-2)))
 
 
 def g_integral(rho: Fraction, prec: int) -> Interval:
     """Exponent gap in the sink-counting dichotomy; positive for small r."""
     r = Fraction(rho)
     q = r / (1 - r)
-    acc = iv_scale(_h(q, prec), 1 - r)
-    acc = iv_add(acc, iv_scale(_h(Fraction(1, 3), prec), -r))
-    return iv_add(acc, iv_scale(_h(Fraction(2, 3) * q, prec), -(1 - r)))
+    acc = iv_scale(entropy_interval(q, prec), 1 - r)
+    acc = iv_add(acc, iv_scale(entropy_interval(Fraction(1, 3), prec), -r))
+    return iv_add(acc, iv_scale(entropy_interval(Fraction(2, 3) * q, prec), -(1 - r)))
 
 
 def _boundary_form(t: Fraction, rho: Fraction, prec: int) -> Interval:
@@ -63,7 +59,7 @@ def _boundary_form(t: Fraction, rho: Fraction, prec: int) -> Interval:
     first = iv_scale(iv_add(log2_interval(t, prec),
                             Interval(Fraction(-1), Fraction(-1), prec)),
                      2 * r * t)
-    second = iv_scale(_h(r * t / denom, prec), denom)
+    second = iv_scale(entropy_interval(r * t / denom, prec), denom)
     return iv_add(first, second)
 
 
@@ -80,9 +76,9 @@ def f2_appendix(x: Fraction, rho: Fraction, prec: int) -> Interval:
 def k_bound_phase1(rho: Fraction, eps: Fraction, prec: int) -> Interval:
     """Per-ground-set-element exponent of the expanding-phase requirement."""
     r, e = Fraction(rho), Fraction(eps)
-    acc = iv_scale(_h(r / (1 - r), prec), -e * (1 - r))
+    acc = iv_scale(entropy_interval(r / (1 - r), prec), -e * (1 - r))
     acc = iv_add(acc, iv_scale(log2_interval(1 / e, prec), -e * r))
-    return iv_add(acc, iv_scale(_h(e * r / (1 - r), prec), 1 - r))
+    return iv_add(acc, iv_scale(entropy_interval(e * r / (1 - r), prec), 1 - r))
 
 
 def k_bound_phase2(rho: Fraction, eps: Fraction, prec: int) -> Interval:
@@ -90,14 +86,14 @@ def k_bound_phase2(rho: Fraction, eps: Fraction, prec: int) -> Interval:
     r, e = Fraction(rho), Fraction(eps)
     acc = Interval(-2 * e * r, -2 * e * r, prec)
     acc = iv_add(acc, iv_scale(log2_interval(1 / e, prec), -e * r))
-    return iv_add(acc, iv_scale(_h(e * r / (1 - 2 * r), prec), 1 - 2 * r))
+    return iv_add(acc, iv_scale(entropy_interval(e * r / (1 - 2 * r), prec), 1 - 2 * r))
 
 
 def k_bound_phase3(rho: Fraction, eps: Fraction, prec: int) -> Interval:
     """Collapsing-phase requirement exponent."""
     r, e = Fraction(rho), Fraction(eps)
     acc = iv_scale(log2_interval(1 / e, prec), -e * r)
-    return iv_add(acc, iv_scale(_h(e, prec), r))
+    return iv_add(acc, iv_scale(entropy_interval(e, prec), r))
 
 
 #: name -> (evaluator(x, prec, rho, eps), required sign, anchor)

@@ -310,8 +310,7 @@ def test_criterion_12_rounding_sampler():
     # per-pair congestion expectation within the certified radius is <= 1
     for i in range(inst.ell):
         dplus = inst.profile.delta_plus[i]
-        expected = inst.profile.gamma[i].mul(
-            Monomial.from_int(dplus) if dplus > 1 else Monomial.one())
+        expected = inst.profile.gamma[i].mul(Monomial.from_int(dplus))
         assert compare_certified(expected, inst.profile.k[i]) == "="
     hl = check_helper_lemma(inst, Fraction(1, 3))
     assert hl.largest_distance >= 1 and not hl.report.violations

@@ -125,6 +125,16 @@ class TestCommands:
         assert code == EXIT_PASS
         assert Fraction(data["quality"]["exact"]) <= Fraction(3, 4)
 
+    @pytest.mark.parametrize("argv", [["--k", "9", "--budget", "50"],
+                                      ["--k", "4", "--budget", "-5"]], ids=" ".join)
+    def test_appendixc_incomplete_search_is_undecided(self, tmp_path, argv):
+        # the quality an incomplete search finds only bounds the optimum
+        # from below, so it cannot show that the optimum is within the bound
+        code, data, _ = run(tmp_path, "appendixc", *argv)
+        assert code == EXIT_UNDECIDED
+        assert data["status"] == "undecided" and data["complete"] is False
+        assert Fraction(data["quality"]["exact"]) <= Fraction(data["bound"])
+
     def test_locally_good(self, tmp_path):
         code, data, _ = run(tmp_path, "locally-good", "--m", "8", "--seeds", "3",
                             "--radius", "1", "--seed", "5")
@@ -150,7 +160,15 @@ REJECTED = (
        ["build", "--eps", "-1"], ["build", "--m", "0"], ["build", "--ell", "0"],
        ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"],
        ["build", "--instance-file", "MISSING"],
-       ["verify-paths", "--m", "4", "--rounds", "-1"]])
+       ["verify-paths", "--m", "4", "--rounds", "-1"],
+       # irrational requirements have no integral search
+       ["bruteforce", "--m", "8", "--eps", "1/2"],
+       # counts outside their range are rejected when arguments are parsed
+       ["count-paths", "--samples", "-1"],
+       ["locally-good", "--seeds", "0"], ["locally-good", "--seeds", "-2"],
+       ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
+       ["shadow-sample", "--rounds", "0"], ["shadow-sample", "--rounds", "-1"],
+       ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"]])
 
 
 class TestRejectedInputs:

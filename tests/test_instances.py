@@ -189,6 +189,64 @@ class TestGraphQueries:
         assert len([p for p in paths if len(p) == 2]) == 6
 
 
+class TestWalkAgainstClosedForms:
+    """One walk per vertex pins the closed-form reachability rule and the
+    closed-form descendant counts to the graph itself."""
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)], ids=str)
+    def test_walk_matches_closed_forms(self, eps):
+        inst = build_mmda(make_params(8, Fraction(1, 4), epsilon=eps))
+        verts = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
+        for v in verts:
+            layers = list(inst.frontiers(v))
+            assert len(layers) == inst.ell - v[0] + 1
+            walked = {u for layer in layers for u in layer}
+            assert walked == {u for u in verts if inst.reachable(v, u)}, v
+            for j, layer in enumerate(layers, v[0]):
+                assert len(layer) == inst.descendant_count_in_layer(v, j), (v, j)
+
+    def test_backward_walk_counts_paths_to_v(self, inst8):
+        sink = (3, 5)
+        layers = list(inst8.frontiers(sink, forward=False))
+        assert [len(layer) for layer in layers] == [1, 15, 28, 1]
+        # a peak label B above the sink label T has one path down to it; a
+        # layer-1 label A has one per peak label containing A | T: 1, 5 or
+        # C(6, 2) = 15 as A meets T in 0, 1 or 2 elements
+        assert set(layers[1].values()) == {1}
+        assert sorted(set(layers[2].values())) == [1, 5, 15]
+        # the source: 15 peak labels above T times C(4, 2) = 6 orderings
+        assert layers[3] == {(0, 0): 90}
+
+    def test_pruned_walk_keeps_only_kept_vertices(self, inst8):
+        target = (3, 0)
+        walk = inst8.frontiers((0, 0), keep=lambda z: inst8.reachable(z, target))
+        layers = list(walk)
+        assert layers[-1] == {target: 90}
+        assert all(inst8.reachable(z, target) for layer in layers for z in layer)
+
+
+class TestExplicitQueries:
+    """The walk-based reachability, descendant counts and ancestor and
+    descendant lists on a hand-sized explicit instance."""
+
+    def test_descendants_and_ancestors(self):
+        ex = build_depth3_example()
+        gq = graph_queries(ex)
+        assert gq.descendants((1, 0)) == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1),
+                                          (3, 2), (3, 3), (3, 4), (3, 5)]
+        assert gq.ancestors((3, 2)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert gq.ancestors((0, 0)) == [] and gq.descendants((3, 7)) == []
+
+    def test_reachable_and_counts(self):
+        ex = build_depth3_example()
+        assert ex.reachable((1, 0), (3, 0)) and ex.reachable((2, 2), (2, 2))
+        assert not ex.reachable((1, 0), (3, 7))
+        assert not ex.reachable((3, 0), (1, 0))
+        assert not ex.reachable((2, 0), (2, 1))
+        assert [ex.descendant_count_in_layer((1, 1), j) for j in range(4)] == [0, 1, 3, 6]
+        assert ex.descendant_count_in_layer((0, 0), 3) == 8
+
+
 class TestExplicitInstances:
     def test_config_gap_counts(self):
         cg = build_config_lp_gap(2)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from mmda_lab.scalars import (EQ, GT, LT, UNDECIDED, Interval, Monomial,
                               _exp_bounds, compare_certified, entropy_interval,
                               entropy_value, exp2_interval, floor_log2,
                               log2_binomial, log2_interval, round_dyadic,
-                              scalar_add, scalar_mul)
+                              scalar_add, scalar_mul, scalar_to_json)
 
 
 def near(iv, x, eps=1e-12):
@@ -73,6 +74,19 @@ class TestMonomials:
         out = scalar_add(Monomial({2: Fraction(1, 2)}), Rat(Fraction(1)))
         assert isinstance(out, Interval)
         assert near(out, 1 + math.sqrt(2), 1e-9)
+
+
+class TestJsonEncoding:
+    def test_exact_string_past_the_int_digit_limit(self):
+        # sa1 reports at m=20 carry denominators of about 5,400 digits,
+        # past CPython's default int-to-str limit of 4,300
+        q = Fraction(10 ** 4400 + 1, 3 * 10 ** 4399)
+        limit = sys.get_int_max_str_digits()
+        out = scalar_to_json(q)
+        assert out["exact"] == "1" + "0" * 4399 + "1/3" + "0" * 4399
+        assert out["approx"] == pytest.approx(10 / 3)
+        # the limit of the process is left as it was
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestCompareProperties:
