@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="exact best integral solution")
     _add_instance_args(p); common(p)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("appendixc", help="shared-sink counterexample bound")
     common(p)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_appendixc)
 
     p = sub.add_parser("scan", help="certified sign scan of a proof function")

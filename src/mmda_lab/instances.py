@@ -22,6 +22,9 @@ from itertools import combinations, islice
 from .scalars import MONO_ONE, Monomial, Rat, Scalar
 
 SIZE_CAP_DEFAULT = 24
+# layers up to this many vertices keep a label table (masks by rank, ranks
+# by mask); larger ones, such as C(24, 12) at the size cap, unrank instead
+LABEL_TABLE_MAX = 1 << 20
 
 Vertex = tuple[int, int]          # (layer, rank)
 Edge = tuple[Vertex, Vertex]
@@ -279,17 +282,33 @@ class LabeledInstance(LayeredInstance):
         self.source = (0, 0)
         self._sizes = [math.comb(params.m, params.label_size(i))
                        for i in range(params.ell + 1)]
+        self._tables: list = [None] * (params.ell + 1)
 
     def layer_size(self, i: int) -> int:
         return self._sizes[i]
 
+    def _table(self, i: int) -> tuple[list[int], dict[int, int]] | None:
+        """Layer i's labels by rank and ranks by label, built on first use;
+        None above LABEL_TABLE_MAX vertices.  For a fixed label size, colex
+        order is increasing-mask order."""
+        t = self._tables[i]
+        if t is None and self._sizes[i] <= LABEL_TABLE_MAX:
+            bits = [1 << b for b in range(self.params.m)]
+            masks = sorted(map(sum, combinations(bits, self.params.label_size(i))))
+            t = self._tables[i] = (masks, {mask: r for r, mask in enumerate(masks)})
+        return t
+
     def label(self, v: Vertex) -> int:
-        return unrank_colex(v[1], self.params.label_size(v[0]))
+        t = self._table(v[0])
+        if t is None:
+            return unrank_colex(v[1], self.params.label_size(v[0]))
+        return t[0][v[1]]
 
     def vertex_with_label(self, i: int, mask: int) -> Vertex:
-        if bin(mask).count("1") != self.params.label_size(i):
-            raise InstanceError("label size does not match layer")
-        return (i, rank_colex(mask))
+        if mask >> self.params.m or mask.bit_count() != self.params.label_size(i):
+            raise InstanceError(f"label {mask:#x} does not fit layer {i}")
+        t = self._table(i)
+        return (i, rank_colex(mask) if t is None else t[1][mask])
 
     def k_of(self, v: Vertex) -> Scalar:
         if self.is_sink(v):
@@ -305,19 +324,16 @@ class LabeledInstance(LayeredInstance):
     def in_degree(self, v: Vertex) -> int:
         return self.profile.delta_minus[v[0]] if v[0] > 0 else 0
 
-    def _step_ranks(self, mask: int, grow: bool) -> list[int]:
-        """Sorted colex ranks of the labels one step from ``mask``:
-        supersets with step more elements when ``grow``, else subsets with
-        step fewer."""
-        pool = ([b for b in range(self.params.m) if not mask >> b & 1] if grow
-                else bits_of(mask))
-        ranks = []
-        for flipped in combinations(pool, self.params.step):
-            new = mask
-            for b in flipped:
-                new ^= 1 << b
-            ranks.append(rank_colex(new))
-        return sorted(ranks)
+    def _step_ranks(self, mask: int, grow: bool, j: int) -> list[int]:
+        """Sorted colex ranks of the labels in layer j one step from
+        ``mask``: supersets with step more elements when ``grow``, else
+        subsets with step fewer."""
+        full = (1 << self.params.m) - 1
+        pool = [1 << b for b in bits_of(full ^ mask if grow else mask)]
+        t = self._table(j)
+        rank = rank_colex if t is None else t[1].__getitem__
+        return sorted(rank(mask ^ flip)
+                      for flip in map(sum, combinations(pool, self.params.step)))
 
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
         i = v[0]
@@ -325,7 +341,7 @@ class LabeledInstance(LayeredInstance):
             return []
         # expanding phase: successors are supersets
         grow = i + 1 <= self.params.peak_layer
-        return [(i + 1, r) for r in self._step_ranks(self.label(v), grow)]
+        return [(i + 1, r) for r in self._step_ranks(self.label(v), grow, i + 1)]
 
     def in_neighbors(self, v: Vertex) -> list[Vertex]:
         i = v[0]
@@ -333,7 +349,7 @@ class LabeledInstance(LayeredInstance):
             return []
         # collapsing phase: predecessors are supersets
         grow = i > self.params.peak_layer
-        return [(i - 1, r) for r in self._step_ranks(self.label(v), grow)]
+        return [(i - 1, r) for r in self._step_ranks(self.label(v), grow, i - 1)]
 
     def linked(self, i: int, j: int, overlap: int) -> bool:
         """Whether a vertex of layer i reaches a vertex of layer j >= i

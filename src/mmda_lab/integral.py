@@ -138,16 +138,20 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
             sinks_below[v] = r
         return r
 
-    reach_cache: dict[Vertex, int] = {}
+    # sink sets as bitmasks over the sink layer: the used sinks a vertex
+    # reaches are one AND with the used-sink mask, kept as sinks are used
+    sink_bit = {t: 1 << n for n, t in enumerate(inst.vertices(inst.ell))}
+    reach_masks: dict[Vertex, int] = {}
 
-    def reach_sinks(v: Vertex) -> int:
-        r = reach_cache.get(v)
+    def reach_mask(v: Vertex) -> int:
+        r = reach_masks.get(v)
         if r is None:
-            r = reach_cache[v] = inst.descendant_count_in_layer(v, inst.ell)
+            sinks = next(islice(inst.frontiers(v), inst.ell - v[0], None))
+            r = reach_masks[v] = sum(sink_bit[t] for t in sinks)
         return r
 
     used: set[Vertex] = set()
-    used_sinks = [0]
+    used_sinks = [0]        # bitmask
     unknown = [False]
 
     def expand(pending: list[Vertex]) -> frozenset | None:
@@ -158,7 +162,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
             return frozenset()
         # global counting bound
         total_need = sum(need_below(v) for v in pending)
-        if total_need > total_sinks - used_sinks[0]:
+        if total_need > total_sinks - used_sinks[0].bit_count():
             return None
         v = pending[0]
         rest = pending[1:]
@@ -168,26 +172,20 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         candidates = [w for w in inst.out_neighbors(v) if w not in used]
         # per-vertex counting bound
         for u in pending:
-            avail = reach_sinks(u) - sum(1 for t in used
-                                         if inst.is_sink(t) and inst.reachable(u, t))
-            if avail < need_below(u):
+            if (reach_mask(u) & ~used_sinks[0]).bit_count() < need_below(u):
                 return None
         if len(candidates) < d:
             return None
-        order = sorted(candidates, key=lambda w: (-reach_sinks(w), w))
+        order = sorted(candidates, key=lambda w: (-reach_mask(w).bit_count(), w))
         for group in combinations(order, d):
-            for w in group:
-                used.add(w)
-                if inst.is_sink(w):
-                    used_sinks[0] += 1
-            nxt = rest + [w for w in group if not inst.is_sink(w)]
-            sub = expand(nxt)
+            used.update(group)
+            taken = sum(sink_bit.get(w, 0) for w in group)
+            used_sinks[0] |= taken
+            sub = expand(rest + [w for w in group if not inst.is_sink(w)])
             if sub is not None:
                 return sub | frozenset((v, w) for w in group)
-            for w in group:
-                used.discard(w)
-                if inst.is_sink(w):
-                    used_sinks[0] -= 1
+            used.difference_update(group)
+            used_sinks[0] ^= taken
             if unknown[0]:
                 return None
         return None

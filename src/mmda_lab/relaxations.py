@@ -276,19 +276,19 @@ class PathSolution:
         self.max_len = rounds + 1
         self.x = assignment_solution(inst)
         self.dummy = dummy_edge(inst)
+        self._classes: dict[tuple[int, int], Scalar] = {}
 
     def value_class(self, first_layer: int, n_edges: int) -> Scalar:
         """Value of any path of n_edges edges whose first edge enters
         first_layer (0 = the dummy root edge)."""
-        prof = self.inst.profile
-        if first_layer == 0:
-            y: Scalar = MONO_ONE
-            lo = 0
-        else:
-            y = self.x.layer_values[first_layer]
-            lo = first_layer
-        for j in range(lo, lo + n_edges - 1):
-            y = y.mul(prof.gamma[j])
+        key = (first_layer, n_edges)
+        y = self._classes.get(key)
+        if y is None:
+            gamma = self.inst.profile.gamma
+            y = MONO_ONE if first_layer == 0 else self.x.layer_values[first_layer]
+            for j in range(first_layer, first_layer + n_edges - 1):
+                y = y.mul(gamma[j])
+            self._classes[key] = y
         return y
 
     def value(self, path: tuple) -> Scalar:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .scalars import (EQ, GT, LT, UNDECIDED, Monomial, PrecisionCapExceeded,
-                      Rat, Scalar, as_scalar, compare_certified, iv_div,
-                      scalar_to_json)
+from .scalars import (EQ, GT, LT, UNDECIDED, Interval, Monomial,
+                      PrecisionCapExceeded, Rat, Scalar, as_scalar,
+                      compare_certified, iv_div, scalar_to_json)
+
+CHECK_MEMO_SIZE = 4096     # distinct (lhs, rhs, accept) verdicts kept
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,24 @@ def _safe_div(lhs: Scalar, rhs: Scalar) -> Scalar | None:
 def _check(cid: str, kind: str, lhs, rhs, accept: tuple[str, ...]) -> ConstraintCheck:
     """Record a certified comparison; satisfied when its outcome is in accept."""
     lhs, rhs = as_scalar(lhs), as_scalar(rhs)
+    decide = (_decide if isinstance(lhs, Interval) or isinstance(rhs, Interval)
+              else _decide_memo)
+    return ConstraintCheck(cid, kind, lhs, rhs, *decide(lhs, rhs, accept))
+
+
+def _decide(lhs: Scalar, rhs: Scalar, accept: tuple[str, ...]):
+    """(satisfied, certified, factor) of one comparison."""
     try:
         cmp = compare_certified(lhs, rhs)
     except PrecisionCapExceeded:
         cmp = UNDECIDED
     sat = None if cmp == UNDECIDED else cmp in accept
-    return ConstraintCheck(cid, kind, lhs, rhs, sat, cmp != UNDECIDED,
-                           _safe_div(lhs, rhs))
+    return sat, cmp != UNDECIDED, _safe_div(lhs, rhs)
+
+
+# exact operands recur across the checks of one verifier (a few dozen
+# distinct pairs among thousands of paths); opaque intervals stay out
+_decide_memo = lru_cache(maxsize=CHECK_MEMO_SIZE)(_decide)
 
 
 def check_ge(cid: str, lhs, rhs, kind: str = "covering") -> ConstraintCheck:

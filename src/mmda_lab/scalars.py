@@ -418,6 +418,14 @@ class Monomial(Scalar):
             exps[p] = exps.get(p, Fraction(0)) - e
         return cls(exps)
 
+    @classmethod
+    def _from_factored(cls, pairs) -> "Monomial":
+        """Monomial from (prime, Fraction exponent) pairs over distinct
+        primes, without factoring: zero exponents dropped, sorted by prime."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "exponents", tuple(sorted((p, e) for p, e in pairs if e)))
+        return self
+
     # algebra ------------------------------------------------------------
     def mul(self, other: "Monomial") -> "Monomial":
         if not other.exponents:     # times one, e.g. Monomial.from_int(1)
@@ -425,14 +433,14 @@ class Monomial(Scalar):
         exps = dict(self.exponents)
         for p, e in other.exponents:
             exps[p] = exps.get(p, Fraction(0)) + e
-        return Monomial({p: e for p, e in exps.items()})
+        return Monomial._from_factored(exps.items())
 
     def div(self, other: "Monomial") -> "Monomial":
         return self.mul(other.pow(Fraction(-1)))
 
     def pow(self, q) -> "Monomial":
         q = Fraction(q)
-        return Monomial({p: e * q for p, e in self.exponents})
+        return Monomial._from_factored((p, e * q) for p, e in self.exponents)
 
     # conversions ---------------------------------------------------------
     @property
@@ -594,17 +602,24 @@ def log2_binomial(n: int, k: int, prec: int = DEFAULT_PRECISION,
 
 
 def scalar_to_json(x: Scalar | Fraction | int) -> dict:
-    """Exact string form plus a decimal approximation.  Exact values are
-    written in full, past CPython's int-to-str digit limit."""
+    """Exact string form plus a decimal approximation, null when the value
+    has no finite float.  Exact values are written in full, past CPython's
+    int-to-str digit limit."""
     x = as_scalar(x)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if isinstance(x, Rat):
-            return {"exact": str(x.value), "approx": float(x.value)}
-        if isinstance(x, Monomial):
-            return {"monomial": {str(p): str(e) for p, e in x.exponents},
-                    "approx": x.approx()}
-        return {"lo": str(x.lo), "hi": str(x.hi), "approx": x.approx()}
+            out = {"exact": str(x.value)}
+        elif isinstance(x, Monomial):
+            out = {"monomial": {str(p): str(e) for p, e in x.exponents}}
+        else:
+            out = {"lo": str(x.lo), "hi": str(x.hi)}
     finally:
         sys.set_int_max_str_digits(limit)
+    try:
+        approx = x.approx()
+    except OverflowError:
+        approx = math.inf
+    out["approx"] = approx if math.isfinite(approx) else None
+    return out

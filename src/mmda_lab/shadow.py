@@ -52,7 +52,6 @@ class ShadowModel:
         self._triggers: dict[Edge, dict[Edge, Fraction]] = {}
         self._survival: dict[Edge, Fraction] = {}
         self._marginal: dict[Edge, Fraction] = {}
-        self._labels: dict[Vertex, int] = {}
 
     # --- plumbing ---------------------------------------------------------
     def x_of(self, e: Edge) -> Fraction:
@@ -201,14 +200,7 @@ class _EventMoments:
         inst = model.inst
         if (isinstance(inst, LabeledInstance) and isinstance(model.x, LayerSolution)
                 and isinstance(model.family, (SubtreeFamily, IndependentFamily))):
-            labels = model._labels
-
-            def label(v: Vertex) -> int:
-                lab = labels.get(v)
-                if lab is None:
-                    lab = labels[v] = inst.label(v)
-                return lab
-
+            label = inst.label
             ab = (label(event.edge[0]), label(event.edge[1])) if event else (0, 0)
             cells = _atoms([(1 << inst.params.m) - 1], *ab)
 

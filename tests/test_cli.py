@@ -125,8 +125,7 @@ class TestCommands:
         assert code == EXIT_PASS
         assert Fraction(data["quality"]["exact"]) <= Fraction(3, 4)
 
-    @pytest.mark.parametrize("argv", [["--k", "9", "--budget", "50"],
-                                      ["--k", "4", "--budget", "-5"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", [["--k", "9", "--budget", "50"]], ids=" ".join)
     def test_appendixc_incomplete_search_is_undecided(self, tmp_path, argv):
         # the quality an incomplete search finds only bounds the optimum
         # from below, so it cannot show that the optimum is within the bound
@@ -168,7 +167,8 @@ REJECTED = (
        ["locally-good", "--seeds", "0"], ["locally-good", "--seeds", "-2"],
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
        ["shadow-sample", "--rounds", "0"], ["shadow-sample", "--rounds", "-1"],
-       ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"]])
+       ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"],
+       ["appendixc", "--k", "4", "--budget", "-5"], ["bruteforce", "--m", "4", "--budget", "0"]])
 
 
 class TestRejectedInputs:

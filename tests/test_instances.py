@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmda_lab import instances
 from mmda_lab.instances import (InstanceError, build_config_lp_gap,
                                 build_depth3_direct, build_depth3_example,
                                 build_mmda, build_subtree_counterexample,
@@ -223,6 +224,63 @@ class TestWalkAgainstClosedForms:
         layers = list(walk)
         assert layers[-1] == {target: 90}
         assert all(inst8.reachable(z, target) for layer in layers for z in layer)
+
+
+def _unranked_neighbors(inst, v, forward):
+    """Neighbours of v from unranked labels alone: the labels one layer on
+    that contain v's (``grow``) or that v's contains."""
+    i = v[0]
+    j = i + 1 if forward else i - 1
+    if not 0 <= j <= inst.ell:
+        return []
+    p = inst.params
+    lv = unrank_colex(v[1], p.label_size(i))
+    grow = (j <= p.peak_layer) if forward else (i > p.peak_layer)
+    out = []
+    for r in range(inst.layer_size(j)):
+        lu = unrank_colex(r, p.label_size(j))
+        if (lu & lv == lv) if grow else (lu & lv == lu):
+            out.append((j, r))
+    return out
+
+
+class TestLabelTable:
+    """The per-layer label table against colex unranking, and the fallback
+    to unranking above LABEL_TABLE_MAX."""
+
+    @pytest.mark.parametrize("m,rho", [(8, Fraction(1, 4)), (12, Fraction(1, 12))], ids=str)
+    def test_table_matches_unranking(self, m, rho):
+        inst = build_mmda(make_params(m, rho))
+        for i in range(inst.ell + 1):
+            k = inst.params.label_size(i)
+            for r in range(inst.layer_size(i)):
+                v = (i, r)
+                lab = inst.label(v)
+                assert lab == unrank_colex(r, k), v
+                assert inst.vertex_with_label(i, lab) == v
+                assert inst.out_neighbors(v) == _unranked_neighbors(inst, v, True), v
+                assert inst.in_neighbors(v) == _unranked_neighbors(inst, v, False), v
+
+    def test_fallback_above_the_table_limit(self, monkeypatch, inst8):
+        # layers of 1 and 28 vertices keep a table, the 70-vertex peak unranks
+        monkeypatch.setattr(instances, "LABEL_TABLE_MAX", 28)
+        small = build_mmda(make_params(8, Fraction(1, 4)))
+        for i in range(small.ell + 1):
+            for v in small.vertices(i):
+                assert small.label(v) == inst8.label(v)
+                assert small.vertex_with_label(i, small.label(v)) == v
+                assert small.out_neighbors(v) == inst8.out_neighbors(v)
+                assert small.in_neighbors(v) == inst8.in_neighbors(v)
+        pairs = [(v, t) for v in small.vertices(2) for t in small.vertices(3)]
+        reach = [small.reachable(v, t) for v, t in pairs]
+        assert reach == [inst8.reachable(v, t) for v, t in pairs]
+        assert sum(reach) == 70 * 6     # each peak label holds C(4, 2) sink labels
+        assert [t is not None for t in small._tables] == [True, True, False, True]
+
+    def test_label_outside_the_layer_is_rejected(self, inst8):
+        for mask in (0b111, 0b1_0000_0001, -3):
+            with pytest.raises(InstanceError):
+                inst8.vertex_with_label(1, mask)
 
 
 class TestExplicitQueries:

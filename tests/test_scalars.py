@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mmda_lab.scalars import (EQ, GT, LT, UNDECIDED, Interval, Monomial,
-                              PrecisionCapExceeded, Rat, _atanh_bounds,
+from mmda_lab.scalars import (EQ, GT, LT, MONO_ONE, UNDECIDED, Interval,
+                              Monomial, PrecisionCapExceeded, Rat, _atanh_bounds,
                               _exp_bounds, compare_certified, entropy_interval,
                               entropy_value, exp2_interval, floor_log2,
                               log2_binomial, log2_interval, round_dyadic,
@@ -87,6 +87,18 @@ class TestJsonEncoding:
         assert out["approx"] == pytest.approx(10 / 3)
         # the limit of the process is left as it was
         assert sys.get_int_max_str_digits() == limit
+
+    def test_approx_is_null_outside_the_float_range(self):
+        q = Fraction(10 ** 4400 + 1, 3)
+        out = scalar_to_json(q)
+        assert out["exact"] == "1" + "0" * 4399 + "1/3" and out["approx"] is None
+        huge = Monomial({2: Fraction(4000)})
+        assert scalar_to_json(huge)["approx"] is None
+        assert scalar_to_json(huge.pow(Fraction(1, 4)))["approx"] == 2.0 ** 1000
+        iv = Interval(Fraction(10 ** 400), Fraction(10 ** 401))
+        assert scalar_to_json(iv)["approx"] is None
+        # tiny values still have a finite float
+        assert scalar_to_json(Fraction(1, 10 ** 400))["approx"] == 0.0
 
 
 class TestCompareProperties:
@@ -298,3 +310,69 @@ class TestSeriesOracle:
                     assert got >= x if up else got <= x
             if x > 0:
                 assert floor_log2(x) == _ref_floor_log2(x)
+
+
+# the mul/div/pow that rebuilt every result through __init__, refactoring
+# each prime base: the oracle for the factored constructor
+def _ref_mul(a, b):
+    exps = dict(a.exponents)
+    for p, e in b.exponents:
+        exps[p] = exps.get(p, Fraction(0)) + e
+    return Monomial(exps)
+
+
+def _ref_pow(a, q):
+    q = Fraction(q)
+    return Monomial({p: e * q for p, e in a.exponents})
+
+
+def _ref_div(a, b):
+    return _ref_mul(a, _ref_pow(b, -1))
+
+
+def _seeded_monomials(n):
+    import random
+    rng = random.Random(11)
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = Monomial.from_int(rng.randrange(1, 10 ** 6))
+        elif kind == 1:
+            a = rng.randrange(1, 40)
+            m = Monomial.from_binomial(a, rng.randrange(a + 1))
+        else:
+            m = Monomial.from_factorial(rng.randrange(12))
+        out.append(m.pow(Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))))
+    return out
+
+
+class TestMonomialOracle:
+    def same(self, got, want):
+        assert got.exponents == want.exponents
+        assert all(type(e) is Fraction for _, e in got.exponents)
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+
+    def test_seeded_products_quotients_and_powers(self):
+        ms = _seeded_monomials(60)
+        for a, b in zip(ms, ms[1:] + ms[:1]):
+            self.same(a.mul(b), _ref_mul(a, b))
+            self.same(a.div(b), _ref_div(a, b))
+            for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-7, 4)):
+                self.same(a.pow(q), _ref_pow(a, q))
+
+    def test_cancellation_to_one(self):
+        for a in _seeded_monomials(20) + [Monomial({2: Fraction(1, 2), 3: Fraction(5, 3)})]:
+            for one in (a.div(a), a.mul(a.pow(-1)), a.pow(0)):
+                self.same(one, Monomial())
+                assert one == MONO_ONE and repr(one) == "Monomial(1)"
+                assert one.as_fraction() == 1
+
+    def test_rational_exponents_sum_across_factors(self):
+        # sqrt(6) * 6^(1/3) / 2^(5/6) = 3^(5/6)
+        a = Monomial({6: Fraction(1, 2)})
+        b = Monomial({6: Fraction(1, 3)})
+        c = Monomial({2: Fraction(5, 6)})
+        got = a.mul(b).div(c)
+        self.same(got, _ref_div(_ref_mul(a, b), c))
+        assert got == Monomial({3: Fraction(5, 6)})
