@@ -57,6 +57,14 @@ def count_at_least(lo: int):
     return count
 
 
+def unit_fraction(text: str) -> Fraction:
+    """argparse type: a rational in (0, 1]."""
+    q = parse_rational(text)
+    if not 0 < q <= 1:
+        raise argparse.ArgumentTypeError(f"{q} is outside (0, 1]")
+    return q
+
+
 def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
     if undecided:
         return "undecided", EXIT_UNDECIDED
@@ -495,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True)
     p.add_argument("--lo", type=parse_rational, required=True)
     p.add_argument("--hi", type=parse_rational, required=True)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=count_at_least(2), default=100)
     p.add_argument("--rho", type=parse_rational, default=Fraction(1, 1000))
-    p.add_argument("--eps-param", type=parse_rational, default=Fraction(1, 100))
+    p.add_argument("--eps-param", type=unit_fraction, default=Fraction(1, 100))
     p.set_defaults(handler=cmd_scan)
 
     return ap

@@ -212,24 +212,63 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 # (no gcd in the loops) and reduced once, into the returned Fractions
 
 
+def _round_odd(x: int, odd: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    # round x / (odd * 2**e), x > 0 and odd > 0 odd, to prec bits toward
+    # -inf or +inf; returns (mantissa, exponent) of mantissa / 2**exponent,
+    # the value round_dyadic gives (an exact value may keep fewer bits)
+    r = 0
+    if odd != 1:
+        # pre-shift so that the quotient has at least prec bits
+        t = prec + odd.bit_length() - x.bit_length()
+        if t > 0:
+            x <<= t
+            e += t
+        x, r = divmod(x, odd)
+    drop = x.bit_length() - prec
+    if drop > 0:
+        if up and (r or x & ((1 << drop) - 1)):
+            return (x >> drop) + 1, e - drop
+        return x >> drop, e - drop
+    return (x + 1 if up and r else x), e
+
+
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Bounds on atanh(z) for 0 <= z <= 1/2."""
+    """Bounds on atanh(z) for 0 <= z <= 1/2.
+
+    Sums z^(2k+1)/(2k+1) until the next summand is at most 2**-(prec+4),
+    rounding the total down and the term up to prec+16 bits after each
+    step, then adds a geometric tail bound. The total is kept as
+    tn / 2**ta and the term as mn / (mo * 2**mb), where mo is the odd part
+    of z's denominator on the first step and 1 after it; each rounding is
+    one ``_round_odd`` (a shift and a mask test for a dyadic quotient, one
+    divmod by the small odd divisor otherwise). The returned Fractions are
+    identical to those of rounding every step with ``round_dyadic``.
+    """
+    if not 0 <= z <= Fraction(1, 2):
+        raise ValueError("atanh argument must lie in [0, 1/2]")
     if z == 0:
         return Fraction(0), Fraction(0)
     s = prec + 4  # tol = 2**-s
-    tn, td = 0, 1  # total
-    mn, md = z.numerator, z.denominator  # term
-    zn, zd = mn * mn, md * md  # zz
+    p = prec + 16
+    n, d = z.numerator, z.denominator
+    zb = (d & -d).bit_length() - 1
+    zo = d >> zb  # d = zo * 2**zb, zo odd
+    zn, zo2, zb2 = n * n, zo * zo, 2 * zb  # z^2 = zn / (zo2 * 2**zb2)
+    tn = ta = 0  # total
+    mn, mo, mb = n, zo, zb  # term
     k = 0
-    while mn << s > md * (2 * k + 1):
-        q = md * (2 * k + 1)
-        tn, td = tn * q + mn * td, td * q
-        mn, md = mn * zn, md * zd
+    while mn << s > (mo * (2 * k + 1)) << mb:
+        # total += term / (2k+1), over the common exponent
+        q = mo * (2 * k + 1)
+        e = max(ta, mb)
+        x = ((tn * q) << (e - ta)) + (mn << (e - mb))
+        tn, ta = _round_odd(x, q, e, p, False)
+        # term *= z^2
+        mn, mb = _round_odd(mn * zn, mo * zo2, mb + zb2, p, True)
+        mo = 1
         k += 1
-        # keep intermediate sizes bounded
-        tn, td = _round_pair(tn, td, prec + 16, up=False)
-        mn, md = _round_pair(mn, md, prec + 16, up=True)
     # remainder: sum_{j>=k} z^(2j+1)/(2j+1) <= term/( (2k+1) (1-z^2) )
+    td, md, zd = 1 << ta, mo << mb, zo2 << zb2
     q = md * (2 * k + 1) * (zd - zn)  # rem = mn * zd / q
     hi = ((tn * q + mn * zd * td) << s) + (k + 2) * td * q
     return Fraction(tn, td), Fraction(hi, (td * q) << s)

@@ -168,7 +168,13 @@ REJECTED = (
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
        ["shadow-sample", "--rounds", "0"], ["shadow-sample", "--rounds", "-1"],
        ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"],
-       ["appendixc", "--k", "4", "--budget", "-5"], ["bruteforce", "--m", "4", "--budget", "0"]])
+       ["appendixc", "--k", "4", "--budget", "-5"], ["bruteforce", "--m", "4", "--budget", "0"],
+       ["scan", "--fn", "f_packing", "--lo", "1e-4", "--hi", "1e-2", "--points", "1"],
+       # the requirement exponents take eps in (0, 1]
+       ["scan", "--fn", "k_bound_phase1", "--lo", "1/1000", "--hi", "1/10",
+        "--eps-param", "0"],
+       ["scan", "--fn", "k_bound_phase3", "--lo", "1/1000", "--hi", "1/10",
+        "--eps-param", "2"]])
 
 
 class TestRejectedInputs:
@@ -183,6 +189,14 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--eps-param", "0"), ("--eps-param", "2"),
+                                            ("--points", "1")])
+    def test_scan_usage_names_the_flag(self, capsys, flag, value):
+        code = main(["scan", "--fn", "k_bound_phase1", "--lo", "1/1000", "--hi", "1/10",
+                     flag, value])
+        assert code == EXIT_USAGE
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -30,6 +30,17 @@ GOLDEN = [
      "7044707db3b5ba9e844932b6f400a1a38b687f7568d9073ad999cc8e8b78c031"),
     ("build --m 8", 0,
      "005342f3d9ac82dc1fad2612f8e513e921f0d9de26cd645842bf0738da9566ca"),
+    # the rest of scan, and a layerwise LP whose factors come from log2
+    ("scan --fn g_integral --lo 1e-4 --hi 1e-2", 0,
+     "b714bffbb4191745d9018e868c105e4531991c07f1ca39b48f691bc368d578da"),
+    ("scan --fn k_bound_phase1 --lo 1e-3 --hi 1e-1", 0,
+     "d54f8d08e6082a52c0a31ed84b2a98ef24373a0e3d4910a3c88204168528e754"),
+    ("scan --fn k_bound_phase2 --lo 1e-3 --hi 1e-1", 0,
+     "93aa32607654f4066f60b74f175ef4764bd86c8693de67a79ca76273c8ac3673"),
+    ("scan --fn f1_appendix --lo 2 --hi 2001/1000", 0,
+     "fcdb3106c9c081ea596c87ec3eb2caaec1ed92b76838178d8bc3d268221562b2"),
+    ("verify-lp --m 24 --eps 1/2", 0,
+     "dc83f8da24f1ee7612de66776989276b0cb5d87e0d87ff5bd70e948635a19b88"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from mmda_lab.scalars import (EQ, GT, LT, MONO_ONE, UNDECIDED, Interval,
                               Monomial, PrecisionCapExceeded, Rat, _atanh_bounds,
-                              _exp_bounds, compare_certified, entropy_interval,
+                              _exp_bounds, _ln2_bounds, compare_certified, entropy_interval,
                               entropy_value, exp2_interval, floor_log2,
                               log2_binomial, log2_interval, round_dyadic,
                               scalar_add, scalar_mul, scalar_to_json)
@@ -277,6 +277,23 @@ def _oracle_arguments():
     return out
 
 
+def _log2_atanh_arguments():
+    """The arguments log2_interval hands the atanh kernel: z = (r-1)/(r+1)
+    for the mantissa r in [1, 2) of a seeded rational q, rounded down and
+    up to prec+16 bits, at every precision a comparison may escalate to."""
+    import random
+    rng = random.Random(31)
+    out = []
+    for prec, count in ((64, 8), (256, 8), (1024, 4), (4096, 1)):
+        for _ in range(count):
+            q = Fraction(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30))
+            e = _ref_floor_log2(q)
+            r = q / Fraction(2) ** e
+            z = (r - 1) / (r + 1)
+            out += [(_ref_round_dyadic(z, prec + 16, up), prec) for up in (False, True)]
+    return out
+
+
 class TestSeriesOracle:
     @pytest.mark.parametrize("x,prec", _oracle_arguments())
     def test_exp_bounds_equal_reference(self, x, prec):
@@ -292,6 +309,33 @@ class TestSeriesOracle:
         for prec in (64, 256, 512):
             z = Fraction(1, 3)
             assert _atanh_bounds(z, prec) == _ref_atanh_bounds(z, prec)
+
+    @pytest.mark.parametrize("z,prec", _log2_atanh_arguments())
+    def test_atanh_bounds_equal_reference_on_log2_arguments(self, z, prec):
+        assert _atanh_bounds(z, prec) == _ref_atanh_bounds(z, prec)
+
+    @pytest.mark.parametrize("prec", (64, 256, 1024, 4096))
+    def test_atanh_edge_arguments(self, prec):
+        # the top of the domain, a dyadic so small that the loop runs at
+        # most once, and non-dyadic arguments with large odd denominators
+        zs = [Fraction(1, 2), Fraction(1, 1 << 500), Fraction(5, 11), Fraction(1, 3 << 40),
+              Fraction(123456789, 3 * 10 ** 9 + 7), Fraction(10 ** 9 - 1, 5 * 10 ** 9 + 3)]
+        for z in zs:
+            assert _atanh_bounds(z, prec) == _ref_atanh_bounds(z, prec), z
+
+    @pytest.mark.parametrize("prec", (64, 256, 1024, 4096))
+    def test_ln2_bounds_equal_reference(self, prec):
+        _ln2_bounds.cache_clear()
+        lo, hi = _ref_atanh_bounds(Fraction(1, 3), prec)
+        assert _ln2_bounds(prec) == (2 * lo, 2 * hi)
+
+    @pytest.mark.parametrize("z", [Fraction(-1, 4), Fraction(1),
+                                   Fraction(1, 2) + Fraction(1, 1 << 80)])
+    def test_atanh_rejects_arguments_outside_its_domain(self, z):
+        # below 0 the lower bound would sit above atanh(z), and at z = 1
+        # the term never decays, so the loop would not end
+        with pytest.raises(ValueError):
+            _atanh_bounds(z, 64)
 
     def test_round_dyadic_equals_reference(self):
         import random
