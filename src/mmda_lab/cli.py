@@ -57,12 +57,14 @@ def count_at_least(lo: int):
     return count
 
 
-def unit_fraction(text: str) -> Fraction:
-    """argparse type: a rational in (0, 1]."""
-    q = parse_rational(text)
-    if not 0 < q <= 1:
-        raise argparse.ArgumentTypeError(f"{q} is outside (0, 1]")
-    return q
+def rational_up_to(hi: Fraction):
+    """argparse type: a rational in (0, ``hi``]."""
+    def rational(text: str) -> Fraction:
+        q = parse_rational(text)
+        if not 0 < q <= hi:
+            raise argparse.ArgumentTypeError(f"{q} is outside (0, {hi}]")
+        return q
+    return rational
 
 
 def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
@@ -189,7 +191,7 @@ def cmd_count_paths(args) -> int:
         checked += 1
         dp = count_paths(inst, v, u)
         if inst.reachable(v, u):
-            overlap = bin(inst.label(v) & inst.label(u)).count("1")
+            overlap = (inst.label(v) & inst.label(u)).bit_count()
             cf = closed_form_paths(inst, v[0], u[0], overlap)
         else:
             cf = 0
@@ -504,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=parse_rational, required=True)
     p.add_argument("--hi", type=parse_rational, required=True)
     p.add_argument("--points", type=count_at_least(2), default=100)
-    p.add_argument("--rho", type=parse_rational, default=Fraction(1, 1000))
-    p.add_argument("--eps-param", type=unit_fraction, default=Fraction(1, 100))
+    # the density range InstanceParams accepts
+    p.add_argument("--rho", type=rational_up_to(Fraction(1, 4)), default=Fraction(1, 1000))
+    p.add_argument("--eps-param", type=rational_up_to(Fraction(1)), default=Fraction(1, 100))
     p.set_defaults(handler=cmd_scan)
 
     return ap

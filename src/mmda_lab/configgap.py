@@ -16,6 +16,7 @@ from fractions import Fraction
 from .instances import ExplicitInstance, SantaView, Vertex
 from .integral import HallWitness, hall_infeasibility
 from .reports import ViolationReport, check_ge, check_le
+from .scalars import as_fraction
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ def build_config_solution(inst: ExplicitInstance) -> ConfigSolution:
     1 - 1/k and its block's next-layer bundle with weight 1/k.
     """
     santa: SantaView = inst.santa
-    k = inst.k_of(inst.source).as_fraction()
-    k = int(k)
+    k = int(as_fraction(inst.k_of(inst.source)))
     w = Fraction(1, k)
     entries = []
     l1 = list(inst.vertices(1))

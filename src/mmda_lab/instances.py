@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 
-from .scalars import MONO_ONE, Monomial, Rat, Scalar
+from .scalars import MONO_ONE, Monomial, Scalar
 
 SIZE_CAP_DEFAULT = 24
 # layers up to this many vertices keep a label table (masks by rank, ranks
@@ -469,7 +469,7 @@ def build_config_lp_gap(k: int):
     for j, w in enumerate(l2):
         block = j // k
         out[w] = [(3, block * k + t) for t in range(k)]
-    kk = Rat(Fraction(k))
+    kk = Fraction(k)
     k_map = {s: kk, **{v: kk for v in l1}, **{w: kk for w in l2}}
     inst = ExplicitInstance([[s], l1, l2, l3], out, k_map)
     inst.santa = _santa_view(inst, k)
@@ -501,7 +501,7 @@ def build_subtree_counterexample(k: int) -> ExplicitInstance:
     out = {s: list(l1)}
     for j, v in enumerate(l1):
         out[v] = [private[j]] + public
-    kk = Rat(Fraction(k))
+    kk = Fraction(k)
     k_map = {s: kk, **{v: kk for v in l1}}
     inst = ExplicitInstance([[s], l1, private + public], out, k_map)
     inst.public_sinks = tuple(public)
@@ -529,7 +529,7 @@ def build_depth3_example() -> ExplicitInstance:
         (2, 2): [(3, 4), (3, 5)],
         (2, 3): [(3, 5), (3, 6), (3, 7)],
     }
-    two = Rat(Fraction(2))
+    two = Fraction(2)
     k_map = {s: two, **{v: two for v in l1}, **{w: two for w in l2}}
     return ExplicitInstance([[s], l1, l2, l3], out, k_map)
 
@@ -659,7 +659,6 @@ def instance_from_json(data: dict) -> LayeredInstance:
     out_adj: dict[Vertex, list[Vertex]] = {}
     for u, v in data["edges"]:
         out_adj.setdefault(tuple(u), []).append(tuple(v))
-    k_map = {tuple(v): Rat(Fraction(entry["exact"]))
-             for v, entry in data["k"]}
+    k_map = {tuple(v): Fraction(entry["exact"]) for v, entry in data["k"]}
     return ExplicitInstance(layers, out_adj, k_map)
 

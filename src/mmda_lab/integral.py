@@ -10,7 +10,7 @@ from itertools import combinations, islice
 from fractions import Fraction
 
 from .instances import InstanceError, LabeledInstance, LayeredInstance, Vertex
-from .scalars import Monomial, Scalar, compare_certified
+from .scalars import Monomial, Scalar, as_fraction, compare_certified
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -75,7 +75,7 @@ def solution_quality(inst: LayeredInstance, sol: IntegralSolution) -> SolutionQu
     for v in sol.selected_vertices(inst):
         if inst.is_sink(v):
             continue
-        kv = inst.k_of(v).as_fraction()
+        kv = as_fraction(inst.k_of(v))
         ratio = Fraction(sol.out_degree(v)) / kv
         best = ratio if best is None else min(best, ratio)
     return SolutionQuality(best if best is not None else Fraction(0))
@@ -123,7 +123,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
     demand_of = {}
     for i in range(inst.ell):
         for v in inst.vertices(i):
-            demand_of[v] = _ceil_frac(q * inst.k_of(v).as_fraction())
+            demand_of[v] = _ceil_frac(q * as_fraction(inst.k_of(v)))
     total_sinks = inst.layer_size(inst.ell)
     sinks_below: dict[Vertex, int] = {}
 
@@ -133,7 +133,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         if r is None:
             r = 1
             for j in range(v[0], inst.ell):
-                kmin = min(inst.k_of(u).as_fraction() for u in inst.vertices(j))
+                kmin = min(as_fraction(inst.k_of(u)) for u in inst.vertices(j))
                 r *= max(_ceil_frac(q * kmin), 1)
             sinks_below[v] = r
         return r
@@ -207,12 +207,12 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
     ratios = set()
     for i in range(inst.ell):
         for v in inst.vertices(i):
-            kv = inst.k_of(v).as_fraction()
+            kv = as_fraction(inst.k_of(v))
             if kv is None:
                 raise InstanceError("the integral search needs rational requirements")
             for d in range(1, inst.out_degree(v) + 1):
                 ratios.add(Fraction(d) / kv)
-    cap = min(Fraction(inst.out_degree(v)) / inst.k_of(v).as_fraction()
+    cap = min(Fraction(inst.out_degree(v)) / as_fraction(inst.k_of(v))
               for i in range(inst.ell) for v in inst.vertices(i))
     candidates = sorted(r for r in ratios if r <= cap)
     bud = _Budget(budget)
@@ -347,7 +347,7 @@ def hall_infeasibility(inst: LayeredInstance, root: Vertex,
     demand = Fraction(1)
     walk = islice(inst.frontiers(root), 1, depth + 1)
     for d, frontier in enumerate(walk, 1):
-        kmin = min(inst.k_of(v).as_fraction() for v in inst.vertices(root[0] + d - 1))
+        kmin = min(as_fraction(inst.k_of(v)) for v in inst.vertices(root[0] + d - 1))
         demand *= kmin
         if len(frontier) < demand:
             return HallWitness(True, d, demand, len(frontier))

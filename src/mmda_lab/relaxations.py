@@ -18,7 +18,7 @@ from itertools import chain, islice
 from .instances import (Edge, InstanceError, LabeledInstance,
                         LayeredInstance, Vertex)
 from .reports import ViolationReport, check_eq, check_ge, check_le, vacuous
-from .scalars import MONO_ONE, Monomial, Rat, Scalar, as_scalar
+from .scalars import MONO_ONE, Monomial, Scalar, as_fraction, as_scalar
 
 ENUMERATION_CAP = 10 ** 7
 
@@ -56,7 +56,7 @@ class SparseSolution:
         self.table = table
 
     def value(self, e: Edge) -> Scalar:
-        return Rat(self.table.get(e, Fraction(0)))
+        return self.table.get(e, Fraction(0))
 
     def support(self):
         return self.table.items()
@@ -111,7 +111,7 @@ def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution,
         inflow = Monomial.from_int(prof.delta_minus[i]).mul(xs[i])
         rep.add(check_le(f"packing:layer{i}", inflow, allowance))
     for i in range(1, inst.ell + 1):
-        rep.add(check_le(f"bounds:layer{i}", xs[i], Rat(Fraction(1)), kind="bounds"))
+        rep.add(check_le(f"bounds:layer{i}", xs[i], 1, kind="bounds"))
     return rep
 
 
@@ -124,35 +124,31 @@ def _verify_sparse(inst: LayeredInstance, sol, allowance: Scalar,
     for e, val in sol.support():
         if not (0 <= val <= 1):
             bad_bounds += 1
-            rep.add(check_le(f"bounds:{e}", Rat(val), Rat(Fraction(1)), kind="bounds"))
+            rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
         u, v = e
         out_sum[u] = out_sum.get(u, Fraction(0)) + val
         in_sum[v] = in_sum.get(v, Fraction(0)) + val
 
     if inst.is_sink(root):
-        rep.add(vacuous(f"covering:root{root}", "covering",
-                        Rat(out_sum.get(root, Fraction(0))), Rat(Fraction(0))))
+        rep.add(vacuous(f"covering:root{root}", "covering", out_sum.get(root, 0), 0))
     else:
         demand_root = max(in_sum.get(root, Fraction(0)), Fraction(1))
-        k_root = inst.k_of(root).as_fraction()
+        k_root = as_fraction(inst.k_of(root))
         if k_root is None:
             raise InstanceError("sparse verification needs rational requirements")
-        rep.add(check_ge(f"covering:root{root}", Rat(out_sum.get(root, Fraction(0))),
-                         Rat(k_root * demand_root)))
+        rep.add(check_ge(f"covering:root{root}", out_sum.get(root, 0), k_root * demand_root))
 
     for v in sorted(set(in_sum) | set(out_sum)):
         inflow = in_sum.get(v, Fraction(0))
         if inflow > 0:
-            rep.add(check_le(f"packing:{v}", Rat(inflow), allowance))
+            rep.add(check_le(f"packing:{v}", inflow, allowance))
         if v == root or inst.is_sink(v):
             continue
         if inflow > 0:
-            kv = inst.k_of(v).as_fraction()
-            rep.add(check_ge(f"covering:{v}", Rat(out_sum.get(v, Fraction(0))),
-                             Rat(kv * inflow)))
+            kv = as_fraction(inst.k_of(v))
+            rep.add(check_ge(f"covering:{v}", out_sum.get(v, 0), kv * inflow))
         else:
-            rep.add(vacuous(f"covering:{v}", "covering",
-                            Rat(out_sum.get(v, Fraction(0))), Rat(Fraction(0))))
+            rep.add(vacuous(f"covering:{v}", "covering", out_sum.get(v, 0), 0))
     return rep
 
 
@@ -179,28 +175,6 @@ class SubtreeFamily:
         p = self.inst.params
         return self.scale / math.comb(p.m - 2 * p.rho_m + j, j)
 
-    def value(self, f: Edge, e: Edge) -> Fraction:
-        """x_e^{(f)}, zero off the descendant cone."""
-        if f == e:
-            return Fraction(1)
-        layer_f, layer_e = f[1][0], e[1][0]
-        if layer_e <= layer_f:
-            return Fraction(0)
-        lf = self._label(f[1])
-        if layer_f == 1:
-            if layer_e == 2:
-                return (Fraction(1, self.c_small)
-                        if e[0] == f[1] else Fraction(0))
-            # bottom edge (w, t): the middle vertex must lie below f
-            lw = self._label(e[0])
-            if lw & lf != lf:
-                return Fraction(0)
-            j = bin(self._label(e[1]) & lf).count("1")
-            return self.sink_split(j)
-        if layer_f == 2:
-            return Fraction(1) if layer_e == 3 and e[0] == f[1] else Fraction(0)
-        return Fraction(0)
-
     def support(self, f: Edge):
         """Edges with x^{(f)} > 0, with their values."""
         inst = self.inst
@@ -212,7 +186,7 @@ class SubtreeFamily:
             for w in inst.out_neighbors(v):
                 yield (v, w), Fraction(1, self.c_small)
                 for t in inst.out_neighbors(w):
-                    j = bin(self._label(t) & lv).count("1")
+                    j = (self._label(t) & lv).bit_count()
                     yield (w, t), self.sink_split(j)
         elif layer_f == 2:
             for t in inst.out_neighbors(f[1]):
@@ -230,7 +204,7 @@ class SubtreeFamily:
             w, t = e
             lt = self._label(t)
             for v in inst.in_neighbors(w):
-                j = bin(lt & self._label(v)).count("1")
+                j = (lt & self._label(v)).bit_count()
                 out.append(((inst.source, v), self.sink_split(j)))
                 out.append(((v, w), Fraction(1)))
         out.append((e, Fraction(1)))
@@ -246,11 +220,7 @@ def subtree_solutions(inst: LabeledInstance) -> SubtreeFamily:
 
 def sink_inflow(fam: SubtreeFamily, f: Edge, t: Vertex) -> Fraction:
     """Sum of x^{(f)} over the in-edges of sink t (the flow-splitting sum)."""
-    inst = fam.inst
-    total = Fraction(0)
-    for w in inst.in_neighbors(t):
-        total += fam.value(f, (w, t))
-    return total
+    return sum((val for e, val in fam.support(f) if e[1] == t), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +408,7 @@ def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport
                 inv_gamma = inv_gamma.mul(prof.gamma[j - 1])
             count = max_paths_between_layers(inst, i, j)
             bound = inv_gamma.pow(-1)
-            chk = check_le(f"paths:({i},{j})", Rat(Fraction(count)), bound)
+            chk = check_le(f"paths:({i},{j})", count, bound)
             rep.add(chk)
             ok_by_distance[d] = ok_by_distance.get(d, True) and bool(chk.satisfied)
             pairs.append({"i": i, "j": j, "count": count,
@@ -482,8 +452,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
     for io in range(inst.ell):
         lhs = prof.gamma[io].mul(Monomial.from_int(prof.delta_plus[io]))
         rep.add(check_eq(f"lifted-covering:end-layer{io}", lhs, prof.k[io]))
-    rep.add(vacuous("lifted-covering:end-sink", "equality",
-                    Rat(Fraction(0)), Rat(Fraction(0))))
+    rep.add(vacuous("lifted-covering:end-sink", "equality", 0, 0))
 
     # (2) lifted packing: worst path count times the value ratio, per (i, j)
     for i in range(inst.ell + 1):
@@ -496,22 +465,21 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
                 inv = inv.mul(prof.gamma[j - 1])
             count = max_paths_between_layers(inst, i, j)
             lhs = inv.mul(Monomial.from_int(count))
-            rep.add(check_le(f"lifted-packing:({i},{j})", lhs, Rat(Fraction(1))))
+            rep.add(check_le(f"lifted-packing:({i},{j})", lhs, 1))
 
     # (3)+(4) unlifted assignment constraints for y({e}) = x_e
-    rep.merge(_verify_layerwise(inst, ps.x, Rat(Fraction(1))))
+    rep.merge(_verify_layerwise(inst, ps.x, 1))
 
     # (5) consistency: extending a path in front multiplies by 1/delta^-,
     # extending at the back multiplies by gamma; both factors are <= 1
     for i in range(inst.ell):
-        rep.add(check_le(f"consistency:gamma{i}", prof.gamma[i], Rat(Fraction(1))))
+        rep.add(check_le(f"consistency:gamma{i}", prof.gamma[i], 1))
     for i in range(1, inst.ell + 1):
-        rep.add(check_ge(f"consistency:delta-minus{i}",
-                         Rat(Fraction(prof.delta_minus[i])), Rat(Fraction(1)),
+        rep.add(check_ge(f"consistency:delta-minus{i}", prof.delta_minus[i], 1,
                          kind="bounds"))
 
     # (6) root normalization
-    rep.add(check_eq("root", ps.value((ps.dummy,)), Rat(Fraction(1))))
+    rep.add(check_eq("root", ps.value((ps.dummy,)), 1))
 
     # (7) bounds, per (start layer, length) class
     for i in range(0, inst.ell + 1):
@@ -520,10 +488,8 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
             if (i > 0 and i + length - 1 > inst.ell) or (i == 0 and length - 1 > inst.ell):
                 break
             y = ps.value_class(i, length)
-            rep.add(check_le(f"bounds:class({i},{length})", y, Rat(Fraction(1)),
-                             kind="bounds"))
-            rep.add(check_ge(f"positive:class({i},{length})", y, Rat(Fraction(0)),
-                             kind="bounds"))
+            rep.add(check_le(f"bounds:class({i},{length})", y, 1, kind="bounds"))
+            rep.add(check_ge(f"positive:class({i},{length})", y, 0, kind="bounds"))
     return rep
 
 
@@ -547,8 +513,7 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         children = by_prefix.get(p, [])
         if inst.is_sink(end):
             assert not children
-            rep.add(vacuous(f"lifted-covering:{_pid(p)}", "equality",
-                            Rat(Fraction(0)), Rat(Fraction(0))))
+            rep.add(vacuous(f"lifted-covering:{_pid(p)}", "equality", 0, 0))
             continue
         child = ps.value(p + ((end, inst.out_neighbors(end)[0]),))
         total = child.mul(Monomial.from_int(len(children)))
@@ -578,7 +543,7 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints
-    rep.merge(_verify_layerwise(inst, ps.x, Rat(Fraction(1))))
+    rep.merge(_verify_layerwise(inst, ps.x, 1))
 
     # (5) consistency for contiguous subpaths
     for q in paths:
@@ -593,10 +558,9 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
                                  ps.value(q[a:b])))
 
     # (6) + (7)
-    rep.add(check_eq("root", ps.value((ps.dummy,)), Rat(Fraction(1))))
+    rep.add(check_eq("root", ps.value((ps.dummy,)), 1))
     for p in paths:
-        rep.add(check_le(f"bounds:{_pid(p)}", ps.value(p), Rat(Fraction(1)),
-                         kind="bounds"))
+        rep.add(check_le(f"bounds:{_pid(p)}", ps.value(p), 1, kind="bounds"))
     return rep
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import (EQ, GT, LT, UNDECIDED, Interval, Monomial,
-                      PrecisionCapExceeded, Rat, Scalar, as_scalar,
-                      compare_certified, iv_div, scalar_to_json)
+from .scalars import (DEFAULT_PRECISION, EQ, GT, LT, UNDECIDED, Interval,
+                      Monomial, PrecisionCapExceeded, Scalar, as_scalar,
+                      compare_certified, iv_div, scalar_to_json, to_interval)
 
 CHECK_MEMO_SIZE = 4096     # distinct (lhs, rhs, accept) verdicts kept
 
@@ -72,12 +73,13 @@ class ViolationReport:
 
 
 def _safe_div(lhs: Scalar, rhs: Scalar) -> Scalar | None:
-    if isinstance(lhs, Rat) and isinstance(rhs, Rat) and rhs.value != 0:
-        return Rat(lhs.value / rhs.value)
     if isinstance(lhs, Monomial) and isinstance(rhs, Monomial):
         return lhs.div(rhs)
+    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction) and rhs != 0:
+        return lhs / rhs
     try:
-        return iv_div(lhs.to_interval(), rhs.to_interval())
+        return iv_div(to_interval(lhs, DEFAULT_PRECISION),
+                      to_interval(rhs, DEFAULT_PRECISION))
     except (ZeroDivisionError, ValueError):
         return None
 

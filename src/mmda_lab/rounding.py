@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import InstanceError, LabeledInstance, LayeredInstance
-from .scalars import LT, Rat, compare_certified
+from .scalars import LT, as_fraction, compare_certified, to_interval
 
 _U_BITS = 128
 
@@ -32,12 +32,12 @@ class _Threshold:
 
     def __init__(self, gamma):
         self.gamma = gamma
-        g = gamma.as_fraction() if hasattr(gamma, "as_fraction") else None
+        g = as_fraction(gamma)
         if g is not None:
             self.lo = self.hi = (g.numerator << _U_BITS) // g.denominator
             self.exact = g
         else:
-            iv = gamma.to_interval(192)
+            iv = to_interval(gamma, 192)
             self.lo = (iv.lo.numerator << _U_BITS) // iv.lo.denominator
             self.hi = -((-iv.hi.numerator << _U_BITS) // iv.hi.denominator)
             self.exact = None
@@ -50,7 +50,7 @@ class _Threshold:
             return True
         if u_bits > self.hi:
             return False
-        u = Rat(Fraction(u_bits, 1 << _U_BITS))
+        u = Fraction(u_bits, 1 << _U_BITS)
         return compare_certified(u, self.gamma) == "<"
 
 

@@ -2,15 +2,18 @@
 
 Three value modes, all immutable:
 
-* ``Rat`` -- arbitrary-precision rational, always in lowest terms.
+* ``fractions.Fraction`` -- arbitrary-precision rational (ints are
+  accepted wherever a scalar is and read as Fractions).
 * ``Monomial`` -- a product of prime powers with rational exponents,
   kept exact under multiplication (rational exponents arise from the
   degree ratios of the layered instances, which involve factorials
   raised to the phase step).
 * ``Interval`` -- a dyadic enclosure [lo, hi] with directed rounding.
 
-Additions and comparisons of irrational monomials fall back to interval
-enclosures; everything multiplicative stays closed-form.
+Monomial products, quotients and powers stay closed-form; comparisons of
+irrational monomials fall back to interval enclosures.  ``Scalar`` names
+the union of the three modes, and ``as_fraction``, ``to_interval``,
+``compare_certified`` and ``scalar_to_json`` accept any of them.
 """
 
 from __future__ import annotations
@@ -40,21 +43,31 @@ def floor_log2(x: Fraction) -> int:
     """Largest e with 2**e <= x, for x > 0."""
     if x <= 0:
         raise ValueError("floor_log2 needs a positive argument")
-    return _floor_log2(x.numerator, x.denominator)
-
-
-def _floor_log2(n: int, d: int) -> int:
-    # floor(log2(n/d)) for n, d > 0 in any terms: with a, b the bit
-    # lengths, 2^(a-b-1) < n/d < 2^(a-b+1), so one exact probe decides
+    n, d = x.numerator, x.denominator
+    # with a, b the bit lengths, 2^(a-b-1) < n/d < 2^(a-b+1), so one exact
+    # probe decides
     e = n.bit_length() - d.bit_length()
-    return e if _pow2_le(e, n, d) else e - 1
+    return e if ((d << e) <= n if e >= 0 else d <= (n << -e)) else e - 1
 
 
-def _pow2_le(e: int, n: int, d: int) -> bool:
-    # 2**e <= n/d ?
-    if e >= 0:
-        return (d << e) <= n
-    return d <= (n << -e)
+def _round_odd(x: int, odd: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    # round x / (odd * 2**e), x > 0 and odd > 0 odd, to prec bits toward
+    # -inf or +inf; returns (mantissa, exponent) of mantissa / 2**exponent
+    # (an exact value may keep fewer bits)
+    r = 0
+    if odd != 1:
+        # pre-shift so that the quotient has at least prec bits
+        t = prec + odd.bit_length() - x.bit_length()
+        if t > 0:
+            x <<= t
+            e += t
+        x, r = divmod(x, odd)
+    drop = x.bit_length() - prec
+    if drop > 0:
+        if up and (r or x & ((1 << drop) - 1)):
+            return (x >> drop) + 1, e - drop
+        return x >> drop, e - drop
+    return (x + 1 if up and r else x), e
 
 
 def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
@@ -63,77 +76,23 @@ def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
     ``up=True`` rounds toward +inf, ``up=False`` toward -inf, so the
     result always brackets x from the requested side.
     """
-    return Fraction(*_round_pair(x.numerator, x.denominator, prec, up))
-
-
-def _round_pair(n: int, d: int, prec: int, up: bool) -> tuple[int, int]:
-    # round_dyadic on n/d with d > 0, in any terms; the result is an
-    # unreduced pair (num, 2**shift) or (num, 1) of the same value
+    n, d = x.numerator, x.denominator
     if n == 0:
-        return 0, 1
-    if d == 1 and abs(n).bit_length() <= prec:
-        return n, 1
-    shift = prec - 1 - _floor_log2(abs(n), d)
-    if shift <= 0:
-        num, r = divmod(n, d << -shift)
-    else:
-        num, r = divmod(n << shift, d)
-    if up and r:
-        num += 1
-    return (num << -shift, 1) if shift <= 0 else (num, 1 << shift)
+        return Fraction(0)
+    e = (d & -d).bit_length() - 1  # d = odd * 2**e
+    # a negative x rounds as -|x| toward the mirrored side
+    m, e = _round_odd(abs(n), d >> e, e, prec, up if n > 0 else not up)
+    if n < 0:
+        m = -m
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
 
 
 # ---------------------------------------------------------------------------
-# scalar base
-
-
-class Scalar:
-    """Common base for Rat / Monomial / Interval values."""
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return scalar_mul(self, other)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return scalar_add(self, other)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return scalar_add(self, scalar_neg(other))
-
-    def to_interval(self, prec: int = DEFAULT_PRECISION) -> "Interval":
-        raise NotImplementedError
-
-    def as_fraction(self) -> Fraction | None:
-        """Exact rational value when one exists, else None."""
-        return None
-
-    def approx(self) -> float:
-        raise NotImplementedError
+# intervals
 
 
 @dataclass(frozen=True)
-class Rat(Scalar):
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    def to_interval(self, prec: int = DEFAULT_PRECISION) -> "Interval":
-        return Interval(round_dyadic(self.value, prec, up=False),
-                        round_dyadic(self.value, prec, up=True), prec)
-
-    def as_fraction(self) -> Fraction:
-        return self.value
-
-    def approx(self) -> float:
-        return float(self.value)
-
-    def __repr__(self):
-        return f"Rat({self.value})"
-
-
-@dataclass(frozen=True)
-class Interval(Scalar):
+class Interval:
     """Closed enclosure [lo, hi]; bounds are finite Fractions."""
 
     lo: Fraction
@@ -161,9 +120,6 @@ class Interval(Scalar):
     def contains(self, q) -> bool:
         q = Fraction(q)
         return self.lo <= q <= self.hi
-
-    def to_interval(self, prec: int = DEFAULT_PRECISION) -> "Interval":
-        return self
 
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
@@ -210,26 +166,6 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 # certified elementary enclosures: exact-rational series with explicit
 # tails, accumulated over unreduced integer numerators and denominators
 # (no gcd in the loops) and reduced once, into the returned Fractions
-
-
-def _round_odd(x: int, odd: int, e: int, prec: int, up: bool) -> tuple[int, int]:
-    # round x / (odd * 2**e), x > 0 and odd > 0 odd, to prec bits toward
-    # -inf or +inf; returns (mantissa, exponent) of mantissa / 2**exponent,
-    # the value round_dyadic gives (an exact value may keep fewer bits)
-    r = 0
-    if odd != 1:
-        # pre-shift so that the quotient has at least prec bits
-        t = prec + odd.bit_length() - x.bit_length()
-        if t > 0:
-            x <<= t
-            e += t
-        x, r = divmod(x, odd)
-    drop = x.bit_length() - prec
-    if drop > 0:
-        if up and (r or x & ((1 << drop) - 1)):
-            return (x >> drop) + 1, e - drop
-        return x >> drop, e - drop
-    return (x + 1 if up and r else x), e
 
 
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -413,7 +349,7 @@ def factorial_exponents(n: int) -> dict[int, int]:
     return out
 
 
-class Monomial(Scalar):
+class Monomial:
     """Finite product of prime powers with rational exponents (value > 0)."""
 
     __slots__ = ("exponents",)
@@ -506,7 +442,7 @@ class Monomial(Scalar):
     def to_interval(self, prec: int = DEFAULT_PRECISION) -> Interval:
         f = self.as_fraction()
         if f is not None:
-            return Rat(f).to_interval(prec)
+            return to_interval(f, prec)
         return exp2_interval(self.log2_interval(prec), prec)
 
     def approx(self) -> float:
@@ -532,38 +468,34 @@ MONO_ONE = Monomial()
 # public operations
 
 
-def scalar_neg(a: Scalar) -> Scalar:
-    if isinstance(a, Rat):
-        return Rat(-a.value)
-    if isinstance(a, Interval):
-        return iv_neg(a)
-    raise TypeError("cannot negate a monomial exactly; convert first")
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Exact within a mode, certified interval across modes."""
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value * b.value)
-    if isinstance(a, Monomial) and isinstance(b, Monomial):
-        return a.mul(b)
-    return iv_mul(a.to_interval(), b.to_interval())
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value + b.value)
-    fa, fb = a.as_fraction(), b.as_fraction()
-    if fa is not None and fb is not None:
-        return Rat(fa + fb)
-    return iv_add(a.to_interval(), b.to_interval())
+Scalar = Fraction | Monomial | Interval
 
 
 def as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
+    # ints first and Fraction last: isinstance against Fraction, an abc
+    # class, is several times slower when it fails
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Monomial, Interval, Fraction)):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Rat(Fraction(x))
     raise TypeError(f"cannot coerce {type(x)!r} to Scalar")
+
+
+def as_fraction(x: Scalar | int) -> Fraction | None:
+    """Exact rational value when one exists, else None."""
+    if isinstance(x, Monomial):
+        return x.as_fraction()
+    return None if isinstance(x, Interval) else as_scalar(x)
+
+
+def to_interval(x: Scalar | int, prec: int) -> Interval:
+    """Dyadic enclosure of x at prec bits; an interval is returned as is."""
+    if isinstance(x, Monomial):
+        return x.to_interval(prec)
+    if isinstance(x, Interval):
+        return x
+    x = as_scalar(x)
+    return Interval(round_dyadic(x, prec, up=False), round_dyadic(x, prec, up=True), prec)
 
 
 def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
@@ -576,10 +508,8 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
     ``"undecided"``.
     """
     a, b = as_scalar(a), as_scalar(b)
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return LT if a.value < b.value else GT if a.value > b.value else EQ
     if isinstance(a, Interval) or isinstance(b, Interval):
-        ia, ib = a.to_interval(), b.to_interval()
+        ia, ib = to_interval(a, DEFAULT_PRECISION), to_interval(b, DEFAULT_PRECISION)
         if ia.hi < ib.lo:
             return LT
         if ia.lo > ib.hi:
@@ -587,6 +517,8 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
         if ia.lo == ia.hi == ib.lo == ib.hi:
             return EQ
         return UNDECIDED
+    if not isinstance(a, Monomial) and not isinstance(b, Monomial):
+        return LT if a < b else GT if a > b else EQ  # two Fractions
 
     # exact operands, at least one monomial
     if isinstance(a, Monomial) and isinstance(b, Monomial):
@@ -600,12 +532,12 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
         mono, rat, flip = (a, b, False) if isinstance(a, Monomial) else (b, a, True)
         fm = mono.as_fraction()
         if fm is not None:
-            r = LT if fm < rat.value else GT if fm > rat.value else EQ
+            r = LT if fm < rat else GT if fm > rat else EQ
             return {LT: GT, GT: LT, EQ: EQ}[r] if flip else r
-        if rat.value <= 0:
+        if rat <= 0:
             return GT if not flip else LT  # monomials are positive
         diff = lambda p: iv_add(mono.log2_interval(p),
-                                iv_neg(log2_interval(rat.value, p)))
+                                iv_neg(log2_interval(rat, p)))
         if flip:
             inner = diff
             diff = lambda p: iv_neg(inner(p))
@@ -640,7 +572,7 @@ def log2_binomial(n: int, k: int, prec: int = DEFAULT_PRECISION,
     return iv
 
 
-def scalar_to_json(x: Scalar | Fraction | int) -> dict:
+def scalar_to_json(x: Scalar | int) -> dict:
     """Exact string form plus a decimal approximation, null when the value
     has no finite float.  Exact values are written in full, past CPython's
     int-to-str digit limit."""
@@ -648,16 +580,16 @@ def scalar_to_json(x: Scalar | Fraction | int) -> dict:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if isinstance(x, Rat):
-            out = {"exact": str(x.value)}
-        elif isinstance(x, Monomial):
+        if isinstance(x, Monomial):
             out = {"monomial": {str(p): str(e) for p, e in x.exponents}}
-        else:
+        elif isinstance(x, Interval):
             out = {"lo": str(x.lo), "hi": str(x.hi)}
+        else:
+            out = {"exact": str(x)}
     finally:
         sys.set_int_max_str_digits(limit)
     try:
-        approx = x.approx()
+        approx = float(x) if "exact" in out else x.approx()
     except OverflowError:
         approx = math.inf
     out["approx"] = approx if math.isfinite(approx) else None

@@ -23,7 +23,7 @@ from .instances import Edge, InstanceError, LabeledInstance, LayeredInstance, Ve
 from .relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
                           assignment_solution)
 from .reports import ViolationReport, check_ge, check_le
-from .scalars import Rat
+from .scalars import as_fraction
 
 
 class IndependentFamily:
@@ -57,7 +57,7 @@ class ShadowModel:
     def x_of(self, e: Edge) -> Fraction:
         v = self._xcache.get(e)
         if v is None:
-            v = self._xcache[e] = self.x.value(e).as_fraction()
+            v = self._xcache[e] = as_fraction(self.x.value(e))
         return v
 
     def triggers_of(self, e: Edge) -> dict[Edge, Fraction]:
@@ -312,7 +312,7 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
                 pack, out = moments.vertex(v)
                 inflow = Fraction(1) if v == inst.source else pack
                 if i < inst.ell and inflow > 0:
-                    kv = inst.k_of(v).as_fraction()
+                    kv = as_fraction(inst.k_of(v))
                     slack = out / (kv * inflow)
                     if min_cov is None or slack < min_cov:
                         min_cov, worst_cov = slack, (ev.label(), v)
@@ -320,9 +320,9 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
                     if max_pack is None or pack > max_pack:
                         max_pack, worst_pack = pack, (ev.label(), v)
     if min_cov is not None:
-        rep.add(check_ge("sa1:min-covering-slack", Rat(min_cov), Rat(floor)))
+        rep.add(check_ge("sa1:min-covering-slack", min_cov, floor))
     if max_pack is not None:
-        rep.add(check_le("sa1:max-packing-sum", Rat(max_pack), Rat(ceiling)))
+        rep.add(check_le("sa1:max-packing-sum", max_pack, ceiling))
     return SA1Report(checked, skipped, min_cov, max_pack, worst_cov, worst_pack,
                      rep.ok, rep)
 
@@ -401,7 +401,7 @@ class CounterexampleFamily:
 def counterexample_shadow_model(inst: LayeredInstance) -> ShadowModel:
     """Shadow model on the shared-sink counterexample; base values are 1/k
     on first-layer edges, 1 on private-sink edges, 0 on public edges."""
-    k = int(inst.k_of(inst.source).as_fraction())
+    k = int(as_fraction(inst.k_of(inst.source)))
     table = {}
     for v in inst.vertices(1):
         table[(inst.source, v)] = Fraction(1, k)
@@ -437,7 +437,7 @@ def two_layer_rounding_control(inst: LabeledInstance) -> TwoLayerControl:
     """
     if inst.params.epsilon != 1:
         raise InstanceError("control defined on the depth-3 instance")
-    x1 = assignment_solution(inst).layer_values[1].as_fraction()
+    x1 = as_fraction(assignment_solution(inst).layer_values[1])
     c_small = math.comb(2 * inst.params.rho_m, inst.params.rho_m)
     v = (1, 0)
     e1 = (inst.source, v)

@@ -26,7 +26,7 @@ from mmda_lab.restricted import (build_lower_bound, integral_optimum,
                                  map_sa1_to_davies, matching_lift,
                                  verify_matching_distribution)
 from mmda_lab.rounding import sample_forest
-from mmda_lab.scalars import Rat, compare_certified
+from mmda_lab.scalars import compare_certified
 from mmda_lab.scans import scan_proof_function
 from mmda_lab.shadow import (ConditionEvent, conditional_report, sample,
                              independent_model, shadow_model,
@@ -261,7 +261,7 @@ def test_criterion_09_integral_gap():
     r4 = bruteforce_best(inst4)
     assert r4.complete
     bound = counting_certificate(inst4).best_quality_bound()
-    assert compare_certified(Rat(r4.quality.alpha), bound) in ("<", "=")
+    assert compare_certified(r4.quality.alpha, bound) in ("<", "=")
     _line(9, True,
           f"example opt 1, shared-sink k=4 opt {rc.quality.alpha}, cert >= oracle")
 

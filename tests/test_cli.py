@@ -174,7 +174,10 @@ REJECTED = (
        ["scan", "--fn", "k_bound_phase1", "--lo", "1/1000", "--hi", "1/10",
         "--eps-param", "0"],
        ["scan", "--fn", "k_bound_phase3", "--lo", "1/1000", "--hi", "1/10",
-        "--eps-param", "2"]])
+        "--eps-param", "2"],
+       # the boundary forms take rho in (0, 1/4]; at 0 every sign is a vacuous 0
+       *[["scan", "--fn", "f1_appendix", "--lo", "2", "--hi", "2001/1000", "--rho", rho]
+         for rho in ("0", "1", "-1")]])
 
 
 class TestRejectedInputs:
@@ -191,7 +194,8 @@ class TestRejectedInputs:
         assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag,value", [("--eps-param", "0"), ("--eps-param", "2"),
-                                            ("--points", "1")])
+                                            ("--points", "1"), ("--rho", "0"),
+                                            ("--rho", "1")])
     def test_scan_usage_names_the_flag(self, capsys, flag, value):
         code = main(["scan", "--fn", "k_bound_phase1", "--lo", "1/1000", "--hi", "1/10",
                      flag, value])

@@ -12,7 +12,6 @@ from mmda_lab.integral import IntegralSolution, bruteforce_best, solution_qualit
 from mmda_lab.relaxations import (assignment_solution, closed_form_paths,
                                   count_paths_from, path_solution,
                                   verify_assignment, verify_path_hierarchy)
-from mmda_lab.scalars import Rat
 from mmda_lab.shadow import ConditionEvent, conditional_report, shadow_model
 
 
@@ -63,7 +62,7 @@ class TestBruteforceAgainstEnumeration:
             (1, 1): [(2, 1), (2, 2)],
             (1, 2): [(2, 2), (2, 0)],
         }
-        two = Rat(Fraction(2))
+        two = Fraction(2)
         k = {s: two, **{v: two for v in l1}}
         return ExplicitInstance([[s], l1, l2], out, k)
 

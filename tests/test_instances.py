@@ -329,8 +329,8 @@ class TestExplicitInstances:
 
     def test_example_instance(self):
         ex = build_depth3_example()
-        assert ex.k_of(ex.source).as_fraction() == 2
-        assert all(ex.k_of(v).as_fraction() == 2
+        assert ex.k_of(ex.source) == 2
+        assert all(ex.k_of(v) == 2
                    for i in range(3) for v in ex.vertices(i))
 
     def test_k_rejected_below_two(self):
@@ -353,4 +353,4 @@ class TestJson:
         cex = build_subtree_counterexample(3)
         inst2 = instance_from_json(instance_to_json(cex))
         assert inst2.n_edges == cex.n_edges
-        assert inst2.k_of((1, 0)).as_fraction() == 3
+        assert inst2.k_of((1, 0)) == 3

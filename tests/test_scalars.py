@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mmda_lab.scalars import (EQ, GT, LT, MONO_ONE, UNDECIDED, Interval,
-                              Monomial, PrecisionCapExceeded, Rat, _atanh_bounds,
-                              _exp_bounds, _ln2_bounds, compare_certified, entropy_interval,
-                              entropy_value, exp2_interval, floor_log2,
-                              log2_binomial, log2_interval, round_dyadic,
-                              scalar_add, scalar_mul, scalar_to_json)
+from mmda_lab.scalars import (DEFAULT_PRECISION, EQ, GT, LT, MONO_ONE, UNDECIDED,
+                              Interval, Monomial, PrecisionCapExceeded, _atanh_bounds,
+                              _exp_bounds, _ln2_bounds, as_fraction, as_scalar,
+                              compare_certified, entropy_interval, entropy_value,
+                              exp2_interval, floor_log2, iv_add, iv_mul, log2_binomial,
+                              log2_interval, round_dyadic, scalar_to_json, to_interval)
 
 
 def near(iv, x, eps=1e-12):
@@ -17,18 +17,14 @@ def near(iv, x, eps=1e-12):
 
 
 class TestRationals:
-    def test_mul_exact(self):
-        r = scalar_mul(Rat(Fraction(2, 3)), Rat(Fraction(3, 4)))
-        assert r.value == Fraction(1, 2)
-
     def test_compare_equal(self):
-        assert compare_certified(Rat(Fraction(1, 15)), Rat(Fraction(1, 15))) == EQ
+        assert compare_certified(Fraction(1, 15), Fraction(1, 15)) == EQ
 
     def test_compare_middle_layer_marginal(self):
         # 1 - (1 - 1/90)^2 = 179/8100 < 2/90
         s = 1 - (1 - Fraction(1, 90)) ** 2
         assert s == Fraction(179, 8100)
-        assert compare_certified(Rat(s), Rat(Fraction(2, 90))) == LT
+        assert compare_certified(s, Fraction(2, 90)) == LT
 
 
 class TestMonomials:
@@ -37,7 +33,7 @@ class TestMonomials:
         assert m.mul(m).as_fraction() == 2
 
     def test_sqrt2_above_one(self):
-        assert compare_certified(Monomial({2: Fraction(1, 2)}), Rat(Fraction(1))) == GT
+        assert compare_certified(Monomial({2: Fraction(1, 2)}), Fraction(1)) == GT
 
     def test_composite_bases_normalize(self):
         assert Monomial({4: Fraction(1, 2)}).as_fraction() == 2
@@ -50,30 +46,54 @@ class TestMonomials:
 
     def test_irrational_vs_rational_compare(self):
         g = Monomial.from_binomial(16, 4).pow(Fraction(1, 2))  # sqrt(1820)
-        assert compare_certified(g, Rat(Fraction(42))) == GT
-        assert compare_certified(g, Rat(Fraction(43))) == LT
-
-    def test_mixed_mul_returns_enclosure(self):
-        out = scalar_mul(Rat(Fraction(2)), Monomial({2: Fraction(1, 2)}))
-        assert isinstance(out, Interval)
-        assert near(out, 2 * math.sqrt(2), 1e-9)
+        assert compare_certified(g, Fraction(42)) == GT
+        assert compare_certified(g, Fraction(43)) == LT
 
     def test_interval_conversion_multiplicative(self):
         a = Monomial({2: Fraction(1, 2)})
         b = Monomial({3: Fraction(1, 3)})
         prod_iv = a.mul(b).to_interval()
-        iv = scalar_mul(a.to_interval(), b.to_interval())
+        iv = iv_mul(a.to_interval(), b.to_interval())
         assert prod_iv.lo <= iv.hi and iv.lo <= prod_iv.hi
 
-    def test_add_rationalizable(self):
-        out = scalar_add(Monomial({2: Fraction(1, 2)}).mul(Monomial({2: Fraction(1, 2)})),
-                         Rat(Fraction(1)))
-        assert out.value == 3
 
-    def test_add_irrational_is_enclosure(self):
-        out = scalar_add(Monomial({2: Fraction(1, 2)}), Rat(Fraction(1)))
-        assert isinstance(out, Interval)
-        assert near(out, 1 + math.sqrt(2), 1e-9)
+class TestModeConversions:
+    """as_scalar, as_fraction and to_interval on each kind of operand."""
+
+    SQRT2 = Monomial({2: Fraction(1, 2)})
+    IV = Interval(Fraction(1, 3), Fraction(1, 2))
+
+    def test_as_scalar(self):
+        for x in (3, Fraction(3)):
+            got = as_scalar(x)
+            assert type(got) is Fraction and got == 3
+        for x in (Monomial.from_int(12), self.SQRT2, self.IV):
+            assert as_scalar(x) is x
+        with pytest.raises(TypeError):
+            as_scalar(1.5)
+
+    def test_as_fraction(self):
+        assert type(as_fraction(3)) is Fraction and as_fraction(3) == 3
+        assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
+        assert as_fraction(Monomial.from_binomial(8, 2).pow(-1)) == Fraction(1, 28)
+        assert as_fraction(self.SQRT2) is None
+        assert as_fraction(self.IV) is None
+
+    def test_to_interval(self):
+        # an integer or a dyadic rational is enclosed exactly
+        for x in (3, Fraction(3), Fraction(5, 8)):
+            iv = to_interval(x, 64)
+            assert iv.lo == iv.hi == x and iv.prec == 64
+        # a non-dyadic rational is bracketed by its two roundings
+        third = to_interval(Fraction(1, 3), 64)
+        assert third.lo == round_dyadic(Fraction(1, 3), 64, up=False)
+        assert third.hi == round_dyadic(Fraction(1, 3), 64, up=True)
+        assert third.lo < Fraction(1, 3) < third.hi
+        assert to_interval(Monomial.from_int(12), 64) == to_interval(12, 64)
+        root = to_interval(self.SQRT2, 64)
+        assert root.lo ** 2 < 2 < root.hi ** 2 and root.width < Fraction(1, 1 << 50)
+        # an interval is opaque: returned as is, at its own precision
+        assert to_interval(self.IV, 64) is self.IV
 
 
 class TestJsonEncoding:
@@ -103,8 +123,8 @@ class TestJsonEncoding:
 
 class TestCompareProperties:
     def test_antisymmetric(self):
-        pairs = [(Rat(Fraction(2, 7)), Rat(Fraction(3, 7))),
-                 (Monomial({2: Fraction(1, 2)}), Rat(Fraction(3, 2))),
+        pairs = [(Fraction(2, 7), Fraction(3, 7)),
+                 (Monomial({2: Fraction(1, 2)}), Fraction(3, 2)),
                  (Monomial.from_binomial(8, 2), Monomial.from_binomial(8, 3))]
         flip = {LT: GT, GT: LT, EQ: EQ}
         for a, b in pairs:
@@ -116,7 +136,7 @@ class TestCompareProperties:
         for _ in range(100):
             a = Fraction(rng.randrange(-50, 50), rng.randrange(1, 40))
             b = Fraction(rng.randrange(-50, 50), rng.randrange(1, 40))
-            got = compare_certified(Rat(a), Rat(b))
+            got = compare_certified(a, b)
             assert got == (LT if a < b else GT if a > b else EQ)
 
     def test_interval_overlap_undecided(self):
@@ -186,13 +206,13 @@ class TestIntervals:
     def test_log2_product_rule(self):
         a, b = Fraction(7, 5), Fraction(28)
         lhs = log2_interval(a * b)
-        rhs = scalar_add(log2_interval(a), log2_interval(b))
+        rhs = iv_add(log2_interval(a), log2_interval(b))
         assert lhs.lo <= rhs.hi and rhs.lo <= lhs.hi
 
     def test_identity_mul(self):
         one = Interval(Fraction(1), Fraction(1))
-        x = Rat(Fraction(1, 15)).to_interval()
-        out = scalar_mul(one, x)
+        x = to_interval(Fraction(1, 15), DEFAULT_PRECISION)
+        out = iv_mul(one, x)
         assert out.contains(Fraction(1, 15))
 
     def test_exp2_three(self):

@@ -50,7 +50,7 @@ class TestBottomLayerCongestionBound:
         by_j: dict[int, Fraction] = {}
         for v in inst.vertices(1):
             e = (inst.source, v)
-            trig = family8.value(e, e1)
+            trig = dict(family8.support(e)).get(e1, Fraction(0))
             direct += (6 * x1 + trig) * inflow
             if trig:
                 j = bin(inst.label(v) & lt).count("1")
