@@ -41,6 +41,19 @@ GOLDEN = [
      "fcdb3106c9c081ea596c87ec3eb2caaec1ed92b76838178d8bc3d268221562b2"),
     ("verify-lp --m 24 --eps 1/2", 0,
      "dc83f8da24f1ee7612de66776989276b0cb5d87e0d87ff5bd70e948635a19b88"),
+    # a large enumerated report, and the commands with no pinned report yet
+    ("verify-paths --mode enumerated --m 12 --rho 1/12 --rounds 3", 4,
+     "eaf7624752cc483e1cc48aa5fe3805f2361c1da6e9eb2f9e2b359e21a5357e75"),
+    ("count-paths --m 12 --rho 1/12", 0,
+     "db42aed5d13694d8db7fc5be0f97cfe11e3fd8f93f9506912be32d1fa712ec8c"),
+    ("bruteforce --m 8 --budget 3000", 3,
+     "73ab711cfd7905ad3ff3477b6b833a1aa75367f5ed73a7bb1ae02b6940ec72f5"),
+    ("locally-good --m 8 --eps 1/2 --seeds 5", 0,
+     "38263d3529d63495b828854fbce1f440a145dbdbcfcea72a6da028febc6087fc"),
+    ("sa1-report --m 8", 0,
+     "522c893bb7ea26b65101856fc7b2a7c6c7509cb0e6bec68213c6dfa9b8d4bec4"),
+    ("shadow-sample --m 8 --samples 2000 --seed 1", 0,
+     "18d943deb9f2d2df8e5986ea5ed2cca88a697bc47d39f11fac3de09768950ad0"),
 ]
 
 
