@@ -78,13 +78,70 @@ def _emit(args, payload: dict, code: int) -> int:
     if args.format == "csv":
         text = _to_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = _dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return code
+
+
+_ascii = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, without
+    the pure-Python encoder json uses when ``indent`` is set.  A dict or
+    list met again at the same depth (a scalar that checks share) is copied
+    from its first rendering, keyed by id: obj keeps its containers alive."""
+    out: list[str] = []
+    done: dict[tuple[int, int], tuple[int, int]] = {}   # -> slice of out
+
+    def enc(o, depth: int):
+        if not isinstance(o, (dict, list, tuple)):
+            out.append(_leaf(o))
+            return
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        span = done.get((id(o), depth))
+        if span is not None:
+            out.extend(out[span[0]:span[1]])
+            return
+        start = len(out)
+        inner = "\n" + " " * (depth + 1)
+        if isinstance(o, dict):
+            sep, close = "{" + inner, "}"
+            for k, v in sorted(o.items()):
+                out.append(sep + _ascii(k if isinstance(k, str) else _leaf(k)) + ": ")
+                enc(v, depth + 1)
+                sep = "," + inner
+        else:
+            sep, close = "[" + inner, "]"
+            for v in o:
+                out.append(sep)
+                enc(v, depth + 1)
+                sep = "," + inner
+        out.append("\n" + " " * depth + close)
+        done[id(o), depth] = (start, len(out))
+
+    enc(obj, 0)
+    return "".join(out)
+
+
+def _leaf(o) -> str:
+    if isinstance(o, str):
+        return _ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _to_csv(payload: dict) -> str:

@@ -120,23 +120,14 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
     Returns an edge set, None (proven infeasible), or "unknown" when the
     node budget ran out first.
     """
-    demand_of = {}
-    for i in range(inst.ell):
-        for v in inst.vertices(i):
-            demand_of[v] = _ceil_frac(q * as_fraction(inst.k_of(v)))
+    demand_of = {v: _ceil_frac(q * as_fraction(inst.k_of(v)))
+                 for i in range(inst.ell) for v in inst.vertices(i)}
     total_sinks = inst.layer_size(inst.ell)
-    sinks_below: dict[Vertex, int] = {}
-
-    def need_below(v: Vertex) -> int:
-        """Sinks a subtree rooted at v must contain."""
-        r = sinks_below.get(v)
-        if r is None:
-            r = 1
-            for j in range(v[0], inst.ell):
-                kmin = min(as_fraction(inst.k_of(u)) for u in inst.vertices(j))
-                r *= max(_ceil_frac(q * kmin), 1)
-            sinks_below[v] = r
-        return r
+    # need_from[i]: sinks a subtree rooted in layer i must contain, the
+    # product of the smallest demand of layers i..ell-1 (that of the least k)
+    need_from = [1] * (inst.ell + 1)
+    for j in reversed(range(inst.ell)):
+        need_from[j] = need_from[j + 1] * max(min(demand_of[u] for u in inst.vertices(j)), 1)
 
     # sink sets as bitmasks over the sink layer: the used sinks a vertex
     # reaches are one AND with the used-sink mask, kept as sinks are used
@@ -161,7 +152,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         if not pending:
             return frozenset()
         # global counting bound
-        total_need = sum(need_below(v) for v in pending)
+        total_need = sum(need_from[v[0]] for v in pending)
         if total_need > total_sinks - used_sinks[0].bit_count():
             return None
         v = pending[0]
@@ -172,7 +163,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         candidates = [w for w in inst.out_neighbors(v) if w not in used]
         # per-vertex counting bound
         for u in pending:
-            if (reach_mask(u) & ~used_sinks[0]).bit_count() < need_below(u):
+            if (reach_mask(u) & ~used_sinks[0]).bit_count() < need_from[u[0]]:
                 return None
         if len(candidates) < d:
             return None

@@ -24,17 +24,21 @@ class ConstraintCheck:
     factor: Scalar | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "constraint_id": self.constraint_id,
-            "kind": self.kind,
-            "lhs": scalar_to_json(self.lhs),
-            "rhs": scalar_to_json(self.rhs),
-            "satisfied": self.satisfied,
-            "certified": self.certified,
-        }
-        if self.factor is not None:
-            out["factor"] = scalar_to_json(self.factor)
-        return out
+        return _check_json(self, scalar_to_json)
+
+
+def _check_json(c: ConstraintCheck, encode) -> dict:
+    out = {
+        "constraint_id": c.constraint_id,
+        "kind": c.kind,
+        "lhs": encode(c.lhs),
+        "rhs": encode(c.rhs),
+        "satisfied": c.satisfied,
+        "certified": c.certified,
+    }
+    if c.factor is not None:
+        out["factor"] = encode(c.factor)
+    return out
 
 
 @dataclass
@@ -68,8 +72,11 @@ class ViolationReport:
         }
 
     def to_json(self) -> dict:
+        # one encoding per distinct scalar, shared by the checks that hold
+        # it; a Fraction, a Monomial and an Interval are never equal keys
+        encode = lru_cache(maxsize=None)(scalar_to_json)
         return {"summary": self.summary(),
-                "checks": [c.to_json() for c in self.checks]}
+                "checks": [_check_json(c, encode) for c in self.checks]}
 
 
 def _safe_div(lhs: Scalar, rhs: Scalar) -> Scalar | None:

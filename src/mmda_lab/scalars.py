@@ -352,7 +352,7 @@ def factorial_exponents(n: int) -> dict[int, int]:
 class Monomial:
     """Finite product of prime powers with rational exponents (value > 0)."""
 
-    __slots__ = ("exponents",)
+    __slots__ = ("exponents", "_hash")   # _hash: set on first __hash__
 
     def __init__(self, exponents: dict[int, Fraction] | None = None):
         exps = {}
@@ -452,7 +452,11 @@ class Monomial:
         return isinstance(other, Monomial) and self.exponents == other.exponents
 
     def __hash__(self):
-        return hash(self.exponents)
+        try:
+            return self._hash
+        except AttributeError:  # first use; the memos of reports hash on every lookup
+            object.__setattr__(self, "_hash", hash(self.exponents))
+            return self._hash
 
     def __repr__(self):
         if not self.exponents:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mmda_lab.cli import (EXIT_FAIL, EXIT_PASS, EXIT_UNDECIDED, EXIT_USAGE,
-                          main, parse_rational)
+                          _dumps, main, parse_rational)
 
 
 def run(tmp_path, *argv):
@@ -239,3 +239,92 @@ class TestCsv:
         assert code == EXIT_PASS
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 points
+
+
+# --- the report writer against json.dumps(..., sort_keys=True, indent=1) ------
+
+STRINGS = ["", "a", "plain", 'q"uote', "back\\slash", "new\nline", "tab\t", "\x00\x1f\x7f",
+           "caf\u00e9", "\u20ac", "\U0001d11e", "\ud800", "/", "mixed \"\\\u00e9\n"]
+FLOATS = [0.0, -0.0, 0.1, -2.5, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+          1e16, 123456789.0, float("nan"), float("inf"), float("-inf")]
+INTS = [0, 1, -1, 2 ** 63, -(10 ** 30), 7]
+
+
+def _random_leaf(rng):
+    pick = rng.randrange(5)
+    if pick == 0:
+        return rng.choice(STRINGS) + rng.choice(STRINGS)
+    if pick == 1:
+        return rng.choice([True, False, None])
+    if pick == 2:
+        return rng.choice(INTS)
+    if pick == 3:
+        return rng.choice(FLOATS)
+    return rng.uniform(-1e6, 1e6)
+
+
+def _random_keys(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:       # json converts non-string keys before escaping them
+        return rng.sample(range(-5, 50), n) + [True]
+    if kind == 1:
+        return [rng.choice(FLOATS[:10]) + i for i in range(n)]
+    if kind == 2:
+        return [None]
+    return list({rng.choice(STRINGS) + str(rng.randrange(9)) for _ in range(n)})
+
+
+def _random_payload(rng, depth, pool):
+    if depth > 3 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)     # the same object again, at any depth
+    n = rng.randrange(4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        out = {k: _random_payload(rng, depth + 1, pool) for k in _random_keys(rng, n)}
+    else:
+        items = [_random_payload(rng, depth + 1, pool) for _ in range(n)]
+        out = items if kind == 1 else tuple(items)
+    pool.append(out)
+    return out
+
+
+def same_as_json(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=1)
+
+
+class TestJsonWriter:
+    def test_seeded_random_payloads(self):
+        import random
+        rng = random.Random(20240)
+        for _ in range(400):
+            pool = []
+            same_as_json(_random_payload(rng, 0, pool))
+
+    @pytest.mark.parametrize("leaf", [*STRINGS, *FLOATS, *INTS, True, False, None,
+                                      {}, [], (), [[]], {"a": {}}])
+    def test_top_level_leaf_and_empty_container(self, leaf):
+        same_as_json(leaf)
+
+    def test_shared_objects_at_two_depths(self):
+        shared = {"exact": "1/2", "approx": 0.5}
+        row = [shared, "x"]
+        payload = {"a": [shared, shared, row, row], "b": shared, "c": {"d": row}}
+        same_as_json(payload)
+        # a container is written afresh at a new depth, from the cache at an old one
+        assert '\n  {\n   "approx": 0.5' in _dumps(payload)
+        assert '\n "b": {\n  "approx": 0.5' in _dumps(payload)
+
+    def test_keys_of_every_json_type(self):
+        same_as_json({1: "a", 2.5: "b", True: "c", -3: "d"})
+        same_as_json({None: [1]})
+        same_as_json({float("nan"): 1})
+
+    @pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 3), [1, {2: object()}],
+                                     {"k": b"bytes"}, {(1, 2): 3}, {"a": 1, 2: 3}])
+    def test_unsupported_objects_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            _dumps(bad)

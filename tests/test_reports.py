@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from mmda_lab.reports import (CHECK_MEMO_SIZE, _decide, _decide_memo, check_eq,
-                              check_ge, check_le)
-from mmda_lab.scalars import EQ, GT, LT, Interval, Monomial
+from mmda_lab import reports
+from mmda_lab.reports import (CHECK_MEMO_SIZE, ConstraintCheck, ViolationReport,
+                              _decide, _decide_memo, check_eq, check_ge, check_le)
+from mmda_lab.scalars import EQ, GT, LT, Interval, Monomial, scalar_to_json
 
 OPERANDS = [
     (Fraction(2, 7), Fraction(3, 7)),
@@ -72,3 +73,46 @@ class TestCheckMemo:
         info = _decide_memo.cache_info()
         assert info.maxsize == CHECK_MEMO_SIZE
         assert info.currsize == CHECK_MEMO_SIZE
+
+
+def _ones_report():
+    """Twelve checks over five distinct scalars, each operand a fresh object:
+    three values of 1 that must keep their own encodings, 1/3 and sqrt(2)."""
+    ones = [lambda: Fraction(3, 3), lambda: Monomial({4: Fraction(0)}),
+            lambda: Interval(Fraction(2, 2), Fraction(1))]
+    rhs = [lambda: Fraction(1, 3), lambda: Monomial({2: Fraction(1, 2)})]
+    rep = ViolationReport()
+    for n in range(12):
+        factor = rhs[1]() if n % 3 == 0 else None
+        rep.add(ConstraintCheck(f"c{n}", "packing", ones[n % 3](), rhs[n % 2](),
+                                n % 4 != 1, True, factor))
+    return rep
+
+
+class TestReportJson:
+    def test_equals_the_per_check_encodings(self):
+        rep = _ones_report()
+        data = rep.to_json()
+        assert data["summary"] == {"checks": 12, "violations": 3, "undecided": 0}
+        assert data["checks"] == [c.to_json() for c in rep.checks]
+
+    def test_the_three_ones_keep_their_encodings(self):
+        lhs = [c["lhs"] for c in _ones_report().to_json()["checks"][:3]]
+        assert lhs == [{"exact": "1", "approx": 1.0},
+                       {"monomial": {}, "approx": 1.0},
+                       {"lo": "1", "hi": "1", "approx": 1.0}]
+
+    def test_one_encoding_per_distinct_scalar(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return scalar_to_json(x)
+
+        monkeypatch.setattr(reports, "scalar_to_json", counted)
+        data = _ones_report().to_json()
+        assert len(calls) == 5
+        # equal scalars share one dict, which the report writer renders once
+        checks = data["checks"]
+        assert checks[0]["lhs"] is checks[3]["lhs"] and checks[0]["rhs"] is checks[2]["rhs"]
+        assert checks[0]["factor"] is checks[1]["rhs"]

@@ -49,6 +49,20 @@ class TestMonomials:
         assert compare_certified(g, Fraction(42)) == GT
         assert compare_certified(g, Fraction(43)) == LT
 
+    def test_hash_is_the_exponent_tuple_hash(self):
+        a = Monomial({6: Fraction(1, 2), 5: 2})
+        built = [a, Monomial(), Monomial.from_binomial(16, 4),
+                 Monomial._from_factored([(3, Fraction(1, 2)), (2, Fraction(1, 2))]),
+                 a.mul(Monomial({3: 1})), a.div(Monomial({2: 1})), a.div(a),
+                 a.pow(Fraction(-2, 3))]
+        for m in built:
+            for _ in range(2):      # computed, then read back
+                assert hash(m) == hash(m.exponents)
+            twin = Monomial(dict(m.exponents))
+            assert twin == m and hash(twin) == hash(m)
+            with pytest.raises(AttributeError):
+                m._hash = 0
+
     def test_interval_conversion_multiplicative(self):
         a = Monomial({2: Fraction(1, 2)})
         b = Monomial({3: Fraction(1, 3)})
