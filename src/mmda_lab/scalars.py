@@ -352,7 +352,7 @@ def factorial_exponents(n: int) -> dict[int, int]:
 class Monomial:
     """Finite product of prime powers with rational exponents (value > 0)."""
 
-    __slots__ = ("exponents", "_hash")   # _hash: set on first __hash__
+    __slots__ = ("exponents", "_hash")
 
     def __init__(self, exponents: dict[int, Fraction] | None = None):
         exps = {}
