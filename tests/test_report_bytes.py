@@ -54,6 +54,12 @@ GOLDEN = [
      "522c893bb7ea26b65101856fc7b2a7c6c7509cb0e6bec68213c6dfa9b8d4bec4"),
     ("shadow-sample --m 8 --samples 2000 --seed 1", 0,
      "18d943deb9f2d2df8e5986ea5ed2cca88a697bc47d39f11fac3de09768950ad0"),
+    # iterated rounds over a sample count no block size divides, and the
+    # largest accepted seed
+    ("shadow-sample --m 8 --samples 1001 --seed 7 --rounds 2", 4,
+     "77fa5d146cf28b038e6265833641afac22e7940e0aa74df3c74cf6b0f15f19a5"),
+    ("shadow-sample --m 4 --samples 75 --seed 9223372036854775807", 0,
+     "914d90c6ecf0c57b261050f2726cb349293323c4768663ca63244c29e6950ff9"),
 ]
 
 
