@@ -32,8 +32,8 @@ from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
 from .rounding import audit_locality, audit_to_json, sample_forest
 from .scalars import PrecisionCapExceeded, scalar_to_json
 from .scans import scan_proof_function
-from .shadow import (ConditionEvent, conditional_report, sa1_certificate, sample,
-                     shadow_model)
+from .shadow import (ConditionEvent, check_seed, conditional_report, sa1_certificate,
+                     sample, shadow_model)
 
 SCHEMA_VERSION = 1
 
@@ -55,6 +55,14 @@ def count_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"{n} is below {lo}")
         return n
     return count
+
+
+def parse_seed(text: str) -> int:
+    """argparse type: a sampler seed, in [0, 2^63)."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def rational_up_to(hi: Fraction):
@@ -512,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "shadow distribution")
     _add_instance_args(p, MMDA_ONLY); common(p)
     p.add_argument("--samples", type=count_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--rounds", type=count_at_least(1), default=1)
     p.add_argument("--max-dev", type=float, default=6.0,
                    help="largest tolerated |empirical - exact| in standard "

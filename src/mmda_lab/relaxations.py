@@ -169,28 +169,36 @@ class SubtreeFamily:
         self.c_small = math.comb(2 * p.rho_m, p.rho_m)
         self.scale = Fraction(self.c_mid, self.c_top)
         self._label = inst.label
+        # every support value is one of these shared objects, so a consumer
+        # converting values can do each distinct one once
+        self._one = Fraction(1)
+        self._mid = Fraction(1, self.c_small)
+        self._splits: dict[int, Fraction] = {}
 
     def sink_split(self, j: int) -> Fraction:
         """Value on a bottom edge whose sink meets the trigger label in j."""
-        p = self.inst.params
-        return self.scale / math.comb(p.m - 2 * p.rho_m + j, j)
+        v = self._splits.get(j)
+        if v is None:
+            p = self.inst.params
+            v = self._splits[j] = self.scale / math.comb(p.m - 2 * p.rho_m + j, j)
+        return v
 
     def support(self, f: Edge):
         """Edges with x^{(f)} > 0, with their values."""
         inst = self.inst
-        yield f, Fraction(1)
+        yield f, self._one
         layer_f = f[1][0]
         if layer_f == 1:
             v = f[1]
             lv = self._label(v)
             for w in inst.out_neighbors(v):
-                yield (v, w), Fraction(1, self.c_small)
+                yield (v, w), self._mid
                 for t in inst.out_neighbors(w):
                     j = (self._label(t) & lv).bit_count()
                     yield (w, t), self.sink_split(j)
         elif layer_f == 2:
             for t in inst.out_neighbors(f[1]):
-                yield (f[1], t), Fraction(1)
+                yield (f[1], t), self._one
 
     def triggers_of(self, e: Edge) -> list[tuple[Edge, Fraction]]:
         """Triggers f with x_e^{(f)} > 0, with their values: the transpose
@@ -199,15 +207,15 @@ class SubtreeFamily:
         out = []
         layer = e[1][0]
         if layer == 2:
-            out.append(((inst.source, e[0]), Fraction(1, self.c_small)))
+            out.append(((inst.source, e[0]), self._mid))
         elif layer == 3:
             w, t = e
             lt = self._label(t)
             for v in inst.in_neighbors(w):
                 j = (lt & self._label(v)).bit_count()
                 out.append(((inst.source, v), self.sink_split(j)))
-                out.append(((v, w), Fraction(1)))
-        out.append((e, Fraction(1)))
+                out.append(((v, w), self._one))
+        out.append((e, self._one))
         return out
 
     def solution_for(self, f: Edge) -> SparseSolution:

@@ -468,6 +468,23 @@ class ShadowSample:
         assert self.active == frozenset(self.multiplicity)
 
 
+# A block of B samples holds B x n masks of about this many elements, so
+# its arrays stay small, whatever n: at m=8 (B=37) each is under 128 KiB,
+# and sampling takes no more peak memory than one sample at a time did.
+_BLOCK_ELEMENTS = 1 << 15
+
+# Philox keys are two 64-bit words; a seed below this bound is one exactly.
+SEED_LIMIT = 1 << 63
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it lies in [0, 2^63), so that it keys its own
+    streams; otherwise ``ValueError``."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} is outside [0, 2^63)")
+    return seed
+
+
 class _SupportArrays:
     """Every trigger's support as CSR rows over the edges in ``all_edges``
     order: row f lists the indices and float values of
@@ -478,46 +495,81 @@ class _SupportArrays:
         self.edges = list(model.inst.all_edges())
         self.index = {e: i for i, e in enumerate(self.edges)}
         self.thresholds = np.array([float(model.x_of(e)) for e in self.edges])
+        # support values repeat as shared objects: convert each one once,
+        # keyed by identity and kept alive so no id is reused meanwhile
+        floats: dict[int, tuple[Fraction, float]] = {}
         indptr, indices, probs = [0], [], []
         for f in self.edges:
             for e, val in model.family.support(f):
                 indices.append(self.index[e])
-                probs.append(float(val))
+                hit = floats.get(id(val))
+                if hit is None:
+                    hit = floats[id(val)] = (val, float(val))
+                probs.append(hit[1])
             indptr.append(len(indices))
         self.indptr = np.array(indptr, dtype=np.int64)
         self.indices = np.array(indices, dtype=np.int64)
         self.probs = np.array(probs)
+        self.block = max(1, _BLOCK_ELEMENTS // len(self.edges))
 
-    def draw(self, seed: int, index: int, rounds: int):
-        """The index-th sample: its shadow (edge indices), the CSR positions
-        its last round drew with their outcomes, and the multiplicities.
+    def draw(self, seed: int, start: int, stop: int, rounds: int):
+        """Samples start..stop-1 as one block of B: the B x n shadow mask,
+        the CSR positions the last round drew (sample-major, each sample's
+        triggers ascending) with their outcomes, and the B x n mask of the
+        edges that round activated.
 
-        Philox is counter-based, so one ``random`` call over the
-        concatenated supports of all triggers yields the same numbers as
-        one call per trigger in turn (Salmon et al., SC 2011).
+        Sample i draws from its own Philox stream keyed by (seed, i): n
+        uniforms for its shadow, then per round one for each CSR position
+        of its triggers.  Philox is counter-based, so these are the numbers
+        one ``random`` call per stretch of ``Philox(key=[seed, i])`` yields,
+        however the samples are grouped (Salmon et al., SC 2011).
         """
-        n = len(self.edges)
-        gen = np.random.Generator(np.random.Philox(key=[seed, index]))
-        shadow = np.flatnonzero(gen.random(n) < self.thresholds)
-        triggers = shadow
-        pos = np.zeros(0, dtype=np.int64)
-        hit = np.zeros(0, dtype=bool)
-        mult = np.zeros(n, dtype=np.int64)
-        for _ in range(rounds):
-            starts = self.indptr[triggers]
-            lens = self.indptr[triggers + 1] - starts
-            pos = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-            hit = gen.random(len(pos)) < self.probs[pos]
-            mult = np.bincount(self.indices[pos[hit]], minlength=n)
-            triggers = np.flatnonzero(mult)
-        return shadow, pos, hit, mult
+        n, b = len(self.edges), stop - start
+        bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        fresh = bitgen.state            # a copy: re-keyed per sample below
+        key = fresh["state"]["key"]
+        u = np.empty(n)
+        shadow = np.empty((b, n), dtype=bool)
+        states = []
+        for row, i in zip(shadow, range(start, stop)):
+            key[1] = i
+            bitgen.state = fresh
+            gen.random(out=u)
+            np.less(u, self.thresholds, out=row)
+            states.append(bitgen.state)
+        active = shadow
+        for r in range(rounds):
+            owner, trig = np.nonzero(active)
+            starts = self.indptr[trig]
+            lens = self.indptr[trig + 1] - starts
+            pos = np.repeat(starts - np.cumsum(lens) + lens, lens)
+            pos += np.arange(len(pos))
+            owner = np.repeat(owner, lens)
+            draws = np.empty(len(pos))
+            lo = 0
+            for k, hi in enumerate(np.cumsum(np.bincount(owner, minlength=b)).tolist()):
+                if hi > lo:
+                    bitgen.state = states[k]
+                    gen.random(out=draws[lo:hi])
+                    if r + 1 < rounds:
+                        states[k] = bitgen.state
+                lo = hi
+            hit = draws < self.probs[pos]
+            active = np.zeros((b, n), dtype=bool)
+            active[owner[hit], self.indices[pos[hit]]] = True
+        return shadow, pos, hit, active
 
 
 def draw_one(model: ShadowModel, seed: int, index: int = 0) -> ShadowSample:
-    """The index-th sample of the stream used by :func:`sample`."""
+    """The index-th sample of the stream used by :func:`sample`: a block of
+    one."""
+    check_seed(seed)
     arrays = model._support_arrays
     edges = arrays.edges
-    shadow, pos, hit, mult = arrays.draw(seed, index, rounds=1)
+    shadow, pos, hit, _ = arrays.draw(seed, index, index + 1, rounds=1)
+    shadow = np.flatnonzero(shadow[0])
+    mult = np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
     ends = np.cumsum(arrays.indptr[shadow + 1] - arrays.indptr[shadow])
     triggered = {}
     for f, p, h in zip(shadow, np.split(pos, ends[:-1]), np.split(hit, ends[:-1])):
@@ -567,7 +619,8 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     """Seeded, reproducible draws from the shadow process.
 
     Each sample uses its own counter-based stream keyed by (seed, index),
-    so results do not depend on evaluation order.  ``rounds`` > 1 iterates
+    with the seed in [0, 2^63), so results do not depend on evaluation
+    order; samples are drawn in blocks of consecutive indices.  ``rounds`` > 1 iterates
     the trigger step (exploratory only; the exact engine covers rounds=1).
     """
     arrays = model._support_arrays
@@ -580,14 +633,15 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     mult_sums = np.zeros(len(edges), dtype=np.int64)
     ev_counts = np.zeros(len(events), dtype=np.int64)
     event_joint = np.zeros((len(events), len(edges)), dtype=np.int64)
-    for i in range(n_samples):
-        mult = arrays.draw(seed, i, rounds)[3]
-        present = mult > 0
-        counts += present
-        mult_sums += mult
-        happened = present[ev_edges] == ev_signs
-        ev_counts += happened
-        event_joint[happened] += present
+    check_seed(seed)
+    for start in range(0, n_samples, arrays.block):
+        _, pos, hit, present = arrays.draw(seed, start, min(start + arrays.block, n_samples),
+                                           rounds)
+        counts += present.sum(axis=0)
+        mult_sums += np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
+        happened = present[:, ev_edges] == ev_signs
+        ev_counts += happened.sum(axis=0)
+        event_joint += happened.T.astype(np.int64) @ present
     event_counts = dict.fromkeys(ev_labels, 0)
     for lab, c in zip(ev_labels, ev_counts):
         event_counts[lab] += int(c)

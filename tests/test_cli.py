@@ -168,6 +168,9 @@ REJECTED = (
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
        ["shadow-sample", "--rounds", "0"], ["shadow-sample", "--rounds", "-1"],
        ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"],
+       # a seed keys its Philox streams exactly only in [0, 2^63)
+       *[["shadow-sample", "--m", "4", "--samples", "3", "--seed", str(seed)]
+         for seed in (-1, 2 ** 63, 2 ** 64 - 1, 2 ** 64)],
        ["appendixc", "--k", "4", "--budget", "-5"], ["bruteforce", "--m", "4", "--budget", "0"],
        ["scan", "--fn", "f_packing", "--lo", "1e-4", "--hi", "1e-2", "--points", "1"],
        # the requirement exponents take eps in (0, 1]

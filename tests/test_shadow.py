@@ -10,12 +10,12 @@ from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
                                 make_params)
 from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
                                   assignment_solution)
-from mmda_lab.shadow import (ConditionEvent, CounterexampleFamily,
+from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, CounterexampleFamily,
                              IndependentFamily, ShadowModel,
                              check_no_edge_dominates, conditional_report,
-                             counterexample_shadow_model, independent_model,
-                             sa1_certificate, sample, shadow_model,
-                             two_layer_rounding_control)
+                             counterexample_shadow_model, draw_one,
+                             independent_model, sa1_certificate, sample,
+                             shadow_model, two_layer_rounding_control)
 
 
 def oracle_joint(model, ea, eb):
@@ -126,6 +126,41 @@ def oracle_sample(model, seed, n_samples, rounds=1, events=None):
              for j, ev in enumerate(events) for e in edges if event_joint[j][index[e]]}
     return ({e: int(counts[index[e]]) for e in edges},
             {e: int(mult_sums[index[e]]) for e in edges}, event_counts, joint)
+
+
+def oracle_draw(model, seed, index):
+    """One round-1 sample as one numpy draw per trigger, in shadow order:
+    its shadow, each trigger's activation set and the multiplicities."""
+    edges = list(model.inst.all_edges())
+    gen = np.random.Generator(np.random.Philox(key=[seed, index]))
+    u = gen.random(len(edges))
+    shadow = [f for f, x in zip(edges, u) if x < float(model.x_of(f))]
+    triggered, multiplicity = {}, {}
+    for f in shadow:
+        support = list(model.family.support(f))
+        hits = gen.random(len(support)) < np.array([float(v) for _, v in support])
+        triggered[f] = frozenset(e for (e, _), h in zip(support, hits) if h)
+        for (e, _), h in zip(support, hits):
+            if h:
+                multiplicity[e] = multiplicity.get(e, 0) + 1
+    return frozenset(shadow), triggered, multiplicity
+
+
+def layer_events(inst):
+    """A positive and a negative event on the first edge into every layer."""
+    return [ConditionEvent(next(iter(inst.edges_into_layer(i))), sign)
+            for i in range(1, inst.ell + 1) for sign in (True, False)]
+
+
+def assert_sample_matches_oracle(model, seed, n_samples, rounds=1):
+    events = layer_events(model.inst)
+    emp = sample(model, seed=seed, n_samples=n_samples, rounds=rounds, events=events)
+    counts, mult_sums, event_counts, joint = oracle_sample(
+        model, seed=seed, n_samples=n_samples, rounds=rounds, events=events)
+    assert emp.counts == counts
+    assert emp.mult_sums == mult_sums
+    assert emp.event_counts == event_counts
+    assert emp.event_joint == joint
 
 
 class TestMarginals:
@@ -444,3 +479,56 @@ class TestBatchedSampler:
         assert emp.event_counts == event_counts
         assert emp.event_joint == joint
         assert sum(event_counts.values()) > 300
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_block_boundaries_match_oracle(self, inst4, inst8, size, rounds):
+        model = shadow_model({4: inst4, 8: inst8}[size])
+        b = model._support_arrays.block
+        assert b > 1
+        for n_samples in (1, b - 1, b, b + 1, 2 * b + 3):
+            assert_sample_matches_oracle(model, 30 + rounds, n_samples, rounds)
+
+    def test_largest_seed_matches_oracle(self, model4):
+        assert_sample_matches_oracle(model4, SEED_LIMIT - 1, 50, rounds=2)
+
+    @pytest.mark.parametrize("build", [
+        lambda inst4: independent_model(inst4),
+        lambda inst4: counterexample_shadow_model(build_subtree_counterexample(2))],
+        ids=["independent", "shared-sink"])
+    def test_other_supports_match_oracle(self, inst4, build):
+        model = build(inst4)
+        for rounds in (1, 2):
+            assert_sample_matches_oracle(model, 5, 2 * model._support_arrays.block + 3,
+                                         rounds)
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_draw_one_is_its_row_of_the_block(self, inst4, inst8, size):
+        model = shadow_model({4: inst4, 8: inst8}[size])
+        arrays = model._support_arrays
+        n_samples = 2 * arrays.block + 3
+        shadow, _, _, active = arrays.draw(17, 0, n_samples, rounds=1)
+        edges = arrays.edges
+        for i in range(n_samples):
+            one = draw_one(model, 17, i)
+            assert (one.shadow, one.triggered, one.multiplicity) == oracle_draw(model, 17, i)
+            assert one.shadow == frozenset(edges[j] for j in np.flatnonzero(shadow[i]))
+            assert one.active == frozenset(edges[j] for j in np.flatnonzero(active[i]))
+
+
+class TestSeedRange:
+    """A seed keys its streams exactly only below 2^63: larger seeds used to
+    collide with others (2^64 - 1 drew the samples of seed 0)."""
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT, 2 ** 64 - 1])
+    def test_out_of_range_rejected(self, model4, seed):
+        with pytest.raises(ValueError, match="outside"):
+            sample(model4, seed, 1)
+        with pytest.raises(ValueError, match="outside"):
+            draw_one(model4, seed, 0)
+        with pytest.raises(ValueError, match="outside"):
+            sample(model4, seed, 0)
+
+    def test_largest_seed_accepted(self, model4):
+        assert sample(model4, SEED_LIMIT - 1, 3).n_samples == 3
+        assert draw_one(model4, SEED_LIMIT - 1, 2) == draw_one(model4, SEED_LIMIT - 1, 2)
