@@ -319,10 +319,7 @@ def cmd_shadow_sample(args) -> int:
     rows = []
     if args.exact:
         exact = {e: float(q) for e, q in conditional_report(model, None).marginals.items()}
-        for e in emp.edges:
-            se = emp.marginal_se(e)
-            dev = abs(emp.marginal(e) - exact[e]) / se if se else 0.0
-            worst = max(worst, dev)
+        worst = max(emp.marginal_deviation(e, exact[e]) for e in emp.edges)
         rows = [{"edge": str(e), "empirical": emp.marginal(e), "exact": exact[e]}
                 for e in emp.edges[:20]]
     status, code = _status(not args.exact or worst <= args.max_dev)

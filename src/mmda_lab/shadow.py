@@ -597,6 +597,16 @@ class EmpiricalReport:
         p = self.marginal(e)
         return math.sqrt(max(p * (1 - p), 1e-12) / self.n_samples)
 
+    def marginal_deviation(self, e: Edge, p: float) -> float:
+        """|empirical - p| in standard errors of the exact marginal p,
+        sqrt(p (1 - p) / n).  Where p is 0 or 1 that error is 0, and any
+        mismatch is an infinite deviation."""
+        dev = abs(self.marginal(e) - p)
+        se = math.sqrt(p * (1 - p) / self.n_samples)
+        if se == 0:
+            return math.inf if dev else 0.0
+        return dev / se
+
     def conditional(self, ev_label: str, e: Edge) -> float | None:
         n = self.event_counts.get(ev_label, 0)
         if n == 0:

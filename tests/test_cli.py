@@ -143,8 +143,20 @@ class TestCommands:
     def test_shadow_sample(self, tmp_path):
         code, data, _ = run(tmp_path, "shadow-sample", "--m", "8",
                             "--samples", "400", "--seed", "2")
-        assert code in (EXIT_PASS, EXIT_FAIL)
+        assert code == EXIT_PASS
         assert data["samples"] == 400
+        # in standard errors of the exact marginals; the empirical ones gave
+        # 4.84839737746442
+        assert data["worst_marginal_deviation_se"] == 3.795962493526686
+
+    def test_shadow_sample_deviation_in_exact_standard_errors(self, tmp_path):
+        # 12,826 of the 37,180 edges have no hits: in the standard errors
+        # of their empirical marginals, floored at 1e-6/sqrt(n), the worst
+        # deviation read 609,133.5
+        code, data, _ = run(tmp_path, "shadow-sample", "--m", "12",
+                            "--samples", "300", "--seed", "1")
+        assert code == EXIT_FAIL
+        assert data["worst_marginal_deviation_se"] == 7.774948151098318
 
 
 MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",

@@ -53,13 +53,13 @@ GOLDEN = [
     ("sa1-report --m 8", 0,
      "522c893bb7ea26b65101856fc7b2a7c6c7509cb0e6bec68213c6dfa9b8d4bec4"),
     ("shadow-sample --m 8 --samples 2000 --seed 1", 0,
-     "18d943deb9f2d2df8e5986ea5ed2cca88a697bc47d39f11fac3de09768950ad0"),
+     "d60cf882929ef2bf6bed9ce00fa7fca334d6b8974206a0159322c320d62c63d2"),
     # iterated rounds over a sample count no block size divides, and the
     # largest accepted seed
     ("shadow-sample --m 8 --samples 1001 --seed 7 --rounds 2", 4,
-     "77fa5d146cf28b038e6265833641afac22e7940e0aa74df3c74cf6b0f15f19a5"),
+     "d83e4edd268ccddd2a2ebcc6c6b0617b7dd63cf9c3915ec1a46213b3062ae4f0"),
     ("shadow-sample --m 4 --samples 75 --seed 9223372036854775807", 0,
-     "914d90c6ecf0c57b261050f2726cb349293323c4768663ca63244c29e6950ff9"),
+     "f82238939dcde1166b7c8eda22e4eee7361a24a1790de6748b21b84018c2af22"),
 ]
 
 

@@ -11,7 +11,7 @@ from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
 from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
                                   assignment_solution)
 from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, CounterexampleFamily,
-                             IndependentFamily, ShadowModel,
+                             EmpiricalReport, IndependentFamily, ShadowModel,
                              check_no_edge_dominates, conditional_report,
                              counterexample_shadow_model, draw_one,
                              independent_model, sa1_certificate, sample,
@@ -391,6 +391,16 @@ class TestSampling:
         for e in edges:
             dev = abs(emp.marginal(e) - float(model8.marginal(e)))
             assert dev <= 5 * emp.marginal_se(e)
+
+    def test_deviation_in_exact_standard_errors(self, inst4):
+        e, f = list(inst4.all_edges())[:2]
+        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100}, {e: 0, f: 100}, {}, {}, [e, f])
+        assert emp.marginal_deviation(e, 0.25) == 0.25 / math.sqrt(0.25 * 0.75 / 100)
+        # an exact marginal of 0 or 1 leaves no room: equal or infinitely off
+        assert emp.marginal_deviation(e, 0.0) == 0.0
+        assert emp.marginal_deviation(f, 1.0) == 0.0
+        assert emp.marginal_deviation(e, 1.0) == math.inf
+        assert emp.marginal_deviation(f, 0.0) == math.inf
 
     def test_empirical_multiplicity_tracks_3x(self, inst8, model8):
         # bottom edges have E[n_e] = 3 x_e exactly; the sample mean should
