@@ -629,10 +629,11 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     """Seeded, reproducible draws from the shadow process.
 
     Each sample uses its own counter-based stream keyed by (seed, index),
-    with the seed in [0, 2^63), so results do not depend on evaluation
-    order; samples are drawn in blocks of consecutive indices.  ``rounds`` > 1 iterates
-    the trigger step (exploratory only; the exact engine covers rounds=1).
+    with the seed in [0, 2^63), so results do not depend on how the samples
+    are grouped into the blocks drawn.  ``rounds`` > 1 iterates the trigger
+    step (exploratory only; the exact engine covers rounds=1).
     """
+    check_seed(seed)
     arrays = model._support_arrays
     edges, index = arrays.edges, arrays.index
     events = events or []
@@ -643,7 +644,6 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     mult_sums = np.zeros(len(edges), dtype=np.int64)
     ev_counts = np.zeros(len(events), dtype=np.int64)
     event_joint = np.zeros((len(events), len(edges)), dtype=np.int64)
-    check_seed(seed)
     for start in range(0, n_samples, arrays.block):
         _, pos, hit, present = arrays.draw(seed, start, min(start + arrays.block, n_samples),
                                            rounds)
