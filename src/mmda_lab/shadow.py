@@ -645,8 +645,8 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     ev_counts = np.zeros(len(events), dtype=np.int64)
     event_joint = np.zeros((len(events), len(edges)), dtype=np.int64)
     for start in range(0, n_samples, arrays.block):
-        _, pos, hit, present = arrays.draw(seed, start, min(start + arrays.block, n_samples),
-                                           rounds)
+        stop = min(start + arrays.block, n_samples)
+        _, pos, hit, present = arrays.draw(seed, start, stop, rounds)
         counts += present.sum(axis=0)
         mult_sums += np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
         happened = present[:, ev_edges] == ev_signs
