@@ -492,8 +492,8 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     @pytest.mark.parametrize("size", [4, 8])
-    def test_block_boundaries_match_oracle(self, inst4, inst8, size, rounds):
-        model = shadow_model({4: inst4, 8: inst8}[size])
+    def test_block_boundaries_match_oracle(self, model4, model8, size, rounds):
+        model = {4: model4, 8: model8}[size]
         b = model._support_arrays.block
         assert b > 1
         for n_samples in (1, b - 1, b, b + 1, 2 * b + 3):
@@ -513,8 +513,8 @@ class TestBatchedSampler:
                                          rounds)
 
     @pytest.mark.parametrize("size", [4, 8])
-    def test_draw_one_is_its_row_of_the_block(self, inst4, inst8, size):
-        model = shadow_model({4: inst4, 8: inst8}[size])
+    def test_draw_one_is_its_row_of_the_block(self, model4, model8, size):
+        model = {4: model4, 8: model8}[size]
         arrays = model._support_arrays
         n_samples = 2 * arrays.block + 3
         shadow, _, _, active = arrays.draw(17, 0, n_samples, rounds=1)
