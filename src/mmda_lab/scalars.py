@@ -164,8 +164,8 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 
 # ---------------------------------------------------------------------------
 # certified elementary enclosures: exact-rational series with explicit
-# tails, accumulated over unreduced integer numerators and denominators
-# (no gcd in the loops) and reduced once, into the returned Fractions
+# tails, summed over unreduced integers (no gcd in the loops); atanh reduces
+# once, into the returned Fractions, and exp rounds each end once, to prec bits
 
 
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -240,7 +240,13 @@ def _log2_interval_cached(q: Fraction, prec: int) -> Interval:
 
 
 def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Bounds on exp(x) for |x| <= 1."""
+    """Bounds on exp(x) for |x| <= 1, each already rounded out to prec bits.
+
+    The integer sum is rounded once per endpoint by ``_round_odd`` (the
+    lower one is positive, as exp(x) >= 1/e here), so no gcd runs on its
+    long integers. Scaling by 2**n commutes with rounding to prec bits, so
+    ``exp2_interval``'s ``round_out`` at the same prec is unchanged.
+    """
     if abs(x) > 1:
         raise ValueError("reduced exponential argument expected")
     n, d = x.numerator, x.denominator
@@ -258,7 +264,9 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             break
     # |remainder| <= 2*|term| once |x|/(k+1) <= 1/2; plus tol
     rem = (2 * abs(num) << s) + den
-    return Fraction((t << s) - rem, den << s), Fraction((t << s) + rem, den << s)
+    z = (den & -den).bit_length() - 1  # den = odd * 2**z; -rem down, +rem up
+    ends = [_round_odd((t << s) + r, den >> z, z + s, prec, r > 0) for r in (-rem, rem)]
+    return tuple(Fraction(m, 1 << b) if b >= 0 else Fraction(m << -b) for m, b in ends)
 
 
 @lru_cache(maxsize=4096)

@@ -579,6 +579,14 @@ def draw_one(model: ShadowModel, seed: int, index: int = 0) -> ShadowSample:
                         frozenset(multiplicity), multiplicity)
 
 
+def _deviation(got: float, p: float, n: int) -> float:
+    dev = abs(got - p)
+    se = math.sqrt(p * (1 - p) / n)
+    if se == 0:
+        return math.inf if dev else 0.0
+    return dev / se
+
+
 @dataclass
 class EmpiricalReport:
     n_samples: int
@@ -593,19 +601,11 @@ class EmpiricalReport:
     def marginal(self, e: Edge) -> float:
         return self.counts[e] / self.n_samples
 
-    def marginal_se(self, e: Edge) -> float:
-        p = self.marginal(e)
-        return math.sqrt(max(p * (1 - p), 1e-12) / self.n_samples)
-
     def marginal_deviation(self, e: Edge, p: float) -> float:
         """|empirical - p| in standard errors of the exact marginal p,
         sqrt(p (1 - p) / n).  Where p is 0 or 1 that error is 0, and any
         mismatch is an infinite deviation."""
-        dev = abs(self.marginal(e) - p)
-        se = math.sqrt(p * (1 - p) / self.n_samples)
-        if se == 0:
-            return math.inf if dev else 0.0
-        return dev / se
+        return _deviation(self.marginal(e), p, self.n_samples)
 
     def conditional(self, ev_label: str, e: Edge) -> float | None:
         n = self.event_counts.get(ev_label, 0)
@@ -613,12 +613,11 @@ class EmpiricalReport:
             return None
         return self.event_joint.get((ev_label, e), 0) / n
 
-    def conditional_se(self, ev_label: str, e: Edge) -> float | None:
+    def conditional_deviation(self, ev_label: str, e: Edge, p: float) -> float | None:
+        """As ``marginal_deviation``, for e given the event, over the event's
+        occurrences; None when the event never occurred."""
         n = self.event_counts.get(ev_label, 0)
-        if n == 0:
-            return None
-        p = self.conditional(ev_label, e)
-        return math.sqrt(max(p * (1 - p), 1e-12) / n)
+        return _deviation(self.conditional(ev_label, e), p, n) if n else None
 
     def mean_multiplicity(self, e: Edge) -> float:
         return self.mult_sums[e] / self.n_samples

@@ -183,6 +183,10 @@ REJECTED = (
        # a seed keys its Philox streams exactly only in [0, 2^63)
        *[["shadow-sample", "--m", "4", "--samples", "3", "--seed", str(seed)]
          for seed in (-1, 2 ** 63, 2 ** 64 - 1, 2 ** 64)],
+       # the other seeded commands take seeds in the same range: random.Random
+       # keys on |seed|, so -5 drew the stream of 5
+       *[[cmd, "--m", "4", "--seed", seed] for cmd in ("count-paths", "locally-good")
+         for seed in ("-5", "-1")],
        ["appendixc", "--k", "4", "--budget", "-5"], ["bruteforce", "--m", "4", "--budget", "0"],
        ["scan", "--fn", "f_packing", "--lo", "1e-4", "--hi", "1e-2", "--points", "1"],
        # the requirement exponents take eps in (0, 1]

@@ -329,9 +329,32 @@ def _log2_atanh_arguments():
 
 
 class TestSeriesOracle:
-    @pytest.mark.parametrize("x,prec", _oracle_arguments())
+    @pytest.mark.parametrize("x,prec", _oracle_arguments() + [
+        (Fraction(x), 4096) for x in (0, 1, -1, Fraction(1, 3), Fraction(-5, 7))])
     def test_exp_bounds_equal_reference(self, x, prec):
-        assert _exp_bounds(x, prec) == _ref_exp_bounds(x, prec)
+        # the kernel returns the reference endpoints rounded out to prec bits
+        lo, hi = _ref_exp_bounds(x, prec)
+        want = _ref_round_dyadic(lo, prec, up=False), _ref_round_dyadic(hi, prec, up=True)
+        assert _exp_bounds(x, prec) == want
+
+    @pytest.mark.parametrize("prec,count", [(64, 12), (192, 12), (256, 12), (512, 6),
+                                            (1024, 1)])
+    def test_exp2_interval_equals_reference(self, prec, count):
+        # the enclosure as it was built from unrounded series bounds: each
+        # end scaled by 2**n, then rounded out once at prec
+        l2 = [2 * b for b in _ref_atanh_bounds(Fraction(1, 3), prec)]
+
+        def ref_end(y, up):
+            n = math.floor(y)
+            arg = _ref_round_dyadic((y - n) * l2[up], prec + 8, up)
+            return _ref_round_dyadic(_ref_exp_bounds(arg, prec)[up] * Fraction(2) ** n, prec, up)
+
+        ms = [m for m in _seeded_monomials(3 * count) if m.as_fraction() is None][:count]
+        assert len(ms) == count
+        for m in ms:
+            iv = m.log2_interval(prec)
+            got = exp2_interval(iv, prec)
+            assert (got.lo, got.hi, got.prec) == (ref_end(iv.lo, False), ref_end(iv.hi, True), prec)
 
     @pytest.mark.parametrize("x,prec", _oracle_arguments())
     def test_atanh_bounds_equal_reference(self, x, prec):

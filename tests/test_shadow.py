@@ -389,8 +389,7 @@ class TestSampling:
         edges = [((0, 0), (1, 0)),
                  ((1, 0), inst8.out_neighbors((1, 0))[0])]
         for e in edges:
-            dev = abs(emp.marginal(e) - float(model8.marginal(e)))
-            assert dev <= 5 * emp.marginal_se(e)
+            assert emp.marginal_deviation(e, float(model8.marginal(e))) <= 5
 
     def test_deviation_in_exact_standard_errors(self, inst4):
         e, f = list(inst4.all_edges())[:2]
@@ -401,6 +400,19 @@ class TestSampling:
         assert emp.marginal_deviation(f, 1.0) == 0.0
         assert emp.marginal_deviation(e, 1.0) == math.inf
         assert emp.marginal_deviation(f, 0.0) == math.inf
+
+    def test_conditional_deviation_in_exact_standard_errors(self, inst4):
+        e, f = list(inst4.all_edges())[:2]
+        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100}, {e: 0, f: 100},
+                              {"ev": 40, "never": 0}, {("ev", f): 40}, [e, f])
+        # over the event's 40 occurrences: e never hit, f always
+        assert emp.conditional_deviation("ev", e, 0.25) == 0.25 / math.sqrt(0.25 * 0.75 / 40)
+        assert emp.conditional_deviation("ev", f, 0.5) == 0.5 / math.sqrt(0.5 * 0.5 / 40)
+        assert emp.conditional_deviation("ev", e, 0.0) == 0.0
+        assert emp.conditional_deviation("ev", f, 1.0) == 0.0
+        assert emp.conditional_deviation("ev", e, 1.0) == math.inf
+        assert emp.conditional_deviation("ev", f, 0.0) == math.inf
+        assert emp.conditional_deviation("never", e, 0.25) is None
 
     def test_empirical_multiplicity_tracks_3x(self, inst8, model8):
         # bottom edges have E[n_e] = 3 x_e exactly; the sample mean should
