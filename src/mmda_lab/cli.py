@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
-from .instances import (InstanceError, LabeledInstance, build_config_lp_gap,
-                        build_depth3_example, build_mmda,
+from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
+                        build_config_lp_gap, build_depth3_example, build_mmda,
                         build_subtree_counterexample, desiderata_identities,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
@@ -182,6 +182,8 @@ def _instance_from_args(args):
     kind = getattr(args, "kind", "mmda")
     if kind == "mmda":
         params = make_params(args.m, args.rho, epsilon=args.eps, ell=args.ell)
+        if not hasattr(args, "size_cap"):
+            return LabeledInstance(params)
         return build_mmda(params, size_cap=args.size_cap)
     if kind == "config-gap":
         return build_config_lp_gap(args.k)
@@ -274,16 +276,16 @@ def cmd_count_paths(args) -> int:
     }, code)
 
 
+def _layer_events(inst, signs) -> list[ConditionEvent]:
+    """The first edge into each layer, conditioned with each of ``signs``."""
+    return [ConditionEvent(next(iter(inst.edges_into_layer(i))), positive)
+            for i in range(1, inst.ell + 1) for positive in signs]
+
+
 def cmd_sa1_report(args) -> int:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
-    if args.events == "all":
-        events = None
-    else:
-        events = []
-        for i in range(1, inst.ell + 1):
-            e = next(iter(inst.edges_into_layer(i)))
-            events.extend([ConditionEvent(e, True), ConditionEvent(e, False)])
+    events = None if args.events == "all" else _layer_events(inst, (True, False))
     res = sa1_certificate(model, args.floor, args.ceiling, events=events)
     status, code = _status(res.passed)
     payload = {
@@ -310,20 +312,17 @@ def _loc(t):
 def cmd_shadow_sample(args) -> int:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
-    events = []
-    for i in range(1, inst.ell + 1):
-        e = next(iter(inst.edges_into_layer(i)))
-        events.append(ConditionEvent(e, True))
-    emp = sample(model, args.seed, args.samples, rounds=args.rounds, events=events)
+    emp = sample(model, args.seed, args.samples, rounds=args.rounds,
+                 events=_layer_events(inst, (True,)))
     worst = 0.0
-    rows = []
+    rows = [{"edge": str(e), "empirical": emp.marginal(e)} for e in emp.edges[:20]]
     # the exact engine covers rounds=1 only, so later rounds skip it as --mc does
-    compare = args.exact and args.rounds == 1
+    compare = not args.mc and args.rounds == 1
     if compare:
         exact = {e: float(q) for e, q in conditional_report(model, None).marginals.items()}
         worst = max(emp.marginal_deviation(e, exact[e]) for e in emp.edges)
-        rows = [{"edge": str(e), "empirical": emp.marginal(e), "exact": exact[e]}
-                for e in emp.edges[:20]]
+        for row, e in zip(rows, emp.edges):
+            row["exact"] = exact[e]
     status, code = _status(not compare or worst <= args.max_dev)
     payload = {
         "command": "shadow-sample", "samples": args.samples, "seed": args.seed,
@@ -353,7 +352,7 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_certificate(args) -> int:
     inst = _instance_from_args(args)
-    cert = counting_certificate(inst)
+    cert = counting_certificate(inst.params)
     status, code = _status(True)
     payload = {"command": "certificate", "certificate": cert.to_json(),
                "status": status}
@@ -454,19 +453,25 @@ def cmd_scan(args) -> int:
 
 
 MMDA_ONLY = ("mmda",)
+ALL_KINDS = ("mmda", "config-gap", "subtree-cex", "example")
 
 
-def _add_instance_args(sub, kinds=("mmda", "config-gap", "subtree-cex", "example")):
-    sub.add_argument("--kind", choices=kinds, default="mmda")
+def _add_instance_args(sub, kinds: tuple[str, ...], capped: bool):
+    """Instance options.  ``--kind`` and the ``--k`` of the explicit kinds
+    come only with a choice of kind.  ``--size-cap`` comes only where a
+    large m is slow; the uncapped commands read closed forms of the params."""
     sub.set_defaults(kinds=kinds)
+    if kinds != MMDA_ONLY:
+        sub.add_argument("--kind", choices=kinds, default="mmda")
+        sub.add_argument("--k", type=int, default=3)
     sub.add_argument("--instance-file", default=None,
                      help="load the instance from a build report instead")
     sub.add_argument("--m", type=int, default=8)
     sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4))
     sub.add_argument("--eps", type=parse_rational, default=None)
     sub.add_argument("--ell", type=int, default=None)
-    sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--size-cap", type=int, default=24)
+    if capped:
+        sub.add_argument("--size-cap", type=int, default=SIZE_CAP_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,17 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("build", help="emit an instance as JSON")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, ALL_KINDS, capped=False); common(p)
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    # --subtrees walks every edge
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.add_argument("--allowance", type=parse_rational, default=Fraction(1))
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    # paths are enumerated only below the path counts of verify_path_hierarchy
+    _add_instance_args(p, MMDA_ONLY, capped=False); common(p)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),
                    default="auto")
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-paths", help="path counting: dynamic program "
                                            "against the closed forms")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=parse_seed, default=0)
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sa1-report", help="conditioned-constraint sweep of the "
                                           "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.add_argument("--floor", type=parse_rational, default=Fraction(1, 100))
     p.add_argument("--ceiling", type=parse_rational, default=Fraction(8))
     p.add_argument("--events", choices=("all", "layers"), default="layers")
@@ -517,29 +524,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.add_argument("--samples", type=count_at_least(1), default=10000)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--rounds", type=count_at_least(1), default=1)
     p.add_argument("--max-dev", type=float, default=6.0,
                    help="largest tolerated |empirical - exact| in standard "
                         "errors over the all-edges sweep")
-    p.add_argument("--exact", dest="exact", action="store_true", default=True)
-    p.add_argument("--mc", dest="exact", action="store_false",
+    p.add_argument("--mc", action="store_true",
                    help="skip the exact-engine comparison")
     p.set_defaults(handler=cmd_shadow_sample)
 
     p = sub.add_parser("bruteforce", help="exact best integral solution")
-    _add_instance_args(p); common(p)
+    _add_instance_args(p, ALL_KINDS, capped=True); common(p)
     p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    # Monomial.from_int factors its sums of binomials by trial division
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.set_defaults(handler=cmd_certificate)
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
-    _add_instance_args(p, MMDA_ONLY); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
     p.add_argument("--seeds", type=count_at_least(1), default=10)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--radius", type=count_at_least(0), default=1)

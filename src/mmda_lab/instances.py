@@ -127,6 +127,29 @@ class InstanceParams:
             return i * self.step
         return 4 * self.rho_m - i * self.step
 
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        """Per-layer degree data, closed forms in the params alone."""
+        phase_gammas = _gamma_monomials(self)
+        one_over_eps = int(1 / self.epsilon)
+        gammas, ks, dplus = [], [], []
+        dminus = [0] * (self.ell + 1)
+        for i in range(self.ell):
+            g = phase_gammas[i // one_over_eps]     # ell = 3/eps: phases 0, 1, 2
+            if i < self.peak_layer:
+                dp = math.comb(self.m - self.label_size(i), self.step)
+            else:
+                dp = math.comb(self.label_size(i), self.step)
+            gammas.append(g)
+            dplus.append(dp)
+            ks.append(g.mul(Monomial.from_int(dp)))
+        for i in range(1, self.ell + 1):
+            if i <= self.peak_layer:
+                dminus[i] = math.comb(self.label_size(i), self.step)
+            else:
+                dminus[i] = math.comb(self.m - self.label_size(i), self.step)
+        return DegreeProfile(tuple(ks), tuple(gammas), tuple(dplus), tuple(dminus))
+
 
 def make_params(m: int, rho, epsilon=None, ell=None) -> InstanceParams:
     rho = Fraction(rho)
@@ -161,33 +184,6 @@ def _gamma_monomials(p: InstanceParams) -> tuple[Monomial, Monomial, Monomial]:
     g2 = num.div(fact_rho.mul(Monomial.from_binomial(2 * p.rho_m, p.rho_m)).pow(eps))
     g3 = num.div(fact_rho.pow(eps))
     return g1, g2, g3
-
-
-def degree_profile(p: InstanceParams) -> DegreeProfile:
-    g1, g2, g3 = _gamma_monomials(p)
-    one_over_eps = int(1 / p.epsilon)
-    gammas, ks, dplus = [], [], []
-    dminus = [0] * (p.ell + 1)
-    for i in range(p.ell):
-        if i < one_over_eps:
-            g = g1
-        elif i < 2 * one_over_eps:
-            g = g2
-        else:
-            g = g3
-        if i < p.peak_layer:
-            dp = math.comb(p.m - p.label_size(i), p.step)
-        else:
-            dp = math.comb(p.label_size(i), p.step)
-        gammas.append(g)
-        dplus.append(dp)
-        ks.append(g.mul(Monomial.from_int(dp)))
-    for i in range(1, p.ell + 1):
-        if i <= p.peak_layer:
-            dminus[i] = math.comb(p.label_size(i), p.step)
-        else:
-            dminus[i] = math.comb(p.m - p.label_size(i), p.step)
-    return DegreeProfile(tuple(ks), tuple(gammas), tuple(dplus), tuple(dminus))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +271,10 @@ class LayeredInstance:
 
 
 class LabeledInstance(LayeredInstance):
-    def __init__(self, params: InstanceParams, profile: DegreeProfile | None = None):
+    def __init__(self, params: InstanceParams):
         self.params = params
         self.ell = params.ell
-        self.profile = profile or degree_profile(params)
+        self.profile = params.profile
         self.source = (0, 0)
         self._sizes = [math.comb(params.m, params.label_size(i))
                        for i in range(params.ell + 1)]
@@ -314,9 +310,6 @@ class LabeledInstance(LayeredInstance):
         if self.is_sink(v):
             raise InstanceError("sinks carry no degree requirement")
         return self.profile.k[v[0]]
-
-    def gamma_of(self, i: int) -> Scalar:
-        return self.profile.gamma[i]
 
     def out_degree(self, v: Vertex) -> int:
         return self.profile.delta_plus[v[0]] if v[0] < self.ell else 0
@@ -425,11 +418,11 @@ def build_mmda(params: InstanceParams, size_cap: int = SIZE_CAP_DEFAULT) -> Labe
     return LabeledInstance(params)
 
 
-def build_depth3_direct(m: int, rho) -> LabeledInstance:
-    """Depth-3 instance built from its own closed-form degree data.
+def build_depth3_direct(m: int, rho) -> DegreeProfile:
+    """Depth-3 degree profile from its own closed-form degree data.
 
     Independent of the general gamma formulas; used to cross-check that
-    the eps=1 specialization of the general builder is the same instance.
+    the eps=1 specialization of ``InstanceParams.profile`` is the same.
     """
     params = make_params(m, rho, epsilon=Fraction(1))
     rm = params.rho_m
@@ -440,8 +433,7 @@ def build_depth3_direct(m: int, rho) -> LabeledInstance:
     dplus = (math.comb(m, rm), math.comb(m - rm, rm), math.comb(2 * rm, rm))
     dminus = (0, 1, math.comb(2 * rm, rm), math.comb(m - rm, rm))
     gammas = tuple(k.div(Monomial.from_int(d)) for k, d in zip(ks, dplus))
-    profile = DegreeProfile(ks, gammas, dplus, dminus)
-    return LabeledInstance(params, profile)
+    return DegreeProfile(ks, gammas, dplus, dminus)
 
 
 @dataclass(frozen=True)
@@ -543,7 +535,7 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
     checked as prime-exponent maps, so equality is syntactic.
     """
     from .scalars import compare_certified
-    prof = degree_profile(params)
+    prof = params.profile
     m, rm = params.m, params.rho_m
     one_over_eps = int(1 / params.epsilon)
     running = MONO_ONE

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from fractions import Fraction
 
-from .instances import InstanceError, LabeledInstance, LayeredInstance, Vertex
+from .instances import InstanceError, InstanceParams, LayeredInstance, Vertex
 from .scalars import Monomial, Scalar, as_fraction, compare_certified
 
 
@@ -291,10 +291,8 @@ def t2_count(rho_m: int, threshold: int) -> int:
                for j in range(0, threshold))
 
 
-def counting_certificate(inst: LabeledInstance, v: Vertex | None = None,
-                         theta: Fraction | None = None) -> CountingCertificate:
-    p = inst.params
-    theta = Fraction(p.rho, 3) if theta is None else Fraction(theta)
+def counting_certificate(p: InstanceParams) -> CountingCertificate:
+    theta = p.rho / 3
     tm = theta * p.m
     thresholds = sorted({math.floor(tm), math.ceil(tm)})
     c1 = Monomial.from_binomial(p.m - p.rho_m, p.rho_m)

@@ -25,10 +25,6 @@ ENUMERATION_CAP = 10 ** 7
 E0_TAIL = (-1, 0)
 
 
-def dummy_edge(inst: LayeredInstance) -> Edge:
-    return (E0_TAIL, inst.source)
-
-
 class EnumerationCapExceeded(InstanceError):
     pass
 
@@ -253,7 +249,7 @@ class PathSolution:
         self.rounds = rounds
         self.max_len = rounds + 1
         self.x = assignment_solution(inst)
-        self.dummy = dummy_edge(inst)
+        self.dummy = (E0_TAIL, inst.source)
         self._classes: dict[tuple[int, int], Scalar] = {}
 
     def value_class(self, first_layer: int, n_edges: int) -> Scalar:

@@ -68,7 +68,7 @@ class SampledPathForest:
 
 def sample_forest(inst: LabeledInstance, seed: int,
                   size_cap: int = 500_000) -> SampledPathForest:
-    thresholds = [_Threshold(inst.gamma_of(i)) for i in range(inst.ell)]
+    thresholds = [_Threshold(inst.profile.gamma[i]) for i in range(inst.ell)]
     root = (inst.source,)
     paths = [root]
     frontier = [root]
@@ -168,11 +168,6 @@ def audit_locality(forest: SampledPathForest, radius: int,
     max_c = max(congestion.values()) if congestion else 0
     return LocalityAudit(radius, bound, children, children_violations,
                          congestion, congestion_violations, max_c)
-
-
-def expected_children(inst: LabeledInstance, layer: int):
-    """Exact identity target: gamma_i * delta_i^+ (= k_i)."""
-    return inst.profile.k[layer]
 
 
 def audit_to_json(audit: LocalityAudit) -> dict:

@@ -300,19 +300,6 @@ def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:
     return iv_add(t1, t2)
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """Entropy of a Bernoulli(argument) variable, with its enclosure."""
-
-    argument: Fraction
-    value: Interval
-
-
-def entropy_value(x, prec: int = DEFAULT_PRECISION) -> EntropyValue:
-    x = Fraction(x)
-    return EntropyValue(x, entropy_interval(x, prec))
-
-
 # ---------------------------------------------------------------------------
 # monomials over prime bases
 

@@ -258,7 +258,7 @@ def test_criterion_09_integral_gap():
     inst4 = build_mmda(make_params(4, Fraction(1, 4)))
     r4 = bruteforce_best(inst4)
     assert r4.complete
-    bound = counting_certificate(inst4).best_quality_bound()
+    bound = counting_certificate(inst4.params).best_quality_bound()
     assert compare_certified(r4.quality.alpha, bound) in ("<", "=")
     _line(9, True,
           f"example opt 1, shared-sink k=4 opt {rc.quality.alpha}, cert >= oracle")

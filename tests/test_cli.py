@@ -167,7 +167,9 @@ MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",
 REJECTED = (
     [[cmd, "--kind", "example"] for cmd in MMDA_ONLY_COMMANDS]
     + [[cmd, "--instance-file", "EXPLICIT"] for cmd in MMDA_ONLY_COMMANDS]
-    + [["shadow-sample", "--kind", "subtree-cex"],
+    # no mmda-only command reads --k, and --exact is the default
+    + [[cmd, "--k", "5"] for cmd in MMDA_ONLY_COMMANDS]
+    + [["shadow-sample", "--exact"], ["shadow-sample", "--kind", "subtree-cex"],
        ["build", "--eps", "-1"], ["build", "--m", "0"], ["build", "--ell", "0"],
        ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"],
        ["build", "--instance-file", "MISSING"],
@@ -220,6 +222,39 @@ class TestRejectedInputs:
                      flag, value])
         assert code == EXIT_USAGE
         assert f"argument {flag}:" in capsys.readouterr().err
+
+
+INSTANCE = ["--ell", "--eps", "--instance-file", "--m", "--rho"]
+COMMON = ["--format", "--out"]
+OPTIONS = {
+    "build": INSTANCE + ["--k", "--kind"],
+    "verify-lp": INSTANCE + ["--size-cap", "--allowance", "--subtrees"],
+    "verify-paths": INSTANCE + ["--mode", "--rounds"],
+    "count-paths": INSTANCE + ["--size-cap", "--samples", "--seed", "--xi"],
+    "sa1-report": INSTANCE + ["--size-cap", "--ceiling", "--events", "--floor"],
+    "shadow-sample": INSTANCE + ["--size-cap", "--max-dev", "--mc", "--rounds",
+                                 "--samples", "--seed"],
+    "bruteforce": INSTANCE + ["--k", "--kind", "--size-cap", "--budget"],
+    "certificate": INSTANCE + ["--size-cap"],
+    "locally-good": INSTANCE + ["--size-cap", "--radius", "--seed", "--seeds"],
+    "ra": ["--alpha", "--cond", "--eps", "--k"],
+    "appendixb": ["--k"],
+    "appendixc": ["--budget", "--k"],
+    "scan": ["--eps-param", "--fn", "--hi", "--lo", "--points", "--rho"],
+}
+
+
+def test_option_surface():
+    # every option of every command, --help aside; a new one must be added here
+    import argparse
+    from mmda_lab.cli import build_parser
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
+    assert sum(map(len, surface.values())) == 114
 
 
 class TestDeterminism:

@@ -99,7 +99,7 @@ class TestSolutionView:
 
 class TestCountingCertificate:
     def test_m8_sizes(self, inst8):
-        cert = counting_certificate(inst8)
+        cert = counting_certificate(inst8.params)
         by_thr = {v.threshold: v for v in cert.variants}
         assert by_thr[1].t2_size == math.comb(2, 0) * math.comb(2, 2) == 1
         assert by_thr[1].t1_size == 13
@@ -123,12 +123,12 @@ class TestCountingCertificate:
 
     def test_bound_dominates_bruteforce(self, inst4):
         res = bruteforce_best(inst4)
-        cert = counting_certificate(inst4)
+        cert = counting_certificate(inst4.params)
         qb = cert.best_quality_bound()
         assert compare_certified(res.quality.alpha, qb) in ("<", "=")
 
     def test_bound_dominates_on_example_shape(self, inst8):
-        cert = counting_certificate(inst8)
+        cert = counting_certificate(inst8.params)
         # hand-checked value at threshold 1: alpha_min = sqrt(15/26)
         v1 = [v for v in cert.variants if v.threshold == 1][0]
         target = Fraction(15, 26)
@@ -136,7 +136,7 @@ class TestCountingCertificate:
                                  else v1.alpha_min, target) == "="
 
     def test_json_shape(self, inst8):
-        data = counting_certificate(inst8).to_json()
+        data = counting_certificate(inst8.params).to_json()
         assert data["theta"] == "1/12"
         assert len(data["variants"]) == 2
 
@@ -176,5 +176,5 @@ class TestConstructionM8:
         assert res.quality.alpha == Fraction(4, 5)
         assert res.infeasible_above == Fraction(5, 6)
         assert res.solution.check_structure(inst8)
-        cert = counting_certificate(inst8).best_quality_bound()
+        cert = counting_certificate(inst8.params).best_quality_bound()
         assert compare_certified(res.quality.alpha, cert) == "<"

@@ -57,9 +57,15 @@ GOLDEN = [
     # iterated rounds, which skip the rounds=1 exact comparison, and the
     # largest accepted seed
     ("shadow-sample --m 8 --samples 1001 --seed 7 --rounds 2", 0,
-     "14bf717f4201cd517d3ebcbc4672ac8e7879f5820cfbd60882233c0074c9b8b5"),
+     "5676e433e395fbcf85c35be4ca23f7a3663bac67048780bf58a084366bfea3a5"),
     ("shadow-sample --m 4 --samples 75 --seed 9223372036854775807", 0,
      "f82238939dcde1166b7c8eda22e4eee7361a24a1790de6748b21b84018c2af22"),
+    # above the m=24 size cap that verify-paths no longer takes: the last
+    # round count that passes at m=32, and the first that fails
+    ("verify-paths --m 32 --eps 1/8 --rounds 8 --mode symbolic", 0,
+     "2bb36d746f8dee9d25aa06e82e5f017361f5edba81bc1d0d2f1ea464f0afd6f6"),
+    ("verify-paths --m 32 --eps 1/8 --rounds 9 --mode symbolic", 4,
+     "6fa7edce5b63928479b5ceee241daa35ea6dcbd71483ffbb3f3650bbe589e3c1"),
 ]
 
 

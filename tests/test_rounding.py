@@ -5,9 +5,8 @@ import pytest
 
 from mmda_lab.relaxations import check_helper_lemma
 from mmda_lab.rounding import (audit_locality, audit_to_json,
-                               default_congestion_bound, expected_children,
-                               sample_forest)
-from mmda_lab.scalars import compare_certified
+                               default_congestion_bound, sample_forest)
+from mmda_lab.scalars import Monomial, compare_certified
 
 
 class TestSampling:
@@ -43,9 +42,10 @@ class TestExpectationIdentities:
     def test_children_identity_exact(self, inst8, inst16_deep):
         # gamma_i * delta_i^+ equals k_i, exactly, per layer
         for inst in (inst8, inst16_deep):
+            prof = inst.profile
             for i in range(inst.ell):
-                assert compare_certified(expected_children(inst, i),
-                                         inst.profile.k[i]) == "="
+                children = prof.gamma[i].mul(Monomial.from_int(prof.delta_plus[i]))
+                assert compare_certified(children, prof.k[i]) == "="
 
     def test_congestion_expectation_below_one(self, inst16_deep):
         # path count times the value ratio is at most 1 within the

@@ -7,8 +7,8 @@ import pytest
 from mmda_lab.scalars import (DEFAULT_PRECISION, EQ, GT, LT, MONO_ONE, UNDECIDED,
                               Interval, Monomial, PrecisionCapExceeded, _atanh_bounds,
                               _exp_bounds, _ln2_bounds, as_fraction, as_scalar,
-                              compare_certified, entropy_interval, entropy_value,
-                              exp2_interval, floor_log2, iv_add, iv_mul, log2_binomial,
+                              compare_certified, entropy_interval, exp2_interval,
+                              floor_log2, iv_add, iv_mul, log2_binomial,
                               log2_interval, round_dyadic, scalar_to_json, to_interval)
 
 
@@ -205,11 +205,7 @@ class TestEntropy:
             a = entropy_interval(x)
             b = entropy_interval(1 - x)
             assert a.lo <= b.hi and b.lo <= a.hi
-
-    def test_entropy_value_wrapper(self):
-        ev = entropy_value(Fraction(1, 3))
-        assert ev.argument == Fraction(1, 3)
-        assert near(ev.value, math.log2(3) - Fraction(2, 3))
+        assert near(entropy_interval(Fraction(1, 3)), math.log2(3) - Fraction(2, 3))
 
 
 class TestIntervals:
