@@ -7,13 +7,13 @@ __version__ = "0.1.0"
 
 from .instances import (InstanceParams, LabeledInstance, build_config_lp_gap,
                         build_depth3_example, build_mmda,
-                        build_subtree_counterexample, graph_queries, make_params)
-from .scalars import Interval, Monomial, Scalar, compare_certified, log2_binomial
+                        build_subtree_counterexample, make_params)
+from .scalars import Interval, Monomial, Scalar, compare_certified
 
 __all__ = [
     "InstanceParams", "LabeledInstance", "build_config_lp_gap",
     "build_depth3_example", "build_mmda", "build_subtree_counterexample",
-    "graph_queries", "make_params",
-    "Interval", "Monomial", "Scalar", "compare_certified", "log2_binomial",
+    "make_params",
+    "Interval", "Monomial", "Scalar", "compare_certified",
     "__version__",
 ]

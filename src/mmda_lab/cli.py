@@ -22,15 +22,15 @@ from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
                         build_subtree_counterexample, desiderata_identities,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
-from .relaxations import (EnumerationCapExceeded, assignment_solution,
-                          check_helper_lemma, closed_form_paths, count_paths,
-                          path_solution, subtree_solutions, verify_assignment,
-                          verify_path_hierarchy)
+from .relaxations import (EnumerationCapExceeded, SubtreeFamily,
+                          assignment_solution, check_helper_lemma,
+                          closed_form_paths, count_paths, path_solution,
+                          verify_assignment, verify_path_hierarchy)
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
 from .rounding import audit_locality, audit_to_json, sample_forest
-from .scalars import PrecisionCapExceeded, scalar_to_json
+from .scalars import PrecisionCapExceeded, full_int_digits, scalar_to_json
 from .scans import scan_proof_function
 from .shadow import (ConditionEvent, check_seed, conditional_report, sa1_certificate,
                      sample, shadow_model)
@@ -83,10 +83,8 @@ def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
 
 def _emit(args, payload: dict, code: int) -> int:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    if args.format == "csv":
-        text = _to_csv(payload)
-    else:
-        text = _dumps(payload) + "\n"
+    with full_int_digits():
+        text = _to_csv(payload) if args.format == "csv" else _dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -175,13 +173,15 @@ def _instance_from_args(args):
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        inst = instance_from_json(data.get("instance", data))
+        if isinstance(data, dict):
+            data = data.get("instance", data)
+        inst = instance_from_json(data)
         if args.kinds == MMDA_ONLY and not isinstance(inst, LabeledInstance):
             raise InstanceError(f"{args.command} needs a labeled mmda instance")
         return inst
     kind = getattr(args, "kind", "mmda")
     if kind == "mmda":
-        params = make_params(args.m, args.rho, epsilon=args.eps, ell=args.ell)
+        params = make_params(args.m, args.rho, epsilon=args.eps)
         if not hasattr(args, "size_cap"):
             return LabeledInstance(params)
         return build_mmda(params, size_cap=args.size_cap)
@@ -210,7 +210,7 @@ def cmd_verify_lp(args) -> int:
     identities = desiderata_identities(inst.params)
     subtree_failures = 0
     if args.subtrees:
-        fam = subtree_solutions(inst)
+        fam = SubtreeFamily(inst)
         for f in inst.all_edges():
             sub = verify_assignment(inst, fam.solution_for(f), root=f[1])
             if not sub.ok:
@@ -468,8 +468,8 @@ def _add_instance_args(sub, kinds: tuple[str, ...], capped: bool):
                      help="load the instance from a build report instead")
     sub.add_argument("--m", type=int, default=8)
     sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4))
-    sub.add_argument("--eps", type=parse_rational, default=None)
-    sub.add_argument("--ell", type=int, default=None)
+    sub.add_argument("--eps", type=parse_rational, default=Fraction(1),
+                     help="layer step eps; the depth is ell = 3/eps")
     if capped:
         sub.add_argument("--size-cap", type=int, default=SIZE_CAP_DEFAULT)
 

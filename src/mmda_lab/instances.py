@@ -85,7 +85,6 @@ class InstanceParams:
     m: int
     rho: Fraction
     epsilon: Fraction
-    ell: int
 
     def __post_init__(self):
         object.__setattr__(self, "rho", Fraction(self.rho))
@@ -96,8 +95,6 @@ class InstanceParams:
             raise InstanceError(f"epsilon={self.epsilon} outside (0, 1]")
         if self.rho * self.m < 1:
             raise InstanceError(f"rho*m={self.rho * self.m} below 1")
-        if self.ell * self.epsilon != 3:
-            raise InstanceError("ell * epsilon must equal 3")
         for name, q in (("rho*m", self.rho * self.m),
                         ("eps*rho*m", self.epsilon * self.rho * self.m),
                         ("1/eps", 1 / self.epsilon)):
@@ -114,6 +111,11 @@ class InstanceParams:
     def step(self) -> int:
         """Label-size increment per layer, eps*rho*m."""
         return int(self.epsilon * self.rho * self.m)
+
+    @cached_property
+    def ell(self) -> int:
+        """Depth 3/eps: three phases of 1/eps layers each."""
+        return int(3 / self.epsilon)
 
     @cached_property
     def peak_layer(self) -> int:
@@ -151,19 +153,8 @@ class InstanceParams:
         return DegreeProfile(tuple(ks), tuple(gammas), tuple(dplus), tuple(dminus))
 
 
-def make_params(m: int, rho, epsilon=None, ell=None) -> InstanceParams:
-    rho = Fraction(rho)
-    if ell is not None and ell < 1:
-        raise InstanceError(f"ell={ell} must be at least 1")
-    if epsilon is None and ell is None:
-        epsilon = Fraction(1)
-    if epsilon is None:
-        epsilon = Fraction(3, ell)
-    epsilon = Fraction(epsilon)
-    if ell is None:
-        # epsilon <= 0 is left for InstanceParams to reject
-        ell = int(3 / epsilon) if epsilon > 0 else 0
-    return InstanceParams(m, rho, epsilon, ell)
+def make_params(m: int, rho, epsilon=1) -> InstanceParams:
+    return InstanceParams(m, rho, epsilon)
 
 
 @dataclass(frozen=True)
@@ -220,9 +211,6 @@ class LayeredInstance:
     def in_degree(self, v: Vertex) -> int:
         return len(self.in_neighbors(v))
 
-    def in_edges(self, v: Vertex):
-        return [(u, v) for u in self.in_neighbors(v)]
-
     def edges_into_layer(self, i: int):
         for v in self.vertices(i):
             for u in self.in_neighbors(v):
@@ -240,19 +228,17 @@ class LayeredInstance:
     def n_edges(self) -> int:
         return sum(1 for _ in self.all_edges())
 
-    def frontiers(self, v: Vertex, forward: bool = True, keep=None):
-        """Walk from v towards the sinks (``forward``) or the source: for
-        v's layer and every further layer up to the end of the graph, empty
-        ones included, yield a dict from each vertex of that layer to its
-        number of paths from v (to v backward).  Only vertices z with
+    def frontiers(self, v: Vertex, keep=None):
+        """Walk from v towards the sinks: for v's layer and every further
+        layer, empty ones included, yield a dict from each vertex of that
+        layer to its number of paths from v.  Only vertices z with
         ``keep(z)`` enter the walk."""
-        step = self.out_neighbors if forward else self.in_neighbors
         frontier = {v: 1}
         yield frontier
-        for _ in range(self.ell - v[0] if forward else v[0]):
+        for _ in range(self.ell - v[0]):
             nxt: dict[Vertex, int] = {}
             for w, c in frontier.items():
-                for z in step(w):
+                for z in self.out_neighbors(w):
                     if keep is None or keep(z):
                         nxt[z] = nxt.get(z, 0) + c
             frontier = nxt
@@ -556,58 +542,6 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# graph queries
-
-
-class GraphQueries:
-    """Ancestor/descendant/path accessors with sorted, deterministic output."""
-
-    def __init__(self, inst: LayeredInstance):
-        self.inst = inst
-
-    def _check(self, v: Vertex):
-        i, r = v
-        if not (0 <= i <= self.inst.ell and 0 <= r < self.inst.layer_size(i)):
-            raise InstanceError(f"unknown vertex {v}")
-
-    def ancestors(self, v: Vertex) -> list[Vertex]:
-        self._check(v)
-        walk = islice(self.inst.frontiers(v, forward=False), 1, None)
-        return sorted(u for layer in walk for u in layer)
-
-    def descendants(self, v: Vertex) -> list[Vertex]:
-        self._check(v)
-        walk = islice(self.inst.frontiers(v), 1, None)
-        return sorted(u for layer in walk for u in layer)
-
-    def ancestor_edges(self, e: Edge) -> list[Edge]:
-        """Edges ending at the start vertex of e or at one of its ancestors."""
-        u, _ = e
-        tops = [u] + self.ancestors(u)
-        out = []
-        for z in tops:
-            out.extend(self.inst.in_edges(z))
-        return sorted(out)
-
-    # path accessors; a path is a tuple of edges
-    def paths_into(self, v: Vertex, max_len: int) -> list[tuple]:
-        """All paths of 1..max_len edges ending at v."""
-        self._check(v)
-        out = []
-        layer = [((u, v),) for u in self.inst.in_neighbors(v)]
-        out.extend(layer)
-        for _ in range(max_len - 1):
-            layer = [((w, p[0][0]),) + p
-                     for p in layer for w in self.inst.in_neighbors(p[0][0])]
-            out.extend(layer)
-        return sorted(out)
-
-
-def graph_queries(inst: LayeredInstance) -> GraphQueries:
-    return GraphQueries(inst)
-
-
-# ---------------------------------------------------------------------------
 # JSON form: labels are never serialized, edges are label-determined
 
 
@@ -641,16 +575,31 @@ def instance_to_json(inst: LayeredInstance) -> dict:
     return out
 
 
-def instance_from_json(data: dict) -> LayeredInstance:
-    if data.get("kind") == "labeled":
-        q = data["params"]
-        params = InstanceParams(int(q["m"]), Fraction(q["rho"]),
-                                Fraction(q["epsilon"]), int(q["ell"]))
-        return LabeledInstance(params)
-    layers = [[tuple(v) for v in layer] for layer in data["layers"]]
-    out_adj: dict[Vertex, list[Vertex]] = {}
-    for u, v in data["edges"]:
-        out_adj.setdefault(tuple(u), []).append(tuple(v))
-    k_map = {tuple(v): Fraction(entry["exact"]) for v, entry in data["k"]}
-    return ExplicitInstance(layers, out_adj, k_map)
-
+def instance_from_json(data) -> LayeredInstance:
+    """The instance :func:`instance_to_json` wrote.  A labeled document may
+    leave out ``ell``; a malformed one raises InstanceError."""
+    try:
+        if data.get("kind") == "labeled":
+            q = data["params"]
+            params = InstanceParams(int(q["m"]), q["rho"], q["epsilon"])
+            if q.get("ell", params.ell) != params.ell:
+                raise InstanceError(f"ell={q['ell']} is not 3/epsilon={params.ell}")
+            return LabeledInstance(params)
+        layers = [[tuple(v) for v in layer] for layer in data["layers"]]
+        if any(v[0] != i for i, layer in enumerate(layers) for v in layer):
+            raise InstanceError("a vertex (layer, index) is listed in another layer")
+        listed = {v for layer in layers for v in layer}
+        out_adj: dict[Vertex, list[Vertex]] = {}
+        for u, v in data["edges"]:
+            u, v = tuple(u), tuple(v)
+            if not (u in listed and v in listed and v[0] == u[0] + 1):
+                raise InstanceError(f"edge {u} -> {v} does not join listed vertices "
+                                    f"of consecutive layers")
+            out_adj.setdefault(u, []).append(v)
+        k_map = {tuple(v): Fraction(entry["exact"]) for v, entry in data["k"]}
+        if not all(v in k_map for layer in layers[:-1] for v in layer):
+            raise InstanceError("a vertex outside the sink layer has no requirement k")
+        return ExplicitInstance(layers, out_adj, k_map)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed instance document: "
+                            f"{type(exc).__name__}: {exc}") from exc

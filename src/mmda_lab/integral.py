@@ -32,23 +32,6 @@ class IntegralSolution:
         ins = {e[1] for e in self.edges}
         return [inst.source] + sorted(ins)
 
-    def source_paths(self, inst: LayeredInstance) -> list[tuple]:
-        """All directed paths of the solution starting at the source."""
-        children: dict[Vertex, list[Vertex]] = {}
-        for u, v in self.edges:
-            children.setdefault(u, []).append(v)
-        out = []
-        frontier = [((inst.source,), inst.source)]
-        while frontier:
-            nxt = []
-            for path, end in frontier:
-                for w in sorted(children.get(end, [])):
-                    q = path + (w,)
-                    out.append(q)
-                    nxt.append((q, w))
-            frontier = nxt
-        return out
-
     def check_structure(self, inst: LayeredInstance) -> bool:
         """In-degree at most one and every edge on a source-rooted path."""
         indeg: dict[Vertex, int] = {}

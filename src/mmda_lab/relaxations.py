@@ -218,10 +218,6 @@ class SubtreeFamily:
         return SparseSolution(self.inst, dict(self.support(f)))
 
 
-def subtree_solutions(inst: LabeledInstance) -> SubtreeFamily:
-    return SubtreeFamily(inst)
-
-
 def sink_inflow(fam: SubtreeFamily, f: Edge, t: Vertex) -> Fraction:
     """Sum of x^{(f)} over the in-edges of sink t (the flow-splitting sum)."""
     return sum((val for e, val in fam.support(f) if e[1] == t), Fraction(0))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -552,23 +553,16 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
         p = min(2 * p, cap) if p >= prec else prec
 
 
-def log2_binomial(n: int, k: int, prec: int = DEFAULT_PRECISION,
-                  tol: Fraction | None = None) -> Interval:
-    """Certified enclosure of log2(C(n, k)), computed from the exact value."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"binomial C({n},{k}) out of domain")
-    c = math.comb(n, k)
-    if c == 1:
-        return Interval(Fraction(0), Fraction(0), prec)
-    iv = log2_interval(Fraction(c), prec)
-    if tol is not None:
-        p = prec
-        while iv.width > tol:
-            p = 2 * p
-            if p > PRECISION_CAP:
-                raise PrecisionCapExceeded("log2_binomial tolerance unreachable")
-            iv = log2_interval(Fraction(c), p)
-    return iv
+@contextmanager
+def full_int_digits():
+    """Lift CPython's int-to-str digit limit inside the block, so exact
+    values are written in full; the process limit is restored after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def scalar_to_json(x: Scalar | int) -> dict:
@@ -576,17 +570,13 @@ def scalar_to_json(x: Scalar | int) -> dict:
     has no finite float.  Exact values are written in full, past CPython's
     int-to-str digit limit."""
     x = as_scalar(x)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with full_int_digits():
         if isinstance(x, Monomial):
             out = {"monomial": {str(p): str(e) for p, e in x.exponents}}
         elif isinstance(x, Interval):
             out = {"lo": str(x.lo), "hi": str(x.hi)}
         else:
             out = {"exact": str(x)}
-    finally:
-        sys.set_int_max_str_digits(limit)
     try:
         approx = float(x) if "exact" in out else x.approx()
     except OverflowError:

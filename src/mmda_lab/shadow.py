@@ -249,11 +249,9 @@ def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> Mome
     vertex's conditional out-sum (non-sinks) and in-sum (non-sources)."""
     inst = model.inst
     marginals = _EventMoments(model, None)
-    moments = _EventMoments(model, event)
-    marg, cond = {}, {}
-    for e in inst.all_edges():
-        marg[e] = marginals.edge(e)
-        cond[e] = moments.edge(e)
+    moments = marginals if event is None else _EventMoments(model, event)
+    marg = {e: marginals.edge(e) for e in inst.all_edges()}
+    cond = dict(marg) if event is None else {e: moments.edge(e) for e in marg}
     v_out = {v: moments.vertex(v)[1] for i in range(inst.ell) for v in inst.vertices(i)}
     v_in = {v: moments.vertex(v)[0] for i in range(1, inst.ell + 1) for v in inst.vertices(i)}
     return MomentReport(event, marg, cond, v_out, v_in)

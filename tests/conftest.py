@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mmda_lab.instances import build_mmda, make_params
-from mmda_lab.relaxations import assignment_solution, subtree_solutions
+from mmda_lab.relaxations import SubtreeFamily, assignment_solution
 from mmda_lab.shadow import shadow_model
 
 
@@ -39,7 +39,7 @@ def sol8(inst8):
 
 @pytest.fixture(scope="session")
 def family8(inst8):
-    return subtree_solutions(inst8)
+    return SubtreeFamily(inst8)
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,9 @@ from mmda_lab.instances import (build_config_lp_gap, build_depth3_example,
                                 desiderata_identities, make_params)
 from mmda_lab.integral import (bruteforce_best, counting_certificate,
                                single_path_solution, solution_quality)
-from mmda_lab.relaxations import (assignment_solution, check_helper_lemma,
-                                  closed_form_paths, count_paths_from,
-                                  path_solution, subtree_solutions,
+from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
+                                  check_helper_lemma, closed_form_paths,
+                                  count_paths_from, path_solution,
                                   verify_assignment, verify_path_hierarchy)
 from mmda_lab.restricted import (build_lower_bound, integral_optimum,
                                  map_sa1_to_davies, matching_lift,
@@ -70,7 +70,7 @@ def test_criterion_02_desiderata_identities():
 def test_criterion_03_subtree_solutions():
     for m in (8, 12):
         inst = build_mmda(make_params(m, Fraction(1, 4)))
-        fam = subtree_solutions(inst)
+        fam = SubtreeFamily(inst)
         for f in inst.all_edges():
             rep = verify_assignment(inst, fam.solution_for(f), root=f[1])
             assert rep.ok and not rep.undecided, (m, f)

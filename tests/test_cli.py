@@ -1,10 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from mmda_lab.cli import (EXIT_FAIL, EXIT_PASS, EXIT_UNDECIDED, EXIT_USAGE,
                           _dumps, main, parse_rational)
+from mmda_lab.scalars import full_int_digits
 
 
 def run(tmp_path, *argv):
@@ -31,6 +33,15 @@ class TestCommands:
         assert code == EXIT_PASS
         assert data["instance"]["layers"][2]["size"] == 70
         assert data["schema_version"] == 1
+
+    def test_build_writes_integers_past_the_digit_limit(self, tmp_path):
+        # C(16000, 8000) has 4,815 digits, past CPython's default
+        # int-to-str limit of 4,300
+        out = tmp_path / "report.json"
+        assert main(["build", "--m", "16000", "--out", str(out)]) == EXIT_PASS
+        with full_int_digits():
+            size = json.loads(out.read_text())["instance"]["layers"][2]["size"]
+            assert str(size) == str(math.comb(16000, 8000))
 
     def test_build_rejects_bad_params(self, tmp_path):
         code = main(["build", "--m", "9", "--rho", "1/4",
@@ -162,8 +173,22 @@ class TestCommands:
 MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",
                       "shadow-sample", "certificate", "locally-good")
 
+# instance files that are not instances: no layers, not an object, a depth
+# that is not 3/eps, an edge to an unlisted vertex and a vertex with no k
+MALFORMED = {
+    "EMPTY": {},
+    "LIST": [1, 2],
+    "ELL4": {"kind": "labeled",
+             "params": {"m": 8, "rho": "1/4", "epsilon": "1", "ell": 4}},
+    "EDGE": {"kind": "explicit", "layers": [[[0, 0]], [[1, 0]]],
+             "edges": [[[0, 0], [5, 7]]], "k": [[[0, 0], {"exact": "1"}]]},
+    "NOK": {"kind": "explicit", "layers": [[[0, 0]], [[1, 0]]],
+            "edges": [[[0, 0], [1, 0]]], "k": []},
+}
+
 # inputs that must end in a usage error; EXPLICIT stands for a built
-# explicit (non-mmda) instance file, MISSING for a path that does not exist
+# explicit (non-mmda) instance file, MISSING for a path that does not exist,
+# and a MALFORMED key for that document
 REJECTED = (
     [[cmd, "--kind", "example"] for cmd in MMDA_ONLY_COMMANDS]
     + [[cmd, "--instance-file", "EXPLICIT"] for cmd in MMDA_ONLY_COMMANDS]
@@ -173,6 +198,7 @@ REJECTED = (
        ["build", "--eps", "-1"], ["build", "--m", "0"], ["build", "--ell", "0"],
        ["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"],
        ["build", "--instance-file", "MISSING"],
+       *[["build", "--instance-file", name] for name in MALFORMED],
        ["verify-paths", "--m", "4", "--rounds", "-1"],
        # irrational requirements have no integral search
        ["bruteforce", "--m", "8", "--eps", "1/2"],
@@ -208,6 +234,10 @@ class TestRejectedInputs:
         assert main(["build", "--kind", "example",
                      "--out", str(explicit)]) == EXIT_PASS
         paths = {"EXPLICIT": str(explicit), "MISSING": str(tmp_path / "missing.json")}
+        for name, doc in MALFORMED.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
         argv = [paths.get(a, a) for a in argv]
         code = main([*argv, "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
@@ -224,7 +254,7 @@ class TestRejectedInputs:
         assert f"argument {flag}:" in capsys.readouterr().err
 
 
-INSTANCE = ["--ell", "--eps", "--instance-file", "--m", "--rho"]
+INSTANCE = ["--eps", "--instance-file", "--m", "--rho"]
 COMMON = ["--format", "--out"]
 OPTIONS = {
     "build": INSTANCE + ["--k", "--kind"],
@@ -254,7 +284,17 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 114
+    assert sum(map(len, surface.values())) == 105
+
+
+def test_public_surface():
+    # the names the package exports; a new one must be added here
+    import mmda_lab
+    assert sorted(mmda_lab.__all__) == [
+        "InstanceParams", "Interval", "LabeledInstance", "Monomial", "Scalar",
+        "__version__", "build_config_lp_gap", "build_depth3_example",
+        "build_mmda", "build_subtree_counterexample", "compare_certified",
+        "make_params"]
 
 
 class TestDeterminism:

@@ -74,15 +74,6 @@ class TestCounterexample:
 
 
 class TestSolutionView:
-    def test_path_view_prefix_closed(self):
-        ex = build_depth3_example()
-        res = bruteforce_best(ex)
-        paths = res.solution.source_paths(ex)
-        pset = {p for p in paths}
-        for p in paths:
-            if len(p) > 2:
-                assert p[:-1] in pset
-
     def test_structure_rejects_double_in_degree(self, inst4):
         v1, v2 = (1, 0), (1, 1)
         w = next(w for w in inst4.out_neighbors(v1)

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mmda_lab.instances import build_mmda, make_params
-from mmda_lab.relaxations import (SparseSolution, assignment_solution,
-                                  check_helper_lemma, closed_form_paths,
-                                  count_paths, max_paths_between_layers,
-                                  path_solution, sink_inflow,
-                                  subtree_solutions, verify_assignment,
+from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
+                                  assignment_solution, check_helper_lemma,
+                                  closed_form_paths, count_paths,
+                                  max_paths_between_layers, path_solution,
+                                  sink_inflow, verify_assignment,
                                   verify_path_hierarchy)
 from mmda_lab.scalars import compare_certified
 
@@ -111,7 +111,7 @@ class TestSubtreeFamily:
 
     def test_rejects_deep_instance(self, inst16_deep):
         with pytest.raises(Exception):
-            subtree_solutions(inst16_deep)
+            SubtreeFamily(inst16_deep)
 
 
 class TestPathSolution:

@@ -8,8 +8,8 @@ from mmda_lab.scalars import (DEFAULT_PRECISION, EQ, GT, LT, MONO_ONE, UNDECIDED
                               Interval, Monomial, PrecisionCapExceeded, _atanh_bounds,
                               _exp_bounds, _ln2_bounds, as_fraction, as_scalar,
                               compare_certified, entropy_interval, exp2_interval,
-                              floor_log2, iv_add, iv_mul, log2_binomial,
-                              log2_interval, round_dyadic, scalar_to_json, to_interval)
+                              floor_log2, iv_add, iv_mul, log2_interval,
+                              round_dyadic, scalar_to_json, to_interval)
 
 
 def near(iv, x, eps=1e-12):
@@ -165,30 +165,29 @@ class TestCompareProperties:
 
 
 class TestLog2Binomial:
+    """log2_interval on exact binomials, the sizes the layered instances
+    take logarithms of."""
+
     def test_known_values(self):
-        assert near(log2_binomial(8, 2), math.log2(28))
-        assert near(log2_binomial(4, 2), math.log2(6))
-        assert log2_binomial(5, 0).contains(0)
-        assert log2_binomial(7, 7).contains(0)
+        assert near(log2_interval(Fraction(math.comb(8, 2))), math.log2(28))
+        assert near(log2_interval(Fraction(math.comb(4, 2))), math.log2(6))
+        assert log2_interval(Fraction(math.comb(5, 0))).contains(0)
+        assert log2_interval(Fraction(math.comb(7, 7))).contains(0)
 
     def test_enclosure_contains_exact_binomial(self):
         # exp2 of the enclosure must contain the integer C(n, k); a sign
         # certified at 64 bits stays certified, so low precision suffices
         for n in range(0, 65):
             for k in range(0, n + 1):
-                iv = log2_binomial(n, k, prec=64)
+                iv = log2_interval(Fraction(math.comb(n, k)), 64)
                 back = exp2_interval(iv)
                 assert back.lo <= math.comb(n, k) <= back.hi, (n, k)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            log2_binomial(4, 6)
+            log2_interval(Fraction(0))
         with pytest.raises(ValueError):
-            log2_binomial(4, -1)
-
-    def test_width_tolerance(self):
-        iv = log2_binomial(40, 17, tol=Fraction(1, 10 ** 30))
-        assert iv.width <= Fraction(1, 10 ** 30)
+            log2_interval(Fraction(-1, 3))
 
 
 class TestEntropy:
