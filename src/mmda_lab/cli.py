@@ -171,7 +171,8 @@ def _to_csv(payload: dict) -> str:
 def _instance_from_args(args):
     path = getattr(args, "instance_file", None)
     if path:
-        with open(path) as fh:
+        # a build report writes integers in full, past the int digit limit
+        with open(path) as fh, full_int_digits():
             data = json.load(fh)
         if isinstance(data, dict):
             data = data.get("instance", data)

@@ -272,12 +272,14 @@ class LabeledInstance(LayeredInstance):
     def _table(self, i: int) -> tuple[list[int], dict[int, int]] | None:
         """Layer i's labels by rank and ranks by label, built on first use;
         None above LABEL_TABLE_MAX vertices.  For a fixed label size, colex
-        order is increasing-mask order."""
+        order is increasing-mask order, and the combinations of the bits
+        from the highest down come in decreasing-mask order."""
         t = self._tables[i]
         if t is None and self._sizes[i] <= LABEL_TABLE_MAX:
-            bits = [1 << b for b in range(self.params.m)]
-            masks = sorted(map(sum, combinations(bits, self.params.label_size(i))))
-            t = self._tables[i] = (masks, {mask: r for r, mask in enumerate(masks)})
+            bits = [1 << b for b in reversed(range(self.params.m))]
+            masks = list(map(sum, combinations(bits, self.params.label_size(i))))
+            masks.reverse()
+            t = self._tables[i] = (masks, dict(zip(masks, range(len(masks)))))
         return t
 
     def label(self, v: Vertex) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,25 +39,63 @@ class IndependentFamily:
         yield f, Fraction(1)
 
 
+def _grouped_product(factor, terms) -> Fraction:
+    """The product of ``factor(*t)`` over ``terms``, each distinct term
+    evaluated once and raised to its multiplicity, reduced once at the
+    end.  Terms are grouped by the identity of their values: a model's x
+    values and a family's support values repeat as shared objects, kept
+    alive here meanwhile."""
+    groups: dict[tuple, list] = {}
+    for t in terms:
+        hit = groups.get(key := tuple(map(id, t)))
+        if hit is None:
+            groups[key] = [t, 1]
+        else:
+            hit[1] += 1
+    num = den = 1
+    for t, n in groups.values():
+        q = factor(*t)
+        num *= q.numerator ** n
+        den *= q.denominator ** n
+    return Fraction(num, den)
+
+
 class ShadowModel:
     """Exact moments for a base solution x and a family of relocated
     solutions; every family provides ``support(f)``, the edges trigger f
-    activates with their values, and its transpose ``triggers_of(e)``."""
+    activates with their values, and its transpose ``triggers_of(e)``.
+
+    On a labelled instance with a layer-valued base solution and the
+    subtree or independent family, every value depends on labels only
+    through their intersection sizes, so the model is ``symmetric``: it is
+    invariant under the permutations S_m of the ground set.  S_m acts
+    transitively on the edges of each layer, so an edge's survival and
+    marginal are its layer's.
+    """
 
     def __init__(self, inst: LayeredInstance, x, family):
         self.inst = inst
         self.x = x
         self.family = family
+        self.symmetric = (isinstance(inst, LabeledInstance) and isinstance(x, LayerSolution)
+                          and isinstance(family, (SubtreeFamily, IndependentFamily)))
         self._xcache: dict[Edge, Fraction] = {}
+        self._fractions: dict = {}          # base value -> its one Fraction
         self._triggers: dict[Edge, dict[Edge, Fraction]] = {}
-        self._survival: dict[Edge, Fraction] = {}
-        self._marginal: dict[Edge, Fraction] = {}
+        self._survival: dict = {}               # edge, or layer if symmetric
+        self._marginal: dict = {}
+        self._pair_absent: dict[tuple[Edge, Edge], Fraction] = {}
+        self._survival_pairs: dict[tuple, Fraction] = {}
 
     # --- plumbing ---------------------------------------------------------
     def x_of(self, e: Edge) -> Fraction:
         v = self._xcache.get(e)
         if v is None:
-            v = self._xcache[e] = as_fraction(self.x.value(e))
+            val = self.x.value(e)
+            v = self._fractions.get(val)
+            if v is None:
+                v = self._fractions[val] = as_fraction(val)
+            self._xcache[e] = v
         return v
 
     def triggers_of(self, e: Edge) -> dict[Edge, Fraction]:
@@ -70,35 +108,52 @@ class ShadowModel:
     def _support_arrays(self) -> _SupportArrays:
         return _SupportArrays(self)
 
+    def _orbit(self, e: Edge):
+        """The key of e's orbit under the model's symmetry: its layer when
+        the model is symmetric, else e itself."""
+        return e[1][0] if self.symmetric else e
+
     # --- exact moments -----------------------------------------------------
     def survival(self, e: Edge) -> Fraction:
         """P[e not in A]."""
-        s = self._survival.get(e)
+        key = self._orbit(e)
+        s = self._survival.get(key)
         if s is None:
-            s = Fraction(1)
-            for f, val in self.triggers_of(e).items():
-                s *= 1 - self.x_of(f) * val
-            self._survival[e] = s
+            s = self._survival[key] = _grouped_product(
+                lambda xf, v: 1 - xf * v,
+                ((self.x_of(f), val) for f, val in self.triggers_of(e).items()))
         return s
 
     def marginal(self, e: Edge) -> Fraction:
-        m = self._marginal.get(e)
+        key = self._orbit(e)
+        m = self._marginal.get(key)
         if m is None:
-            m = self._marginal[e] = 1 - self.survival(e)
+            m = self._marginal[key] = 1 - self.survival(e)
         return m
 
     def pair_absent(self, e1: Edge, e2: Edge) -> Fraction:
-        """P[e1 not in A and e2 not in A]."""
+        """P[e1 not in A and e2 not in A], kept per pair: the two signs of
+        an event ask for the same pairs."""
         if e1 == e2:
             return self.survival(e1)
-        if self.survival(e1) == 0 or self.survival(e2) == 0:
-            return Fraction(0)
-        t1, t2 = self.triggers_of(e1), self.triggers_of(e2)
-        p = self.survival(e1) * self.survival(e2)
-        for f in t1.keys() & t2.keys():
-            xf, v1, v2 = self.x_of(f), t1[f], t2[f]
-            joint = 1 - xf * (v1 + v2 - v1 * v2)
-            p *= joint / ((1 - xf * v1) * (1 - xf * v2))
+        p = self._pair_absent.get((e1, e2))
+        if p is None:
+            p = self._both_survive(e1, e2)
+            if p:
+                t1, t2 = self.triggers_of(e1), self.triggers_of(e2)
+                p *= _grouped_product(
+                    lambda xf, v1, v2: ((1 - xf * (v1 + v2 - v1 * v2))
+                                        / ((1 - xf * v1) * (1 - xf * v2))),
+                    ((self.x_of(f), t1[f], t2[f]) for f in t1.keys() & t2.keys()))
+            self._pair_absent[e1, e2] = p
+        return p
+
+    def _both_survive(self, e1: Edge, e2: Edge) -> Fraction:
+        """survival(e1) * survival(e2), kept per pair of orbits."""
+        key = (self._orbit(e1), self._orbit(e2))
+        p = self._survival_pairs.get(key)
+        if p is None:
+            p = self._survival_pairs[key] = self.survival(e1) * self.survival(e2)
         return p
 
     def pair_probability(self, e1: Edge, e2: Edge) -> Fraction:
@@ -172,84 +227,180 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
     return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
 
 
-def _atoms(cells: list[int], *sets: int) -> list[int]:
-    """The disjoint ``cells`` split by each of ``sets`` in turn: the Venn
-    atoms of the sets inside each cell."""
-    for s in sets:
-        cells = [c & s for c in cells] + [c & ~s for c in cells]
-    return cells
+@lru_cache(maxsize=4096)
+def _splits(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every vector of nonnegative integers, entry-wise at most ``caps``,
+    that sums to ``total``."""
+    if not caps:
+        return ((),) if total == 0 else ()
+    rest = caps[1:]
+    return tuple((k, *tail) for k in range(max(0, total - sum(rest)), min(caps[0], total) + 1)
+                 for tail in _splits(total - k, rest))
+
+
+@lru_cache(maxsize=4096)
+def _steps(ks: tuple[int, ...], caps: tuple[int, ...], step: int,
+           grow: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The labels one step from a label with ``ks`` elements in cells of
+    sizes ``caps``: ``step`` elements added (``grow``) or removed, split
+    over the cells.  Each split gives the new sizes and its number of
+    labels, a product of binomials (per cell, an intersection number of
+    the Johnson scheme)."""
+    room = tuple(c - k for c, k in zip(caps, ks)) if grow else ks
+    sign = 1 if grow else -1
+    return tuple((tuple(k + sign * d for k, d in zip(ks, f)), math.prod(map(math.comb, room, f)))
+                 for f in _splits(step, room))
+
+
+def _weighted_sum(terms) -> Fraction:
+    """The sum of n * q over the pairs (n, q), over the lcm of the
+    denominators and reduced once: values under one event share most of
+    their denominators, so this saves a gcd of long integers per term."""
+    terms = list(terms)
+    den = 1
+    for _, q in terms:
+        den *= q.denominator // math.gcd(den, q.denominator)
+    return Fraction(sum(n * q.numerator * (den // q.denominator) for n, q in terms), den)
 
 
 class _EventMoments:
     """Conditional edge probabilities and vertex in/out sums under one
-    event (None: unconditioned), each computed once per orbit class.
+    event (None: unconditioned), each computed once per class of a
+    partition of the vertices that the model's values respect.  An edge's
+    class is the pair of its end classes, evaluated at its representative
+    edge, and a vertex's sums add each neighbour class times its count.
 
-    On a labelled instance with a layer-valued base solution and the
-    subtree or independent family, the model is invariant under the
-    permutations S_m of the ground set, so a value under the event on the
-    edge with labels (A, B) is constant on the orbits of the stabiliser of
-    (A, B) (Gatermann & Parrilo 2004).  An edge's orbit is fixed by its
-    layer and the Venn atom sizes of (L(u), L(v), A, B), a vertex's by its
-    layer and those of (L(v), A, B).  Any other model keys by the edge or
-    vertex itself.
+    Here every class is one vertex, so every vertex and edge is walked.
     """
 
     def __init__(self, model: ShadowModel, event: ConditionEvent | None):
         self.model = model
         self.event = event
-        inst = model.inst
-        if (isinstance(inst, LabeledInstance) and isinstance(model.x, LayerSolution)
-                and isinstance(model.family, (SubtreeFamily, IndependentFamily))):
-            label = inst.label
-            ab = (label(event.edge[0]), label(event.edge[1])) if event else (0, 0)
-            cells = _atoms([(1 << inst.params.m) - 1], *ab)
+        self._edge: dict[tuple, Fraction] = {}
+        self._sums: dict = {}
 
-            def sizes(*sets: int) -> tuple:
-                return tuple(c.bit_count() for c in _atoms(cells, *sets))
+    def key(self, v: Vertex):
+        """The class of v."""
+        return v
 
-            self.edge_key = lambda e: (e[1][0], sizes(label(e[0]), label(e[1])))
-            self.vertex_key = lambda v: (v[0], sizes(label(v)))
-        else:
-            self.edge_key = self.vertex_key = lambda x: x
-        self._edge: dict = {}
-        self._vertex: dict = {}
+    def rep(self, cls) -> Vertex:
+        """The first vertex of ``cls`` in rank order."""
+        return cls
 
-    def edge(self, e: Edge) -> Fraction:
-        return self._value(self.edge_key(e), e)
+    def classes(self, i: int) -> list:
+        """Layer i's classes, in the rank order of their first vertices."""
+        return list(self.model.inst.vertices(i))
 
-    def _value(self, key, e: Edge) -> Fraction:
-        p = self._edge.get(key)
+    def _neighbours(self, cls, j: int) -> list:
+        """(class, count) of the neighbours in the adjacent layer j of a
+        vertex in ``cls``."""
+        inst = self.model.inst
+        near = inst.in_neighbors(cls) if j < cls[0] else inst.out_neighbors(cls)
+        return [(w, 1) for w in near]
+
+    def _value(self, tail, head) -> Fraction:
+        p = self._edge.get((tail, head))
         if p is None:
-            p = self._edge[key] = (self.model.marginal(e) if self.event is None else
-                                   self.model.conditional_probability(e, self.event))
+            e = (self.rep(tail), self.rep(head))
+            p = self._edge[tail, head] = (
+                self.model.marginal(e) if self.event is None
+                else self.model.conditional_probability(e, self.event))
         return p
 
-    def _sum(self, edges) -> Fraction:
-        """Sum over ``edges``: each class once, times its edge count."""
-        reps: dict = {}
-        for e in edges:
-            key = self.edge_key(e)
-            n, rep = reps.get(key, (0, e))
-            reps[key] = (n + 1, rep)
-        return sum((n * self._value(key, e) for key, (n, e) in reps.items()), Fraction(0))
+    def edge(self, e: Edge) -> Fraction:
+        return self._value(self.key(e[0]), self.key(e[1]))
+
+    def _class_sums(self, cls) -> tuple[Fraction, Fraction]:
+        sums = self._sums.get(cls)
+        if sums is None:
+            i = cls[0]                  # the layer, in either kind of class
+            ins = outs = Fraction(0)
+            if i > 0:
+                ins = _weighted_sum((n, self._value(c, cls))
+                                    for c, n in self._neighbours(cls, i - 1))
+            if i < self.model.inst.ell:
+                outs = _weighted_sum((n, self._value(cls, c))
+                                     for c, n in self._neighbours(cls, i + 1))
+            sums = self._sums[cls] = (ins, outs)
+        return sums
 
     def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
         """(sum over the in-edges, sum over the out-edges) of v."""
-        key = self.vertex_key(v)
-        sums = self._vertex.get(key)
-        if sums is None:
-            inst = self.model.inst
-            sums = self._vertex[key] = (self._sum((u, v) for u in inst.in_neighbors(v)),
-                                        self._sum((v, w) for w in inst.out_neighbors(v)))
-        return sums
+        return self._class_sums(self.key(v))
+
+    def first_vertices(self, i: int):
+        """(v, vertex(v)) for the first vertex of each class of layer i, in
+        rank order; every other vertex repeats its class's sums."""
+        return ((self.rep(c), self._class_sums(c)) for c in self.classes(i))
+
+
+class _OrbitMoments(_EventMoments):
+    """The classes of a symmetric model: the orbits of the stabiliser of
+    the event edge's labels (A, B), enumerated without walking a vertex.
+
+    The stabiliser is the product of the symmetric groups of the Venn
+    atoms ("cells") of A and B, and the model's values are constant on its
+    orbits (Gatermann & Parrilo 2004).  A vertex class is its layer with
+    the sizes k_c of L(v) in each cell c; it holds prod_c C(|c|, k_c)
+    vertices.  Labels of adjacent layers nest, so the neighbours of a
+    vertex split over the cells as the one-step label change does, with
+    binomial counts (the intersection numbers of the Johnson scheme,
+    Delsarte 1973).  The cost depends on the number of classes, not of
+    vertices.  A class is represented by the lowest k_c bits of each cell
+    c, its first vertex in rank order since colex order is increasing-mask
+    order; the representatives of two adjacent classes are the ends of an
+    edge.
+    """
+
+    def __init__(self, model: ShadowModel, event: ConditionEvent | None):
+        super().__init__(model, event)
+        inst = model.inst
+        cells = [(1 << inst.params.m) - 1]
+        if event is not None:
+            for s in map(inst.label, event.edge):
+                cells = [c & s for c in cells] + [c & ~s for c in cells]
+        self.cells = [c for c in cells if c]
+        self.caps = tuple(c.bit_count() for c in self.cells)
+        self._reps: dict[tuple, Vertex] = {}
+
+    def key(self, v: Vertex) -> tuple:
+        label = self.model.inst.label(v)
+        return v[0], tuple((label & c).bit_count() for c in self.cells)
+
+    def rep(self, cls: tuple) -> Vertex:
+        v = self._reps.get(cls)
+        if v is None:
+            mask = 0
+            for c, k in zip(self.cells, cls[1]):
+                for _ in range(k):
+                    low = c & -c
+                    mask |= low
+                    c ^= low
+            v = self._reps[cls] = self.model.inst.vertex_with_label(cls[0], mask)
+        return v
+
+    def classes(self, i: int) -> list:
+        size = self.model.inst.params.label_size(i)
+        return sorted(((i, ks) for ks in _splits(size, self.caps)), key=self.rep)
+
+    def _neighbours(self, cls: tuple, j: int) -> list:
+        i, ks = cls
+        p = self.model.inst.params
+        grow = p.label_size(j) > p.label_size(i)
+        return [((j, to), n) for to, n in _steps(ks, self.caps, p.step, grow)]
+
+
+def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> _EventMoments:
+    """The orbit classes where the model is symmetric, else single vertices."""
+    return (_OrbitMoments if model.symmetric else _EventMoments)(model, event)
 
 
 def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:
     """Marginal and conditional probability of every edge, and every
     vertex's conditional out-sum (non-sinks) and in-sum (non-sources)."""
     inst = model.inst
-    marginals = _EventMoments(model, None)
-    moments = marginals if event is None else _EventMoments(model, event)
+    marginals = _event_moments(model, None)
+    moments = marginals if event is None else _event_moments(model, event)
     marg = {e: marginals.edge(e) for e in inst.all_edges()}
     cond = dict(marg) if event is None else {e: moments.edge(e) for e in marg}
     v_out = {v: moments.vertex(v)[1] for i in range(inst.ell) for v in inst.vertices(i)}
@@ -295,19 +446,13 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
             skipped += 1
             continue
         checked += 1
-        moments = _EventMoments(model, ev)
-        seen = set()
+        moments = _event_moments(model, ev)
         for i in range(inst.ell + 1):
-            for v in inst.vertices(i):
-                # a vertex of a class met before has the same slack and
-                # packing, so the strict comparisons below, which keep the
-                # first vertex in (layer, rank) order to reach an extreme,
-                # cannot move on it
-                key = moments.vertex_key(v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pack, out = moments.vertex(v)
+            # a vertex of a class met before has the same slack and packing,
+            # so the strict comparisons below, which keep the first vertex
+            # in (layer, rank) order to reach an extreme, need only the
+            # first vertex of each class
+            for v, (pack, out) in moments.first_vertices(i):
                 inflow = Fraction(1) if v == inst.source else pack
                 if i < inst.ell and inflow > 0:
                     kv = as_fraction(inst.k_of(v))

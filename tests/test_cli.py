@@ -43,6 +43,13 @@ class TestCommands:
             size = json.loads(out.read_text())["instance"]["layers"][2]["size"]
             assert str(size) == str(math.comb(16000, 8000))
 
+    def test_instance_file_reads_integers_past_the_digit_limit(self, tmp_path):
+        built, again = tmp_path / "built.json", tmp_path / "again.json"
+        assert main(["build", "--m", "16000", "--out", str(built)]) == EXIT_PASS
+        assert main(["build", "--instance-file", str(built),
+                     "--out", str(again)]) == EXIT_PASS
+        assert again.read_bytes() == built.read_bytes()
+
     def test_build_rejects_bad_params(self, tmp_path):
         code = main(["build", "--m", "9", "--rho", "1/4",
                      "--out", str(tmp_path / "x.json")])

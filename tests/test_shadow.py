@@ -8,14 +8,15 @@ import pytest
 
 from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
                                 make_params)
-from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
+from mmda_lab.relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
                                   assignment_solution)
+from mmda_lab.scalars import as_fraction
 from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, CounterexampleFamily,
                              EmpiricalReport, IndependentFamily, ShadowModel,
-                             check_no_edge_dominates, conditional_report,
-                             counterexample_shadow_model, draw_one,
-                             independent_model, sa1_certificate, sample,
-                             shadow_model, two_layer_rounding_control)
+                             _event_moments, check_no_edge_dominates,
+                             conditional_report, counterexample_shadow_model,
+                             draw_one, independent_model, sa1_certificate,
+                             sample, shadow_model, two_layer_rounding_control)
 
 
 def oracle_joint(model, ea, eb):
@@ -144,6 +145,90 @@ def oracle_draw(model, seed, index):
             if h:
                 multiplicity[e] = multiplicity.get(e, 0) + 1
     return frozenset(shadow), triggered, multiplicity
+
+
+class OrbitWalk:
+    """The orbit-keyed vertex walk: every vertex and edge is visited and
+    keyed by its layer and the Venn atom sizes of its labels against the
+    event's (A, B); each key is evaluated once, at the first edge met, and
+    a vertex's sums group its edges by key.  The reference for the class
+    engine, which enumerates the same classes without walking."""
+
+    def __init__(self, model, event):
+        self.model, self.event = model, event
+        inst = model.inst
+        label = inst.label
+        cells = [(1 << inst.params.m) - 1]
+        for s in (label(event.edge[0]), label(event.edge[1])) if event else ():
+            cells = [c & s for c in cells] + [c & ~s for c in cells]
+
+        def sizes(*sets):
+            atoms = cells
+            for s in sets:
+                atoms = [c & s for c in atoms] + [c & ~s for c in atoms]
+            return tuple(c.bit_count() for c in atoms)
+
+        self.edge_key = lambda e: (e[1][0], sizes(label(e[0]), label(e[1])))
+        self.vertex_key = lambda v: (v[0], sizes(label(v)))
+        self._edge, self._vertex = {}, {}
+
+    def _value(self, key, e):
+        if key not in self._edge:
+            self._edge[key] = (self.model.marginal(e) if self.event is None else
+                               self.model.conditional_probability(e, self.event))
+        return self._edge[key]
+
+    def edge(self, e):
+        return self._value(self.edge_key(e), e)
+
+    def _sum(self, edges):
+        reps = {}
+        for e in edges:
+            key = self.edge_key(e)
+            n, rep = reps.get(key, (0, e))
+            reps[key] = (n + 1, rep)
+        return sum((n * self._value(key, e) for key, (n, e) in reps.items()), Fraction(0))
+
+    def vertex(self, v):
+        key = self.vertex_key(v)
+        if key not in self._vertex:
+            inst = self.model.inst
+            self._vertex[key] = (self._sum((u, v) for u in inst.in_neighbors(v)),
+                                 self._sum((v, w) for w in inst.out_neighbors(v)))
+        return self._vertex[key]
+
+    def first_vertices(self):
+        """(v, (in-sum, out-sum)) for the first vertex of each class in
+        (layer, rank) order."""
+        inst, seen, out = self.model.inst, set(), []
+        for i in range(inst.ell + 1):
+            for v in inst.vertices(i):
+                key = self.vertex_key(v)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((v, self.vertex(v)))
+        return out
+
+
+def walk_sa1(model, events):
+    """sa1_certificate's extremes and worst locations over the walk."""
+    inst = model.inst
+    min_cov = max_pack = worst_cov = worst_pack = None
+    for ev in events:
+        for v, (pack, out) in OrbitWalk(model, ev).first_vertices():
+            inflow = Fraction(1) if v == inst.source else pack
+            if v[0] < inst.ell and inflow > 0:
+                slack = out / (as_fraction(inst.k_of(v)) * inflow)
+                if min_cov is None or slack < min_cov:
+                    min_cov, worst_cov = slack, (ev.label(), v)
+            if v != inst.source and (max_pack is None or pack > max_pack):
+                max_pack, worst_pack = pack, (ev.label(), v)
+    return min_cov, max_pack, worst_cov, worst_pack
+
+
+def class_first_vertices(model, event):
+    moments = _event_moments(model, event)
+    return [pair for i in range(model.inst.ell + 1) for pair in moments.first_vertices(i)]
 
 
 def layer_events(inst):
@@ -484,6 +569,54 @@ class TestOrbitQuotient:
         mr = conditional_report(model8, None)
         assert mr.conditional == mr.marginals
         assert mr.marginals == {e: model8.marginal(e) for e in inst8.all_edges()}
+
+
+class TestClassEngine:
+    """The class engine against the orbit-keyed walk: the same classes,
+    first vertices, exact sums and sa1 extremes."""
+
+    def test_every_vertex_and_edge_m8(self, inst8, model8):
+        for ev in [None, *layer_events(inst8)]:
+            mr = conditional_report(model8, ev)
+            walk = OrbitWalk(model8, ev)
+            assert mr.conditional == {e: walk.edge(e) for e in inst8.all_edges()}
+            assert mr.vertex_in == {v: walk.vertex(v)[0] for v in mr.vertex_in}
+            assert mr.vertex_out == {v: walk.vertex(v)[1] for v in mr.vertex_out}
+
+    @pytest.mark.parametrize("m", [8, 12, 16])
+    def test_classes_and_extremes(self, m):
+        model = shadow_model(build_mmda(make_params(m, Fraction(1, 4))))
+        events = layer_events(model.inst)
+        for ev in events:
+            assert class_first_vertices(model, ev) == OrbitWalk(model, ev).first_vertices()
+        res = sa1_certificate(model, Fraction(1, 100), Fraction(8), events=events)
+        assert (res.min_covering_slack, res.max_packing_sum,
+                res.worst_covering, res.worst_packing) == walk_sa1(model, events)
+
+    def test_deep_independent_model(self, inst8_deep):
+        # ell=6: labels grow for four layers and shrink for two; the
+        # assignment values are irrational here, so the base is rational
+        x = LayerSolution(inst8_deep, [None, *(Fraction(1, i + 1) for i in range(1, 7))])
+        model = independent_model(inst8_deep, x)
+        for ev in layer_events(inst8_deep)[::3]:
+            assert class_first_vertices(model, ev) == OrbitWalk(model, ev).first_vertices()
+
+    def test_class_sizes_count_every_vertex(self, inst12):
+        moments = _event_moments(shadow_model(inst12), layer_events(inst12)[2])
+        for i in range(inst12.ell + 1):
+            sizes = [math.prod(map(math.comb, moments.caps, ks))
+                     for _, ks in moments.classes(i)]
+            assert sum(sizes) == inst12.layer_size(i)
+
+    def test_first_vertex_is_lowest_rank_of_its_class(self, inst8, model8):
+        ev = layer_events(inst8)[4]
+        moments, walk = _event_moments(model8, ev), OrbitWalk(model8, ev)
+        first = {}
+        for i in range(inst8.ell + 1):
+            for v in inst8.vertices(i):
+                first.setdefault(walk.vertex_key(v), v)
+        assert sorted(first.values()) == [v for i in range(inst8.ell + 1)
+                                          for v, _ in moments.first_vertices(i)]
 
 
 class TestBatchedSampler:

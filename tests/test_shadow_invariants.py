@@ -2,6 +2,7 @@
 controls that show where its key property comes from and where it breaks.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -124,7 +125,7 @@ class TestFullConditionalSweep:
         assert res.worst_covering[0] == "+1.0>2.0"
         assert res.max_packing_sum == MAX_PACKING_SUM
         assert res.worst_packing[0] == "+2.0>3.0"
-        assert dt < 120, dt
+        assert dt < 15, dt
         # the six events of `sa1-report --events layers` reach the same
         # extremes as the full sweep
         out = tmp_path / "sa1.json"
@@ -134,3 +135,34 @@ class TestFullConditionalSweep:
         assert data["events_checked"] == 6
         assert Fraction(data["min_covering_slack"]["exact"]) == MIN_COVERING_SLACK
         assert Fraction(data["max_packing_sum"]["exact"]) == MAX_PACKING_SUM
+
+
+# sha256 of the exact strings of `sa1-report --m 20 --events layers`:
+# 5,357 and 10,861 characters
+M20_MIN_COVERING_SLACK_SHA256 = \
+    "544c810575dc1e90d01c418b27f7c99c1cfa9fa190302b8f37edfe2c85da952f"
+M20_MAX_PACKING_SUM_SHA256 = \
+    "b7a7e1252bd38af5139f8d1f4c2f3c31af35a19ad7fd464cf29a56960f6b8cb0"
+
+
+class TestSa1AtM20:
+    def test_recorded_extremes(self, tmp_path):
+        # the six layer events reach the slack and packing extremes at the
+        # same locations as at m=8; the class engine takes seconds here
+        out = tmp_path / "sa1.json"
+        t0 = time.monotonic()
+        assert main(["sa1-report", "--m", "20", "--events", "layers",
+                     "--out", str(out)]) == 0
+        dt = time.monotonic() - t0
+        data = json.loads(out.read_text())
+        cov, pack = data["min_covering_slack"], data["max_packing_sum"]
+        assert hashlib.sha256(cov["exact"].encode()).hexdigest() \
+            == M20_MIN_COVERING_SLACK_SHA256
+        assert hashlib.sha256(pack["exact"].encode()).hexdigest() \
+            == M20_MAX_PACKING_SUM_SHA256
+        assert round(cov["approx"], 5) == 0.50215
+        assert round(pack["approx"], 5) == 4.04676
+        assert data["worst_covering"] == ["+1.0>2.0", "(2, 0)"]
+        assert data["worst_packing"] == ["+2.0>3.0", "(3, 0)"]
+        assert data["events_checked"] == 6 and data["status"] == "pass"
+        assert dt < 10, dt
