@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
@@ -30,7 +31,7 @@ from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
 from .rounding import audit_locality, audit_to_json, sample_forest
-from .scalars import PrecisionCapExceeded, full_int_digits, scalar_to_json
+from .scalars import PrecisionCapExceeded, full_int_digits, precision_cap, scalar_to_json
 from .scans import scan_proof_function
 from .shadow import (ConditionEvent, check_seed, conditional_report, sa1_certificate,
                      sample, shadow_model)
@@ -475,6 +476,7 @@ def _add_instance_args(sub, kinds: tuple[str, ...], capped: bool):
         sub.add_argument("--size-cap", type=int, default=SIZE_CAP_DEFAULT)
 
 
+@cache  # built once per process, which may call main many times
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mmda-lab",
@@ -587,12 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        precision_cap()  # a bad MMDA_LAB_PRECISION_CAP fails every command alike
         return args.handler(args)
     except (InstanceError, EnumerationCapExceeded, ValueError,
             ZeroDivisionError, OSError) as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice
 
 from .instances import (Edge, InstanceError, LabeledInstance,
@@ -247,6 +248,11 @@ class PathSolution:
         self.x = assignment_solution(inst)
         self.dummy = (E0_TAIL, inst.source)
         self._classes: dict[tuple[int, int], Scalar] = {}
+        self._shared: dict[Scalar, Scalar] = {}
+
+    def shared(self, y: Scalar) -> Scalar:
+        """y as the one object kept for its value: equal check operands match by identity."""
+        return self._shared.setdefault(y, y)
 
     def value_class(self, first_layer: int, n_edges: int) -> Scalar:
         """Value of any path of n_edges edges whose first edge enters
@@ -258,7 +264,7 @@ class PathSolution:
             y = MONO_ONE if first_layer == 0 else self.x.layer_values[first_layer]
             for j in range(first_layer, first_layer + n_edges - 1):
                 y = y.mul(gamma[j])
-            self._classes[key] = y
+            self._classes[key] = y = self.shared(y)
         return y
 
     def value(self, path: tuple) -> Scalar:
@@ -505,6 +511,10 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         if len(p) > 1:
             by_prefix.setdefault(p[:-1], []).append(p)
 
+    # each product is built once and shared by value (see PathSolution.shared)
+    scaled = cache(lambda y, count: ps.shared(y.mul(Monomial.from_int(count))))
+    k_times = cache(lambda k, y: ps.shared(k.mul(y)))
+
     # (1) lifted covering
     for p in paths:
         if len(p) > t:
@@ -516,8 +526,8 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             rep.add(vacuous(f"lifted-covering:{_pid(p)}", "equality", 0, 0))
             continue
         child = ps.value(p + ((end, inst.out_neighbors(end)[0]),))
-        total = child.mul(Monomial.from_int(len(children)))
-        rhs = inst.k_of(end).mul(ps.value(p))
+        total = scaled(child, len(children))
+        rhs = k_times(inst.k_of(end), ps.value(p))
         rep.add(check_eq(f"lifted-covering:{_pid(p)}", total, rhs))
 
     # (2) lifted packing: group descendants of p by endpoint; value only
@@ -538,8 +548,7 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         first_layer = 0 if p[0] == ps.dummy else p[0][1][0]
         for v, count in sorted(ends.items()):
             extension = v[0] - p[-1][1][0]
-            y = ps.value_class(first_layer, len(p) + extension)
-            total = y.mul(Monomial.from_int(count))
+            total = scaled(ps.value_class(first_layer, len(p) + extension), count)
             rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints

@@ -24,16 +24,24 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 DEFAULT_PRECISION = 256
-PRECISION_CAP = int(os.environ.get("MMDA_LAB_PRECISION_CAP", "4096"))
 
 LT, EQ, GT, UNDECIDED = "<", "=", ">", "undecided"
 
 
 class PrecisionCapExceeded(ArithmeticError):
     """Raised when a comparison stays undecided at the precision cap."""
+
+
+@cache
+def precision_cap() -> int:
+    """MMDA_LAB_PRECISION_CAP, 4096 if unset, read once; ValueError unless an integer >= 64."""
+    text = os.environ.get("MMDA_LAB_PRECISION_CAP", "4096")
+    if not text.strip().isdecimal() or int(text) < 64:  # 64: the ladder's first rung
+        raise ValueError(f"MMDA_LAB_PRECISION_CAP must be an integer >= 64, not {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +79,22 @@ def _round_odd(x: int, odd: int, e: int, prec: int, up: bool) -> tuple[int, int]
     return (x + 1 if up and r else x), e
 
 
+def _round_ratio(num: int, den: int, prec: int, up: bool) -> Fraction:
+    # round_dyadic of num / den, den > 0, which need not be reduced
+    e = (den & -den).bit_length() - 1  # den = odd * 2**e
+    # a negative ratio rounds as -|ratio| toward the mirrored side
+    m, e = _round_odd(abs(num), den >> e, e, prec, up if num > 0 else not up)
+    m = m if num > 0 else -m
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+
 def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
     """Round x to a dyadic rational with ~prec significant bits.
 
     ``up=True`` rounds toward +inf, ``up=False`` toward -inf, so the
     result always brackets x from the requested side.
     """
-    n, d = x.numerator, x.denominator
-    if n == 0:
-        return Fraction(0)
-    e = (d & -d).bit_length() - 1  # d = odd * 2**e
-    # a negative x rounds as -|x| toward the mirrored side
-    m, e = _round_odd(abs(n), d >> e, e, prec, up if n > 0 else not up)
-    if n < 0:
-        m = -m
-    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+    return _round_ratio(x.numerator, x.denominator, prec, up)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +134,9 @@ class Interval:
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def round_out(self, prec: int | None = None) -> "Interval":
-        p = prec or self.prec
-        return Interval(round_dyadic(self.lo, p, up=False),
-                        round_dyadic(self.hi, p, up=True), p)
+    def round_out(self) -> "Interval":
+        return Interval(round_dyadic(self.lo, self.prec, up=False),
+                        round_dyadic(self.hi, self.prec, up=True), self.prec)
 
     def __repr__(self):
         return f"Interval({float(self.lo):.6g}, {float(self.hi):.6g})"
@@ -173,13 +181,15 @@ def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on atanh(z) for 0 <= z <= 1/2.
 
     Sums z^(2k+1)/(2k+1) until the next summand is at most 2**-(prec+4),
-    rounding the total down and the term up to prec+16 bits after each
+    rounding the total down and the term up to p = prec+16 bits after each
     step, then adds a geometric tail bound. The total is kept as
-    tn / 2**ta and the term as mn / (mo * 2**mb), where mo is the odd part
-    of z's denominator on the first step and 1 after it; each rounding is
-    one ``_round_odd`` (a shift and a mask test for a dyadic quotient, one
-    divmod by the small odd divisor otherwise). The returned Fractions are
-    identical to those of rounding every step with ``round_dyadic``.
+    tn / 2**ta and the term as mn / (mo * 2**mb), mo being the odd part of
+    z's denominator on the first step and 1 after it. Once tn has p bits,
+    a step adds (mn >> d) // (2k+1) to tn, d = mb - ta > 0, if that does not
+    carry into bit p (floor(floor(a/2**d)/q) = floor(a/(q*2**d))); a dyadic
+    z^2 rounds the term up by a shift and a mask. The first steps, a carry
+    and an odd divisor (z = 1/3) use ``_round_odd``. The Fractions returned
+    are those of rounding every step with ``round_dyadic``.
     """
     if not 0 <= z <= Fraction(1, 2):
         raise ValueError("atanh argument must lie in [0, 1/2]")
@@ -193,17 +203,22 @@ def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     zn, zo2, zb2 = n * n, zo * zo, 2 * zb  # z^2 = zn / (zo2 * 2**zb2)
     tn = ta = 0  # total
     mn, mo, mb = n, zo, zb  # term
-    k = 0
-    while mn << s > (mo * (2 * k + 1)) << mb:
-        # total += term / (2k+1), over the common exponent
-        q = mo * (2 * k + 1)
-        e = max(ta, mb)
-        x = ((tn * q) << (e - ta)) + (mn << (e - mb))
-        tn, ta = _round_odd(x, q, e, p, False)
-        # term *= z^2
-        mn, mb = _round_odd(mn * zn, mo * zo2, mb + zb2, p, True)
-        mo = 1
-        k += 1
+    k, q = 0, zo  # q = mo * (2k+1), the summand's odd divisor
+    while mn << s > q << mb:
+        # total += term / q, rounded down
+        if mb > ta and tn.bit_length() == p and (t := tn + (mn >> (mb - ta)) // q) >> p == 0:
+            tn = t
+        else:
+            e = max(ta, mb)
+            tn, ta = _round_odd(((tn * q) << (e - ta)) + (mn << (e - mb)), q, e, p, False)
+        # term *= z^2, rounded up
+        x, mb = mn * zn, mb + zb2
+        drop = x.bit_length() - p
+        if zo == 1 and drop > 0:
+            mn, mb = (x >> drop) + (x & ((1 << drop) - 1) != 0), mb - drop
+        else:
+            mn, mb = _round_odd(x, mo * zo2, mb, p, True)
+        mo, k, q = 1, k + 1, 2 * k + 3
     # remainder: sum_{j>=k} z^(2j+1)/(2j+1) <= term/( (2k+1) (1-z^2) )
     td, md, zd = 1 << ta, mo << mb, zo2 << zb2
     q = md * (2 * k + 1) * (zd - zn)  # rem = mn * zd / q
@@ -227,26 +242,25 @@ def _log2_interval_cached(q: Fraction, prec: int) -> Interval:
     if q <= 0:
         raise ValueError("log2 of a non-positive value")
     e = floor_log2(q)
-    r = q / Fraction(1 << e) if e >= 0 else q * Fraction(1 << -e)
-    # r in [1, 2); ln r = 2 atanh((r-1)/(r+1)), z in [0, 1/3]
-    z = (r - 1) / (r + 1)
-    a_lo, a_hi = _atanh_bounds(round_dyadic(z, prec + 16, up=False), prec)
-    _, a_hi2 = _atanh_bounds(round_dyadic(z, prec + 16, up=True), prec)
+    # r = a/b in [1, 2); ln r = 2 atanh(z), z = (a-b)/(a+b) in [0, 1/3]
+    a, b = q.numerator << max(-e, 0), q.denominator << max(e, 0)
+    a_lo, a_hi = _atanh_bounds(_round_ratio(a - b, a + b, prec + 16, False), prec)
+    _, a_hi2 = _atanh_bounds(_round_ratio(a - b, a + b, prec + 16, True), prec)
     a_hi = max(a_hi, a_hi2)
     l2_lo, l2_hi = _ln2_bounds(prec)
-    # log2(q) = e + 2*atanh(z)/ln2, the fraction being >= 0
-    lo = e + (2 * a_lo) / l2_hi
-    hi = e + (2 * a_hi) / l2_lo
-    return Interval(lo, hi, prec).round_out()
+    # log2(q) = e + 2*atanh(z)/ln2, the fraction being >= 0, rounded once
+    def end(at, l2, up):
+        den = at.denominator * l2.numerator
+        return _round_ratio(e * den + 2 * at.numerator * l2.denominator, den, prec, up)
+    return Interval(end(a_lo, l2_hi, False), end(a_hi, l2_lo, True), prec)
 
 
 def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on exp(x) for |x| <= 1, each already rounded out to prec bits.
 
-    The integer sum is rounded once per endpoint by ``_round_odd`` (the
-    lower one is positive, as exp(x) >= 1/e here), so no gcd runs on its
-    long integers. Scaling by 2**n commutes with rounding to prec bits, so
-    ``exp2_interval``'s ``round_out`` at the same prec is unchanged.
+    The integer sum is rounded once per endpoint, unreduced, so no gcd runs
+    on its long integers; scaling by 2**n commutes with rounding to prec
+    bits, so ``exp2_interval``'s ``round_out`` at the same prec is unchanged.
     """
     if abs(x) > 1:
         raise ValueError("reduced exponential argument expected")
@@ -265,9 +279,7 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             break
     # |remainder| <= 2*|term| once |x|/(k+1) <= 1/2; plus tol
     rem = (2 * abs(num) << s) + den
-    z = (den & -den).bit_length() - 1  # den = odd * 2**z; -rem down, +rem up
-    ends = [_round_odd((t << s) + r, den >> z, z + s, prec, r > 0) for r in (-rem, rem)]
-    return tuple(Fraction(m, 1 << b) if b >= 0 else Fraction(m << -b) for m, b in ends)
+    return tuple(_round_ratio((t << s) + r, den << s, prec, r > 0) for r in (-rem, rem))
 
 
 @lru_cache(maxsize=4096)
@@ -499,13 +511,13 @@ def to_interval(x: Scalar | int, prec: int) -> Interval:
 
 
 def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
-                      cap: int = PRECISION_CAP) -> str:
+                      cap: int | None = None) -> str:
     """Certified ordering of two scalars.
 
     Exact operands escalate precision internally (doubling up to ``cap``,
-    then raising :class:`PrecisionCapExceeded`); a comparison involving an
-    opaque interval is answered at its stored precision and may return
-    ``"undecided"``.
+    ``precision_cap()`` by default, then raising :class:`PrecisionCapExceeded`);
+    a comparison involving an opaque interval is answered at its stored
+    precision and may return ``"undecided"``.
     """
     a, b = as_scalar(a), as_scalar(b)
     if isinstance(a, Interval) or isinstance(b, Interval):
@@ -543,7 +555,7 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
             diff = lambda p: iv_neg(inner(p))
 
     # a sign certified at low precision is still certified; start cheap
-    p = min(64, prec)
+    p, cap = min(64, prec), precision_cap() if cap is None else cap
     while True:
         s = diff(p).sign()
         if s is not None:

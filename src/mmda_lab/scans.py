@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import (DEFAULT_PRECISION, PRECISION_CAP, Interval,
-                      entropy_interval, iv_add, iv_scale, log2_interval)
+from .scalars import (DEFAULT_PRECISION, Interval, entropy_interval, iv_add,
+                      iv_scale, log2_interval, precision_cap)
 
 SIGN_NEGATIVE = "negative"
 SIGN_POSITIVE = "positive"
@@ -163,7 +163,7 @@ def _meets(sign: int | None, required: str) -> bool | None:
 def scan_proof_function(name: str, lo, hi, resolution: int,
                         rho=Fraction(1, 1000), eps=Fraction(1, 100),
                         prec: int = DEFAULT_PRECISION,
-                        cap: int = PRECISION_CAP) -> SignReport:
+                        cap: int | None = None) -> SignReport:
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; have {sorted(FUNCTIONS)}")
     if resolution < 2:
@@ -173,6 +173,7 @@ def scan_proof_function(name: str, lo, hi, resolution: int,
         raise ValueError("empty domain")
     fn, required, anchor = FUNCTIONS[name]
     rho, eps = Fraction(rho), Fraction(eps)
+    cap = precision_cap() if cap is None else cap
     grid = [lo + (hi - lo) * k / (resolution - 1) for k in range(resolution)] \
         if hi > lo else [lo] * 1
     points = []

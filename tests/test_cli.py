@@ -260,6 +260,31 @@ class TestRejectedInputs:
         assert code == EXIT_USAGE
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5", "63", "1.5e3"])
+    def test_bad_precision_cap_is_a_usage_error(self, cap):
+        # the cap is read from the environment once per process: each case
+        # is its own process
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mmda_lab
+        env = {**os.environ, "MMDA_LAB_PRECISION_CAP": cap,
+               "PYTHONPATH": str(Path(mmda_lab.__file__).parents[1])}
+        for argv in (["appendixb"], ["scan", "--fn", "f_packing", "--lo", "1e-4",
+                                     "--hi", "1e-2", "--points", "2"]):
+            done = subprocess.run([sys.executable, "-m", "mmda_lab.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_USAGE
+            assert done.stdout == ""
+            assert done.stderr.splitlines() == [
+                f"error: MMDA_LAB_PRECISION_CAP must be an integer >= 64, not {cap!r}"]
+        # help reads no cap
+        done = subprocess.run([sys.executable, "-m", "mmda_lab.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_PASS and done.stderr == ""
+
 
 INSTANCE = ["--eps", "--instance-file", "--m", "--rho"]
 COMMON = ["--format", "--out"]
@@ -330,6 +355,23 @@ class TestDeterminism:
         main([*argv, "--out", str(a)])
         main([*argv, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_usage_error_between_reports_keeps_their_bytes(self, tmp_path):
+        # main reuses one parser per process; a failed parse between two
+        # calls must not leak into either report
+        import hashlib
+
+        from test_report_bytes import GOLDEN
+        golden = {cmd: (code, sha) for cmd, code, sha in GOLDEN}
+        calls = ["verify-paths --mode enumerated --m 4 --rounds 2",
+                 "appendixb --k x", "appendixb"]
+        for i, cmd in enumerate(calls):
+            out = tmp_path / f"report{i}.json"
+            code = main([*cmd.split(), "--out", str(out)])
+            if cmd in golden:
+                assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == golden[cmd]
+            else:
+                assert code == EXIT_USAGE and not out.exists()
 
 
 class TestCsv:

@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -406,6 +407,89 @@ class TestSeriesOracle:
                     assert got >= x if up else got <= x
             if x > 0:
                 assert floor_log2(x) == _ref_floor_log2(x)
+
+
+@lru_cache(maxsize=None)
+def _ref_ln2_bounds(prec):
+    return tuple(2 * b for b in _ref_atanh_bounds(Fraction(1, 3), prec))
+
+
+def _ref_log2_interval(q, prec):
+    """log2_interval as Fractions: z = (r-1)/(r+1) for the mantissa r of q,
+    rounded both ways, and each end e + 2*atanh(z)/ln2 rounded out at prec."""
+    e = _ref_floor_log2(q)
+    r = q / Fraction(2) ** e
+    z = (r - 1) / (r + 1)
+    a_lo, a_hi = _ref_atanh_bounds(_ref_round_dyadic(z, prec + 16, False), prec)
+    a_hi = max(a_hi, _ref_atanh_bounds(_ref_round_dyadic(z, prec + 16, True), prec)[1])
+    l2_lo, l2_hi = _ref_ln2_bounds(prec)
+    return (_ref_round_dyadic(e + 2 * a_lo / l2_hi, prec, False),
+            _ref_round_dyadic(e + 2 * a_hi / l2_lo, prec, True))
+
+
+def _ref_entropy_interval(x, prec):
+    """-x log2 x - (1-x) log2(1-x): each product rounded out, then the sum."""
+    (l1, h1), (l2, h2) = _ref_log2_interval(x, prec), _ref_log2_interval(1 - x, prec)
+    lo = _ref_round_dyadic(-x * h1, prec, False) + _ref_round_dyadic((x - 1) * h2, prec, False)
+    hi = _ref_round_dyadic(-x * l1, prec, True) + _ref_round_dyadic((x - 1) * l2, prec, True)
+    return _ref_round_dyadic(lo, prec, False), _ref_round_dyadic(hi, prec, True)
+
+
+# q < 1 and q > 1 from the seed, powers of two, q = 1 and 1 - 10^-4; the
+# Fraction reference takes seconds per value at 4096 bits, so fewer there
+_EDGES = [Fraction(1), Fraction(1, 2), Fraction(8), Fraction(1, 1 << 70), 1 - Fraction(1, 10 ** 4)]
+
+
+def _seeded_q(count, seed):
+    import random
+    rng = random.Random(seed)
+    return [Fraction(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30)) for _ in range(count)]
+
+
+def _carry_arguments(prec):
+    """Dyadic z with exactly prec+16 bits just below 2^-j, whose running atanh
+    total crosses 2^-j at step k >= 1, where the no-carry step must fall back."""
+    p = prec + 16
+    out = []
+    for j in (1, 2, 5):
+        for k in (1, 2, 3):
+            # fixed point of z = 2^-j - (terms 1..k-1) - half of term k
+            z = Fraction(1, 1 << j)
+            for _ in range(4):
+                z = Fraction(1, 1 << j) - sum(z ** (2 * i + 1) / (2 * i + 1)
+                                              for i in range(1, k)) - z ** (2 * k + 1) / (4 * k + 2)
+            out.append(Fraction(math.floor(z * (1 << (p + j))) | 1, 1 << (p + j)))
+    return out
+
+
+class TestEndpointIdentity:
+    """The integer kernels return the Fractions of the Fraction formulas."""
+
+    @pytest.mark.parametrize("prec,qs", [(64, _seeded_q(12, 64) + _EDGES),
+                                         (256, _seeded_q(12, 256) + _EDGES),
+                                         (1024, _seeded_q(3, 1024) + _EDGES),
+                                         (4096, _seeded_q(1, 4096) + _EDGES[:4])])
+    def test_log2_interval_equals_reference(self, prec, qs):
+        for q in qs:
+            got = log2_interval(q, prec)
+            assert (got.lo, got.hi, got.prec) == (*_ref_log2_interval(q, prec), prec), q
+
+    @pytest.mark.parametrize("prec,xs", [(64, _seeded_q(12, 65) + _EDGES[1:]),
+                                         (256, _seeded_q(12, 257) + _EDGES[1:]),
+                                         (1024, _seeded_q(2, 1025) + _EDGES[1:]),
+                                         (4096, _EDGES[-1:])])
+    def test_entropy_interval_equals_reference(self, prec, xs):
+        for x in xs:
+            x = x if x < 1 else 1 / x
+            got = entropy_interval(x, prec)
+            assert (got.lo, got.hi, got.prec) == (*_ref_entropy_interval(x, prec), prec), x
+
+    @pytest.mark.parametrize("prec", (64, 256, 1024))
+    def test_atanh_carry_fallback(self, prec):
+        for z in _carry_arguments(prec):
+            lo, hi = _atanh_bounds(z, prec)
+            assert floor_log2(lo) > floor_log2(z)  # the total crossed a power of two
+            assert (lo, hi) == _ref_atanh_bounds(z, prec), z
 
 
 # the mul/div/pow that rebuilt every result through __init__, refactoring
