@@ -23,10 +23,11 @@ from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
                         build_subtree_counterexample, desiderata_identities,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
-from .relaxations import (EnumerationCapExceeded, SubtreeFamily,
+from .relaxations import (ENUMERATION_CAP, EnumerationCapExceeded, SubtreeFamily,
                           assignment_solution, check_helper_lemma,
                           closed_form_paths, count_paths, path_solution,
                           verify_assignment, verify_path_hierarchy)
+from .reports import _decide_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
@@ -213,10 +214,14 @@ def cmd_verify_lp(args) -> int:
     subtree_failures = 0
     if args.subtrees:
         fam = SubtreeFamily(inst)
-        for f in inst.all_edges():
-            sub = verify_assignment(inst, fam.solution_for(f), root=f[1])
-            if not sub.ok:
-                subtree_failures += 1
+        dplus, dminus = inst.profile.delta_plus, inst.profile.delta_minus
+        if 1 + dplus[1] + dplus[1] * dplus[2] > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"a layer-1 subtree solution holds more than {ENUMERATION_CAP} edges")
+        # relabelling an edge relabels its solution and keeps the verdict
+        for f in _first_edges(inst):
+            if not verify_assignment(inst, fam.solution_for(f), root=f[1]).ok:
+                subtree_failures += inst.layer_size(f[1][0]) * dminus[f[1][0]]
     ok = rep.ok and all(v for _, v in identities) and subtree_failures == 0
     status, code = _status(ok, len(rep.undecided))
     return _emit(args, {
@@ -244,7 +249,6 @@ def cmd_count_paths(args) -> int:
     import random
     rng = random.Random(args.seed)
     mismatches = []
-    checked = 0
     pairs = []
     if args.samples:
         for _ in range(args.samples):
@@ -257,7 +261,6 @@ def cmd_count_paths(args) -> int:
         vs = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
         pairs = [(v, u) for v in vs for u in vs if v[0] <= u[0]]
     for v, u in pairs:
-        checked += 1
         dp = count_paths(inst, v, u)
         if inst.reachable(v, u):
             overlap = (inst.label(v) & inst.label(u)).bit_count()
@@ -270,7 +273,7 @@ def cmd_count_paths(args) -> int:
     ok = not mismatches
     status, code = _status(ok, len(hl.report.undecided))
     return _emit(args, {
-        "command": "count-paths", "status": status, "checked": checked,
+        "command": "count-paths", "status": status, "checked": len(pairs),
         "mismatches": mismatches,
         "helper_bound": {"largest_distance": hl.largest_distance,
                          "xi_max": str(hl.xi_max),
@@ -278,16 +281,17 @@ def cmd_count_paths(args) -> int:
     }, code)
 
 
-def _layer_events(inst, signs) -> list[ConditionEvent]:
-    """The first edge into each layer, conditioned with each of ``signs``."""
-    return [ConditionEvent(next(iter(inst.edges_into_layer(i))), positive)
-            for i in range(1, inst.ell + 1) for positive in signs]
+def _first_edges(inst) -> list:
+    """The first edge into each layer.  On a labelled instance S_m maps the
+    edges of a layer onto each other, so one stands for all of its layer."""
+    return [next(iter(inst.edges_into_layer(i))) for i in range(1, inst.ell + 1)]
 
 
 def cmd_sa1_report(args) -> int:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
-    events = None if args.events == "all" else _layer_events(inst, (True, False))
+    events = None if args.events == "all" else [
+        ConditionEvent(e, positive) for e in _first_edges(inst) for positive in (True, False)]
     res = sa1_certificate(model, args.floor, args.ceiling, events=events)
     status, code = _status(res.passed)
     payload = {
@@ -314,8 +318,7 @@ def _loc(t):
 def cmd_shadow_sample(args) -> int:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
-    emp = sample(model, args.seed, args.samples, rounds=args.rounds,
-                 events=_layer_events(inst, (True,)))
+    emp = sample(model, args.seed, args.samples, rounds=args.rounds)
     worst = 0.0
     rows = [{"edge": str(e), "empirical": emp.marginal(e)} for e in emp.edges[:20]]
     # the exact engine covers rounds=1 only, so later rounds skip it as --mc does
@@ -494,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
-    # --subtrees walks every edge
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
+    # --subtrees checks one subtree solution per layer, below ENUMERATION_CAP edges
+    _add_instance_args(p, MMDA_ONLY, capped=False); common(p)
     p.add_argument("--allowance", type=parse_rational, default=Fraction(1))
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
@@ -603,6 +606,8 @@ def main(argv=None) -> int:
     except PrecisionCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNDECIDED
+    finally:
+        _decide_memo.cache_clear()  # its keys hold one command's operands alive
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, islice
 
 from .scalars import MONO_ONE, Monomial, Scalar
@@ -358,9 +358,109 @@ class LabeledInstance(LayeredInstance):
         i = v[0]
         if not i <= j <= self.ell:
             return 0
-        size_v, size_j = p.label_size(i), p.label_size(j)
-        return sum(math.comb(size_v, t) * math.comb(p.m - size_v, size_j - t)
-                   for t in range(min(size_v, size_j) + 1) if self.linked(i, j, t))
+        size_v = p.label_size(i)
+        return sum(n for (t, _), n in _steps((0, 0), (size_v, p.m - size_v), p.label_size(j), True)
+                   if self.linked(i, j, t))
+
+
+# ---------------------------------------------------------------------------
+# label cells: counting labels by their overlaps with a few fixed labels
+
+
+@lru_cache(maxsize=4096)
+def _splits(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every vector of nonnegative integers, entry-wise at most ``caps``,
+    that sums to ``total``."""
+    if not caps:
+        return ((),) if total == 0 else ()
+    rest = caps[1:]
+    return tuple((k, *tail) for k in range(max(0, total - sum(rest)), min(caps[0], total) + 1)
+                 for tail in _splits(total - k, rest))
+
+
+@lru_cache(maxsize=4096)
+def _steps(ks: tuple[int, ...], caps: tuple[int, ...], step: int,
+           grow: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The labels one step from a label with ``ks`` elements in cells of
+    sizes ``caps``: ``step`` elements added (``grow``) or removed, split
+    over the cells.  Each split gives the new sizes and its number of
+    labels, a product of binomials (per cell, an intersection number of
+    the Johnson scheme).  From the empty label (``ks`` all 0, ``grow``)
+    they are the labels of size ``step`` by their sizes in the cells."""
+    room = tuple(c - k for c, k in zip(caps, ks)) if grow else ks
+    sign = 1 if grow else -1
+    return tuple((tuple(k + sign * d for k, d in zip(ks, f)), math.prod(map(math.comb, room, f)))
+                 for f in _splits(step, room))
+
+
+class LabelCells:
+    """The vertices of a labeled instance in classes: a class is a layer
+    with the sizes k_c of its labels in the Venn atoms ("cells") c of some
+    fixed labels, and holds prod_c C(|c|, k_c) vertices.
+
+    The classes are the orbits of the permutations of [m] that fix those
+    labels, the product of the symmetric groups of the cells.  Labels of
+    adjacent layers nest, so the neighbours of a vertex split over the
+    cells as the one-step label change does, with binomial counts
+    (Delsarte 1973), and the cost depends on the number of classes, not
+    of vertices.  A class is represented by the lowest k_c bits of each
+    cell c, its first vertex in rank order since colex order is
+    increasing-mask order; the representatives of two adjacent classes
+    are the ends of an edge.
+    """
+
+    def __init__(self, inst: LabeledInstance, labels=()):
+        self.inst = inst
+        cells = [(1 << inst.params.m) - 1]
+        for s in labels:
+            cells = [c & s for c in cells] + [c & ~s for c in cells]
+        self.cells = [c for c in cells if c]
+        self.caps = tuple(c.bit_count() for c in self.cells)
+        self.rep = cache(self.rep)          # one label lookup per class
+
+    def key(self, v: Vertex) -> tuple:
+        """The class of v."""
+        label = self.inst.label(v)
+        return v[0], tuple((label & c).bit_count() for c in self.cells)
+
+    def rep(self, cls: tuple) -> Vertex:
+        """The first vertex of ``cls`` in rank order."""
+        mask = sum(1 << b for c, k in zip(self.cells, cls[1]) for b in bits_of(c)[:k])
+        return self.inst.vertex_with_label(cls[0], mask)
+
+    def classes(self, i: int) -> list:
+        """Layer i's classes, in the rank order of their first vertices."""
+        size = self.inst.params.label_size(i)
+        return sorted(((i, ks) for ks in _splits(size, self.caps)), key=self.rep)
+
+    def neighbours(self, cls: tuple, j: int) -> list:
+        """(class, count) of the neighbours in the adjacent layer j of a
+        vertex in ``cls``."""
+        i, ks = cls
+        p = self.inst.params
+        grow = p.label_size(j) > p.label_size(i)
+        return [((j, to), n) for to, n in _steps(ks, self.caps, p.step, grow)]
+
+
+class SingleVertices:
+    """The partition of any layered instance into its vertices, each its
+    own class, with the interface of :class:`LabelCells`: the walk, for a
+    model with no symmetry to use."""
+
+    def __init__(self, inst: LayeredInstance):
+        self.inst = inst
+
+    def key(self, v: Vertex) -> Vertex:
+        return v
+
+    rep = key
+
+    def classes(self, i: int) -> list:
+        return list(self.inst.vertices(i))
+
+    def neighbours(self, cls: Vertex, j: int) -> list:
+        near = self.inst.in_neighbors if j < cls[0] else self.inst.out_neighbors
+        return [(w, 1) for w in near(cls)]
 
 
 class ExplicitInstance(LayeredInstance):

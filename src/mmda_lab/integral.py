@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from fractions import Fraction
 
-from .instances import InstanceError, InstanceParams, LayeredInstance, Vertex
+from .instances import InstanceError, InstanceParams, LayeredInstance, Vertex, _steps
 from .scalars import Monomial, Scalar, as_fraction, compare_certified
 
 
@@ -264,14 +264,13 @@ class CountingCertificate:
 
 def t1_count(m: int, rho_m: int, threshold: int) -> int:
     """Sinks whose label meets a fixed rho*m-label in >= threshold elements."""
-    return sum(math.comb(rho_m, j) * math.comb(m - rho_m, rho_m - j)
-               for j in range(threshold, rho_m + 1))
+    return sum(n for (j, _), n in _steps((0, 0), (rho_m, m - rho_m), rho_m, True)
+               if j >= threshold)
 
 
 def t2_count(rho_m: int, threshold: int) -> int:
     """Sinks below a fixed peak vertex meeting the label in < threshold."""
-    return sum(math.comb(rho_m, j) * math.comb(rho_m, rho_m - j)
-               for j in range(0, threshold))
+    return sum(n for (j, _), n in _steps((0, 0), (rho_m, rho_m), rho_m, True) if j < threshold)
 
 
 def counting_certificate(p: InstanceParams) -> CountingCertificate:

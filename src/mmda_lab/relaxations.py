@@ -117,10 +117,8 @@ def _verify_sparse(inst: LayeredInstance, sol, allowance: Scalar,
     rep = ViolationReport()
     out_sum: dict[Vertex, Fraction] = {}
     in_sum: dict[Vertex, Fraction] = {}
-    bad_bounds = 0
     for e, val in sol.support():
         if not (0 <= val <= 1):
-            bad_bounds += 1
             rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
         u, v = e
         out_sum[u] = out_sum.get(u, Fraction(0)) + val
@@ -291,8 +289,6 @@ class PathSolution:
         total += 1
         run = 1
         for r in range(1, self.max_len):
-            if r > inst.ell:
-                break
             run *= prof.delta_plus[r - 1]
             total += run
         return total
@@ -408,8 +404,6 @@ def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport
         inv_gamma = MONO_ONE
         for j in range(i, min(inst.ell, i + d_cap) + 1):
             d = j - i
-            if d > d_cap:
-                break
             if j > i:
                 inv_gamma = inv_gamma.mul(prof.gamma[j - 1])
             count = max_paths_between_layers(inst, i, j)
@@ -490,8 +484,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
     # (7) bounds, per (start layer, length) class
     for i in range(0, inst.ell + 1):
         for length in range(1, ps.max_len + 1):
-            last = (i + length - 1) if i > 0 else (length - 1)
-            if (i > 0 and i + length - 1 > inst.ell) or (i == 0 and length - 1 > inst.ell):
+            if i + length - 1 > inst.ell:
                 break
             y = ps.value_class(i, length)
             rep.add(check_le(f"bounds:class({i},{length})", y, 1, kind="bounds"))

@@ -38,8 +38,8 @@ def build_lower_bound(k: int, eps) -> MatchingInstance:
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 3):
         raise ValueError("eps must lie in (0, 1/3]")
-    if (eps * k).denominator != 1:
-        raise ValueError("eps*k must be integral")
+    if (eps * k).denominator != 1 or eps * k < 1:
+        raise ValueError(f"eps*k={eps * k} must be a positive integer")
     players = tuple(f"p{i}" for i in range(1, k + 2))
     values = {f"s{i}": 3 * eps for i in range(1, k + 2)}
     values.update({f"b{j}": Fraction(1) for j in range(1, k + 1)})
@@ -116,7 +116,6 @@ def matching_value_oracle(k: int, eps, conditioned_pairs=()):
     fixed_bigs = set(fixed.values())
     free_bigs = [f"b{j}" for j in range(1, k + 1) if f"b{j}" not in fixed_bigs]
     free_players = [p for p in inst.players if p not in fixed_players]
-    totals_min = dict.fromkeys(inst.players, Fraction(0))
     exp = dict.fromkeys(inst.players, Fraction(0))
     count = 0
     for assign in itertools.permutations(free_players, len(free_bigs)):
@@ -298,7 +297,6 @@ def matching_lift(k: int, eps, alpha, T=Fraction(1)):
     """
     inst = build_lower_bound(k, eps)
     canon = canonicalize(inst, alpha, T)
-    eps = Fraction(eps)
     singles: dict = {}
     pairs: dict = {}
     p_match = Fraction(k, k + 1)

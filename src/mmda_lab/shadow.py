@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .instances import Edge, InstanceError, LabeledInstance, LayeredInstance, Vertex
+from .instances import (Edge, InstanceError, LabelCells, LabeledInstance, LayeredInstance,
+                        SingleVertices, Vertex)
 from .relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
                           assignment_solution)
 from .reports import ViolationReport, check_ge, check_le
@@ -227,31 +228,6 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
     return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
 
 
-@lru_cache(maxsize=4096)
-def _splits(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every vector of nonnegative integers, entry-wise at most ``caps``,
-    that sums to ``total``."""
-    if not caps:
-        return ((),) if total == 0 else ()
-    rest = caps[1:]
-    return tuple((k, *tail) for k in range(max(0, total - sum(rest)), min(caps[0], total) + 1)
-                 for tail in _splits(total - k, rest))
-
-
-@lru_cache(maxsize=4096)
-def _steps(ks: tuple[int, ...], caps: tuple[int, ...], step: int,
-           grow: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The labels one step from a label with ``ks`` elements in cells of
-    sizes ``caps``: ``step`` elements added (``grow``) or removed, split
-    over the cells.  Each split gives the new sizes and its number of
-    labels, a product of binomials (per cell, an intersection number of
-    the Johnson scheme)."""
-    room = tuple(c - k for c, k in zip(caps, ks)) if grow else ks
-    sign = 1 if grow else -1
-    return tuple((tuple(k + sign * d for k, d in zip(ks, f)), math.prod(map(math.comb, room, f)))
-                 for f in _splits(step, room))
-
-
 def _weighted_sum(terms) -> Fraction:
     """The sum of n * q over the pairs (n, q), over the lcm of the
     denominators and reduced once: values under one event share most of
@@ -265,50 +241,31 @@ def _weighted_sum(terms) -> Fraction:
 
 class _EventMoments:
     """Conditional edge probabilities and vertex in/out sums under one
-    event (None: unconditioned), each computed once per class of a
-    partition of the vertices that the model's values respect.  An edge's
-    class is the pair of its end classes, evaluated at its representative
-    edge, and a vertex's sums add each neighbour class times its count.
-
-    Here every class is one vertex, so every vertex and edge is walked.
+    event (None: unconditioned), each computed once per class of ``part``,
+    a partition of the vertices that the model's values respect
+    (:class:`LabelCells` or :class:`SingleVertices`).  An edge's class is
+    the pair of its end classes, evaluated at its representative edge, and
+    a vertex's sums add each neighbour class times its count.
     """
 
-    def __init__(self, model: ShadowModel, event: ConditionEvent | None):
+    def __init__(self, model: ShadowModel, event: ConditionEvent | None, part):
         self.model = model
         self.event = event
+        self.part = part
         self._edge: dict[tuple, Fraction] = {}
         self._sums: dict = {}
-
-    def key(self, v: Vertex):
-        """The class of v."""
-        return v
-
-    def rep(self, cls) -> Vertex:
-        """The first vertex of ``cls`` in rank order."""
-        return cls
-
-    def classes(self, i: int) -> list:
-        """Layer i's classes, in the rank order of their first vertices."""
-        return list(self.model.inst.vertices(i))
-
-    def _neighbours(self, cls, j: int) -> list:
-        """(class, count) of the neighbours in the adjacent layer j of a
-        vertex in ``cls``."""
-        inst = self.model.inst
-        near = inst.in_neighbors(cls) if j < cls[0] else inst.out_neighbors(cls)
-        return [(w, 1) for w in near]
 
     def _value(self, tail, head) -> Fraction:
         p = self._edge.get((tail, head))
         if p is None:
-            e = (self.rep(tail), self.rep(head))
+            e = (self.part.rep(tail), self.part.rep(head))
             p = self._edge[tail, head] = (
                 self.model.marginal(e) if self.event is None
                 else self.model.conditional_probability(e, self.event))
         return p
 
     def edge(self, e: Edge) -> Fraction:
-        return self._value(self.key(e[0]), self.key(e[1]))
+        return self._value(self.part.key(e[0]), self.part.key(e[1]))
 
     def _class_sums(self, cls) -> tuple[Fraction, Fraction]:
         sums = self._sums.get(cls)
@@ -317,82 +274,30 @@ class _EventMoments:
             ins = outs = Fraction(0)
             if i > 0:
                 ins = _weighted_sum((n, self._value(c, cls))
-                                    for c, n in self._neighbours(cls, i - 1))
+                                    for c, n in self.part.neighbours(cls, i - 1))
             if i < self.model.inst.ell:
                 outs = _weighted_sum((n, self._value(cls, c))
-                                     for c, n in self._neighbours(cls, i + 1))
+                                     for c, n in self.part.neighbours(cls, i + 1))
             sums = self._sums[cls] = (ins, outs)
         return sums
 
     def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
         """(sum over the in-edges, sum over the out-edges) of v."""
-        return self._class_sums(self.key(v))
+        return self._class_sums(self.part.key(v))
 
     def first_vertices(self, i: int):
         """(v, vertex(v)) for the first vertex of each class of layer i, in
         rank order; every other vertex repeats its class's sums."""
-        return ((self.rep(c), self._class_sums(c)) for c in self.classes(i))
-
-
-class _OrbitMoments(_EventMoments):
-    """The classes of a symmetric model: the orbits of the stabiliser of
-    the event edge's labels (A, B), enumerated without walking a vertex.
-
-    The stabiliser is the product of the symmetric groups of the Venn
-    atoms ("cells") of A and B, and the model's values are constant on its
-    orbits (Gatermann & Parrilo 2004).  A vertex class is its layer with
-    the sizes k_c of L(v) in each cell c; it holds prod_c C(|c|, k_c)
-    vertices.  Labels of adjacent layers nest, so the neighbours of a
-    vertex split over the cells as the one-step label change does, with
-    binomial counts (the intersection numbers of the Johnson scheme,
-    Delsarte 1973).  The cost depends on the number of classes, not of
-    vertices.  A class is represented by the lowest k_c bits of each cell
-    c, its first vertex in rank order since colex order is increasing-mask
-    order; the representatives of two adjacent classes are the ends of an
-    edge.
-    """
-
-    def __init__(self, model: ShadowModel, event: ConditionEvent | None):
-        super().__init__(model, event)
-        inst = model.inst
-        cells = [(1 << inst.params.m) - 1]
-        if event is not None:
-            for s in map(inst.label, event.edge):
-                cells = [c & s for c in cells] + [c & ~s for c in cells]
-        self.cells = [c for c in cells if c]
-        self.caps = tuple(c.bit_count() for c in self.cells)
-        self._reps: dict[tuple, Vertex] = {}
-
-    def key(self, v: Vertex) -> tuple:
-        label = self.model.inst.label(v)
-        return v[0], tuple((label & c).bit_count() for c in self.cells)
-
-    def rep(self, cls: tuple) -> Vertex:
-        v = self._reps.get(cls)
-        if v is None:
-            mask = 0
-            for c, k in zip(self.cells, cls[1]):
-                for _ in range(k):
-                    low = c & -c
-                    mask |= low
-                    c ^= low
-            v = self._reps[cls] = self.model.inst.vertex_with_label(cls[0], mask)
-        return v
-
-    def classes(self, i: int) -> list:
-        size = self.model.inst.params.label_size(i)
-        return sorted(((i, ks) for ks in _splits(size, self.caps)), key=self.rep)
-
-    def _neighbours(self, cls: tuple, j: int) -> list:
-        i, ks = cls
-        p = self.model.inst.params
-        grow = p.label_size(j) > p.label_size(i)
-        return [((j, to), n) for to, n in _steps(ks, self.caps, p.step, grow)]
+        return ((self.part.rep(c), self._class_sums(c)) for c in self.part.classes(i))
 
 
 def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> _EventMoments:
-    """The orbit classes where the model is symmetric, else single vertices."""
-    return (_OrbitMoments if model.symmetric else _EventMoments)(model, event)
+    """A symmetric model's values are constant on the label cells of the
+    event edge (Gatermann & Parrilo 2004); other models walk every vertex."""
+    inst = model.inst
+    part = (LabelCells(inst, map(inst.label, event.edge) if event else ())
+            if model.symmetric else SingleVertices(inst))
+    return _EventMoments(model, event, part)
 
 
 def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:

@@ -68,6 +68,38 @@ class TestCommands:
         assert data["checked_subtrees"] is True
         assert data["subtree_failures"] == 0
 
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_verify_lp_failing_layer_counts_its_every_edge(self, tmp_path, monkeypatch, layer):
+        # doubled values break the bounds of every solution rooted in the layer
+        from mmda_lab import cli
+        from mmda_lab.instances import build_mmda, make_params
+        from mmda_lab.relaxations import SubtreeFamily, verify_assignment
+
+        class Broken(SubtreeFamily):
+            def support(self, f):
+                for e, val in super().support(f):
+                    yield e, 2 * val if f[1][0] == layer else val
+
+        inst = build_mmda(make_params(8, Fraction(1, 4)))
+        fam = Broken(inst)
+        walked = sum(not verify_assignment(inst, fam.solution_for(f), root=f[1]).ok
+                     for f in inst.all_edges())
+        assert walked == inst.layer_size(layer) * inst.profile.delta_minus[layer]
+        monkeypatch.setattr(cli, "SubtreeFamily", Broken)
+        code, data, _ = run(tmp_path, "verify-lp", "--m", "8", "--subtrees")
+        assert code == EXIT_FAIL and data["status"] == "fail"
+        assert data["subtree_failures"] == walked
+
+    def test_verify_lp_subtrees_refused_above_enumeration_cap(self, tmp_path, capsys):
+        # a layer-1 solution at m=24 holds 1 + 18564 + 18564 * 924 edges
+        import time
+        start = time.perf_counter()
+        code = main(["verify-lp", "--m", "24", "--subtrees", "--out", str(tmp_path / "x.json")])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE and not (tmp_path / "x.json").exists()
+        assert capsys.readouterr().err == (
+            "error: a layer-1 subtree solution holds more than 10000000 edges\n")
+
     def test_verify_lp_subtrees_rejected_on_deep_instance(self, tmp_path):
         code = main(["verify-lp", "--m", "16", "--rho", "1/4", "--eps", "1/2",
                      "--subtrees", "--out", str(tmp_path / "x.json")])
@@ -213,6 +245,8 @@ REJECTED = (
        ["count-paths", "--samples", "-1"],
        ["locally-good", "--seeds", "0"], ["locally-good", "--seeds", "-2"],
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
+       # a lower-bound instance needs eps*k big resources, at least one
+       ["ra", "--k", "0"], ["ra", "--k", "-3", "--eps", "1/3"],
        ["shadow-sample", "--rounds", "0"], ["shadow-sample", "--rounds", "-1"],
        ["shadow-sample", "--samples", "0"], ["shadow-sample", "--samples", "-1"],
        # a seed keys its Philox streams exactly only in [0, 2^63)
@@ -290,7 +324,7 @@ INSTANCE = ["--eps", "--instance-file", "--m", "--rho"]
 COMMON = ["--format", "--out"]
 OPTIONS = {
     "build": INSTANCE + ["--k", "--kind"],
-    "verify-lp": INSTANCE + ["--size-cap", "--allowance", "--subtrees"],
+    "verify-lp": INSTANCE + ["--allowance", "--subtrees"],
     "verify-paths": INSTANCE + ["--mode", "--rounds"],
     "count-paths": INSTANCE + ["--size-cap", "--samples", "--seed", "--xi"],
     "sa1-report": INSTANCE + ["--size-cap", "--ceiling", "--events", "--floor"],
@@ -316,7 +350,7 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 105
+    assert sum(map(len, surface.values())) == 104
 
 
 def test_public_surface():
@@ -330,6 +364,19 @@ def test_public_surface():
 
 
 class TestDeterminism:
+    def test_check_memo_is_emptied_after_each_command(self, tmp_path):
+        import hashlib
+
+        from mmda_lab.reports import _decide_memo
+        argv = ["verify-paths", "--mode", "enumerated", "--m", "12", "--rho", "1/12",
+                "--rounds", "3"]
+        for _ in range(2):
+            code, _, out = run(tmp_path, *argv)
+            assert code == EXIT_FAIL
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "eaf7624752cc483e1cc48aa5fe3805f2361c1da6e9eb2f9e2b359e21a5357e75")
+            assert _decide_memo.cache_info().currsize == 0
+
     def test_byte_identical_reports(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

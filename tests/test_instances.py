@@ -163,6 +163,35 @@ class TestGraphQueries:
         assert inst8.descendant_count_in_layer((1, 0), 3) == 28
 
 
+def overlap_params():
+    """Every instance with m <= 16, rho in {1/4, 1/8} and eps in {1, 1/2}."""
+    out = []
+    for m in range(1, 17):
+        for rho in (Fraction(1, 4), Fraction(1, 8)):
+            for eps in (Fraction(1), Fraction(1, 2)):
+                try:
+                    out.append(make_params(m, rho, epsilon=eps))
+                except InstanceError:
+                    pass
+    return out
+
+
+class TestLabelCellCounts:
+    @pytest.mark.parametrize("params", overlap_params(),
+                             ids=lambda p: f"m{p.m}-r{p.rho}-e{p.epsilon}")
+    def test_descendant_counts_match_the_overlap_sum(self, params):
+        # the sum over the overlap t with v's label, as written before
+        inst = build_mmda(params)
+        for i in range(inst.ell + 1):
+            size_v = params.label_size(i)
+            for j in range(inst.ell + 1):
+                size_j = params.label_size(j)
+                old = 0 if j < i else sum(
+                    math.comb(size_v, t) * math.comb(params.m - size_v, size_j - t)
+                    for t in range(min(size_v, size_j) + 1) if inst.linked(i, j, t))
+                assert inst.descendant_count_in_layer((i, 0), j) == old, (i, j)
+
+
 class TestWalkAgainstClosedForms:
     """One walk per vertex pins the closed-form reachability rule and the
     closed-form descendant counts to the graph itself."""

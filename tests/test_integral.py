@@ -112,6 +112,19 @@ class TestCountingCertificate:
                           and bin(inst.label(t) & lv).count("1") < thr)
             assert direct2 == t2_count(2, thr)
 
+    @pytest.mark.parametrize("m,rho_m", [(m, m * rho.numerator // rho.denominator)
+                                         for m in range(4, 17)
+                                         for rho in (Fraction(1, 4), Fraction(1, 8))
+                                         if m * rho.numerator % rho.denominator == 0])
+    def test_sizes_match_the_overlap_sums(self, m, rho_m):
+        # the sums over the overlap j with the fixed label, as written before
+        for thr in range(rho_m + 2):
+            assert t1_count(m, rho_m, thr) == sum(
+                math.comb(rho_m, j) * math.comb(m - rho_m, rho_m - j)
+                for j in range(thr, rho_m + 1))
+            assert t2_count(rho_m, thr) == sum(
+                math.comb(rho_m, j) * math.comb(rho_m, rho_m - j) for j in range(0, thr))
+
     def test_bound_dominates_bruteforce(self, inst4):
         res = bruteforce_best(inst4)
         cert = counting_certificate(inst4.params)

@@ -66,6 +66,12 @@ GOLDEN = [
      "2bb36d746f8dee9d25aa06e82e5f017361f5edba81bc1d0d2f1ea464f0afd6f6"),
     ("verify-paths --m 32 --eps 1/8 --rounds 9 --mode symbolic", 4,
      "6fa7edce5b63928479b5ceee241daa35ea6dcbd71483ffbb3f3650bbe589e3c1"),
+    # one subtree solution per layer gives the bytes of the every-edge walk,
+    # and verify-lp takes no size cap: the bytes of --size-cap 48 before
+    ("verify-lp --m 12 --subtrees", 0,
+     "7e2c59ce9635e1d146983b210666993188e2874d641f4579bbabd5a140467a6a"),
+    ("verify-lp --m 48", 0,
+     "ae4c178290bf9b4f3f3f48bf4b573c5e1d639359923ee38a8a0bb3a65f692b9f"),
 ]
 
 

@@ -604,8 +604,8 @@ class TestClassEngine:
     def test_class_sizes_count_every_vertex(self, inst12):
         moments = _event_moments(shadow_model(inst12), layer_events(inst12)[2])
         for i in range(inst12.ell + 1):
-            sizes = [math.prod(map(math.comb, moments.caps, ks))
-                     for _, ks in moments.classes(i)]
+            sizes = [math.prod(map(math.comb, moments.part.caps, ks))
+                     for _, ks in moments.part.classes(i)]
             assert sum(sizes) == inst12.layer_size(i)
 
     def test_first_vertex_is_lowest_rank_of_its_class(self, inst8, model8):
