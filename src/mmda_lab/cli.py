@@ -9,8 +9,6 @@ certifications remain, 4 a check failed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -34,12 +32,17 @@ from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
 from .rounding import audit_locality, audit_to_json, sample_forest
 from .scalars import PrecisionCapExceeded, full_int_digits, precision_cap, scalar_to_json
 from .scans import scan_proof_function
-from .shadow import (ConditionEvent, check_seed, conditional_report, sa1_certificate,
-                     sample, shadow_model)
+from .shadow import ConditionEvent, check_seed, sa1_certificate, sample, shadow_model
 
 SCHEMA_VERSION = 1
 
 EXIT_PASS, EXIT_USAGE, EXIT_UNDECIDED, EXIT_FAIL = 0, 2, 3, 4
+
+# The fixed verdict gates.  Each report carries the exact value its gate
+# reads, so another gate can be applied to the report itself.
+SA1_FLOOR, SA1_CEILING = Fraction(1, 100), Fraction(8)   # sa1-report
+HELPER_XI = Fraction(1, 3)      # count-paths: helper lemma up to distance xi*ell
+MAX_DEV_SE = 6.0                # shadow-sample: standard errors of the exact marginals
 
 
 def parse_rational(text: str) -> Fraction:
@@ -86,7 +89,7 @@ def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
 def _emit(args, payload: dict, code: int) -> int:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     with full_int_digits():
-        text = _to_csv(payload) if args.format == "csv" else _dumps(payload) + "\n"
+        text = _dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -152,24 +155,6 @@ def _leaf(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    rows = payload.get("checks") or payload.get("points") or []
-    if rows:
-        header = sorted({k for row in rows for k in row})
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([json.dumps(row.get(k), sort_keys=True)
-                             if isinstance(row.get(k), (dict, list))
-                             else row.get(k) for k in header])
-    else:
-        writer.writerow(["key", "value"])
-        for k in sorted(payload):
-            writer.writerow([k, json.dumps(payload[k], sort_keys=True)])
-    return buf.getvalue()
-
-
 def _instance_from_args(args):
     path = getattr(args, "instance_file", None)
     if path:
@@ -209,7 +194,7 @@ def cmd_build(args) -> int:
 def cmd_verify_lp(args) -> int:
     inst = _instance_from_args(args)
     sol = assignment_solution(inst)
-    rep = verify_assignment(inst, sol, allowance=args.allowance)
+    rep = verify_assignment(inst, sol)
     identities = desiderata_identities(inst.params)
     subtree_failures = 0
     if args.subtrees:
@@ -269,7 +254,7 @@ def cmd_count_paths(args) -> int:
             cf = 0
         if dp != cf:
             mismatches.append({"v": list(v), "u": list(u), "dp": dp, "closed": cf})
-    hl = check_helper_lemma(inst, args.xi)
+    hl = check_helper_lemma(inst, HELPER_XI)
     ok = not mismatches
     status, code = _status(ok, len(hl.report.undecided))
     return _emit(args, {
@@ -292,7 +277,7 @@ def cmd_sa1_report(args) -> int:
     model = shadow_model(inst)
     events = None if args.events == "all" else [
         ConditionEvent(e, positive) for e in _first_edges(inst) for positive in (True, False)]
-    res = sa1_certificate(model, args.floor, args.ceiling, events=events)
+    res = sa1_certificate(model, SA1_FLOOR, SA1_CEILING, events=events)
     status, code = _status(res.passed)
     payload = {
         "command": "sa1-report",
@@ -321,19 +306,18 @@ def cmd_shadow_sample(args) -> int:
     emp = sample(model, args.seed, args.samples, rounds=args.rounds)
     worst = 0.0
     rows = [{"edge": str(e), "empirical": emp.marginal(e)} for e in emp.edges[:20]]
-    # the exact engine covers rounds=1 only, so later rounds skip it as --mc does
-    compare = not args.mc and args.rounds == 1
+    # the exact engine covers rounds=1 only, so later rounds skip it
+    compare = args.rounds == 1
     if compare:
-        exact = {e: float(q) for e, q in conditional_report(model, None).marginals.items()}
-        worst = max(emp.marginal_deviation(e, exact[e]) for e in emp.edges)
+        worst = max(emp.marginal_deviation(e, float(model.marginal(e))) for e in emp.edges)
         for row, e in zip(rows, emp.edges):
-            row["exact"] = exact[e]
-    status, code = _status(not compare or worst <= args.max_dev)
+            row["exact"] = float(model.marginal(e))
+    status, code = _status(not compare or worst <= MAX_DEV_SE)
     payload = {
         "command": "shadow-sample", "samples": args.samples, "seed": args.seed,
         "rounds": args.rounds,
         "worst_marginal_deviation_se": worst,
-        "max_dev": args.max_dev,
+        "max_dev": MAX_DEV_SE,
         "head": rows,
         "status": status,
     }
@@ -488,24 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("build", help="emit an instance as JSON")
-    _add_instance_args(p, ALL_KINDS, capped=False); common(p)
+    _add_instance_args(p, ALL_KINDS, capped=False)
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
     # --subtrees checks one subtree solution per layer, below ENUMERATION_CAP edges
-    _add_instance_args(p, MMDA_ONLY, capped=False); common(p)
-    p.add_argument("--allowance", type=parse_rational, default=Fraction(1))
+    _add_instance_args(p, MMDA_ONLY, capped=False)
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
     # paths are enumerated only below the path counts of verify_path_hierarchy
-    _add_instance_args(p, MMDA_ONLY, capped=False); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=False)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),
                    default="auto")
@@ -513,53 +492,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-paths", help="path counting: dynamic program "
                                            "against the closed forms")
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True)
     p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--xi", type=parse_rational, default=Fraction(1, 3))
     p.set_defaults(handler=cmd_count_paths)
 
     p = sub.add_parser("sa1-report", help="conditioned-constraint sweep of the "
                                           "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
-    p.add_argument("--floor", type=parse_rational, default=Fraction(1, 100))
-    p.add_argument("--ceiling", type=parse_rational, default=Fraction(8))
+    _add_instance_args(p, MMDA_ONLY, capped=True)
     p.add_argument("--events", choices=("all", "layers"), default="layers")
     p.set_defaults(handler=cmd_sa1_report)
 
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True)
     p.add_argument("--samples", type=count_at_least(1), default=10000)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--rounds", type=count_at_least(1), default=1)
-    p.add_argument("--max-dev", type=float, default=6.0,
-                   help="largest tolerated |empirical - exact| in standard "
-                        "errors over the all-edges sweep")
-    p.add_argument("--mc", action="store_true",
-                   help="skip the exact-engine comparison")
     p.set_defaults(handler=cmd_shadow_sample)
 
     p = sub.add_parser("bruteforce", help="exact best integral solution")
-    _add_instance_args(p, ALL_KINDS, capped=True); common(p)
+    _add_instance_args(p, ALL_KINDS, capped=True)
     p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
     # Monomial.from_int factors its sums of binomials by trial division
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True)
     p.set_defaults(handler=cmd_certificate)
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
-    _add_instance_args(p, MMDA_ONLY, capped=True); common(p)
+    _add_instance_args(p, MMDA_ONLY, capped=True)
     p.add_argument("--seeds", type=count_at_least(1), default=10)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--radius", type=count_at_least(0), default=1)
     p.set_defaults(handler=cmd_locally_good)
 
     p = sub.add_parser("ra", help="restricted-assignment matching distribution")
-    common(p)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--eps", type=parse_rational, default=Fraction(1, 12))
     p.add_argument("--cond", type=count_at_least(0), default=0)
@@ -567,18 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ra)
 
     p = sub.add_parser("appendixb", help="bundle solution and its defeat")
-    common(p)
     p.add_argument("--k", type=int, default=3)
     p.set_defaults(handler=cmd_appendixb)
 
     p = sub.add_parser("appendixc", help="shared-sink counterexample bound")
-    common(p)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_appendixc)
 
     p = sub.add_parser("scan", help="certified sign scan of a proof function")
-    common(p)
     p.add_argument("--fn", required=True)
     p.add_argument("--lo", type=parse_rational, required=True)
     p.add_argument("--hi", type=parse_rational, required=True)
@@ -588,6 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-param", type=rational_up_to(Fraction(1)), default=Fraction(1, 100))
     p.set_defaults(handler=cmd_scan)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write the report here, not to stdout")
     return ap
 
 

@@ -19,7 +19,7 @@ from itertools import chain, islice
 from .instances import (Edge, InstanceError, LabeledInstance,
                         LayeredInstance, Vertex)
 from .reports import ViolationReport, check_eq, check_ge, check_le, vacuous
-from .scalars import MONO_ONE, Monomial, Scalar, as_fraction, as_scalar
+from .scalars import MONO_ONE, Monomial, Scalar, as_fraction
 
 ENUMERATION_CAP = 10 ** 7
 
@@ -76,7 +76,7 @@ def assignment_solution(inst: LabeledInstance) -> LayerSolution:
 # assignment LP verification
 
 
-def verify_assignment(inst: LayeredInstance, sol, allowance=Fraction(1),
+def verify_assignment(inst: LayeredInstance, sol,
                       root: Vertex | None = None) -> ViolationReport:
     """Certified check of the covering/packing/bounds constraints.
 
@@ -84,15 +84,13 @@ def verify_assignment(inst: LayeredInstance, sol, allowance=Fraction(1),
     solutions); it defaults to the instance source.  At the root the
     demand multiplier is max(in-flow, 1).
     """
-    allowance = as_scalar(allowance)
     if isinstance(sol, LayerSolution) and isinstance(inst, LabeledInstance) \
             and root in (None, inst.source):
-        return _verify_layerwise(inst, sol, allowance)
-    return _verify_sparse(inst, sol, allowance, root or inst.source)
+        return _verify_layerwise(inst, sol)
+    return _verify_sparse(inst, sol, root or inst.source)
 
 
-def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution,
-                      allowance: Scalar) -> ViolationReport:
+def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution) -> ViolationReport:
     rep = ViolationReport()
     prof = inst.profile
     xs = sol.layer_values
@@ -106,14 +104,13 @@ def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution,
         rep.add(check_ge(f"covering:layer{i}", lhs, rhs))
     for i in range(1, inst.ell + 1):
         inflow = Monomial.from_int(prof.delta_minus[i]).mul(xs[i])
-        rep.add(check_le(f"packing:layer{i}", inflow, allowance))
+        rep.add(check_le(f"packing:layer{i}", inflow, 1))
     for i in range(1, inst.ell + 1):
         rep.add(check_le(f"bounds:layer{i}", xs[i], 1, kind="bounds"))
     return rep
 
 
-def _verify_sparse(inst: LayeredInstance, sol, allowance: Scalar,
-                   root: Vertex) -> ViolationReport:
+def _verify_sparse(inst: LayeredInstance, sol, root: Vertex) -> ViolationReport:
     rep = ViolationReport()
     out_sum: dict[Vertex, Fraction] = {}
     in_sum: dict[Vertex, Fraction] = {}
@@ -136,7 +133,7 @@ def _verify_sparse(inst: LayeredInstance, sol, allowance: Scalar,
     for v in sorted(set(in_sum) | set(out_sum)):
         inflow = in_sum.get(v, Fraction(0))
         if inflow > 0:
-            rep.add(check_le(f"packing:{v}", inflow, allowance))
+            rep.add(check_le(f"packing:{v}", inflow, 1))
         if v == root or inst.is_sink(v):
             continue
         if inflow > 0:
@@ -468,7 +465,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
             rep.add(check_le(f"lifted-packing:({i},{j})", lhs, 1))
 
     # (3)+(4) unlifted assignment constraints for y({e}) = x_e
-    rep.merge(_verify_layerwise(inst, ps.x, 1))
+    rep.merge(_verify_layerwise(inst, ps.x))
 
     # (5) consistency: extending a path in front multiplies by 1/delta^-,
     # extending at the back multiplies by gamma; both factors are <= 1
@@ -545,7 +542,7 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints
-    rep.merge(_verify_layerwise(inst, ps.x, 1))
+    rep.merge(_verify_layerwise(inst, ps.x))
 
     # (5) consistency for contiguous subpaths
     for q in paths:

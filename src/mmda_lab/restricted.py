@@ -285,18 +285,18 @@ def map_sa1_to_davies(canon: CanonicalInstance, y: SAWitness):
     return x, rep
 
 
-def matching_lift(k: int, eps, alpha, T=Fraction(1)):
+def matching_lift(k: int, eps, alpha):
     """Exact one-round lift of the uniform-matching distribution on the
-    canonicalized instance.
+    instance canonicalized at target T = 1.
 
-    With alpha*T above the unit value every original resource stays on
+    With alpha above the unit value every original resource stays on
     the small side, the coupling always covers the big side, and the
     lifted witness genuinely satisfies one conditioning round; with
     alpha = 1 the bigs move to the big side and the witness fails the
     assignment LP (the transformation is doing its job).
     """
     inst = build_lower_bound(k, eps)
-    canon = canonicalize(inst, alpha, T)
+    canon = canonicalize(inst, alpha, 1)
     singles: dict = {}
     pairs: dict = {}
     p_match = Fraction(k, k + 1)

@@ -120,8 +120,7 @@ def default_congestion_bound(inst: LayeredInstance) -> float:
     return math.log2(max(inst.n_vertices, 4)) ** 11
 
 
-def audit_locality(forest: SampledPathForest, radius: int,
-                   congestion_bound: float | None = None) -> LocalityAudit:
+def audit_locality(forest: SampledPathForest, radius: int) -> LocalityAudit:
     """Check the two locally-good conditions on a sampled forest.
 
     Children: every selected path ending at a non-sink should keep at
@@ -132,8 +131,7 @@ def audit_locality(forest: SampledPathForest, radius: int,
     inst = forest.inst
     if radius > inst.ell:
         raise InstanceError("radius exceeds the depth")
-    bound = congestion_bound if congestion_bound is not None \
-        else default_congestion_bound(inst)
+    bound = default_congestion_bound(inst)
 
     child_counts: dict[tuple, int] = {}
     for q in forest.paths:

@@ -161,9 +161,7 @@ def _meets(sign: int | None, required: str) -> bool | None:
 
 
 def scan_proof_function(name: str, lo, hi, resolution: int,
-                        rho=Fraction(1, 1000), eps=Fraction(1, 100),
-                        prec: int = DEFAULT_PRECISION,
-                        cap: int | None = None) -> SignReport:
+                        rho=Fraction(1, 1000), eps=Fraction(1, 100)) -> SignReport:
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}; have {sorted(FUNCTIONS)}")
     if resolution < 2:
@@ -173,14 +171,17 @@ def scan_proof_function(name: str, lo, hi, resolution: int,
         raise ValueError("empty domain")
     fn, required, anchor = FUNCTIONS[name]
     rho, eps = Fraction(rho), Fraction(eps)
-    cap = precision_cap() if cap is None else cap
+    cap = precision_cap()
     grid = [lo + (hi - lo) * k / (resolution - 1) for k in range(resolution)] \
         if hi > lo else [lo] * 1
     points = []
     for x in grid:
-        p = prec
+        p = DEFAULT_PRECISION
         while True:
-            iv = fn(x, p, rho, eps)
+            try:
+                iv = fn(x, p, rho, eps)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{name} is undefined at x={x}: {exc}") from exc
             s = iv.sign()
             if s is not None:
                 points.append(ScanPoint(x, s, _meets(s, required), p))

@@ -265,7 +265,16 @@ REJECTED = (
         "--eps-param", "2"],
        # the boundary forms take rho in (0, 1/4]; at 0 every sign is a vacuous 0
        *[["scan", "--fn", "f1_appendix", "--lo", "2", "--hi", "2001/1000", "--rho", rho]
-         for rho in ("0", "1", "-1")]])
+         for rho in ("0", "1", "-1")],
+       # reports are JSON only and the verdict gates are fixed
+       *[[*cmd.split(), "--format", "csv"] for cmd in (
+           "build", "verify-lp", "verify-paths", "count-paths", "sa1-report",
+           "shadow-sample", "bruteforce", "certificate", "locally-good", "ra",
+           "appendixb", "appendixc", "scan --fn g_integral --lo 1e-3 --hi 1e-2")],
+       ["verify-lp", "--allowance", "2"], ["count-paths", "--xi", "1/6"],
+       ["sa1-report", "--floor", "1/2"], ["sa1-report", "--ceiling", "4"],
+       ["shadow-sample", "--m", "4", "--samples", "3", "--max-dev", "100"],
+       ["shadow-sample", "--m", "4", "--samples", "3", "--mc"]])
 
 
 class TestRejectedInputs:
@@ -294,6 +303,12 @@ class TestRejectedInputs:
         assert code == EXIT_USAGE
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    def test_undefined_scan_point_names_function_and_x(self, capsys):
+        code = main(["scan", "--fn", "f_packing", "--lo", "1", "--hi", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: f_packing is undefined at x=1: Fraction(1, 0)\n"
+
     @pytest.mark.parametrize("cap", ["abc", "0", "-5", "63", "1.5e3"])
     def test_bad_precision_cap_is_a_usage_error(self, cap):
         # the cap is read from the environment once per process: each case
@@ -321,15 +336,14 @@ class TestRejectedInputs:
 
 
 INSTANCE = ["--eps", "--instance-file", "--m", "--rho"]
-COMMON = ["--format", "--out"]
+COMMON = ["--out"]
 OPTIONS = {
     "build": INSTANCE + ["--k", "--kind"],
-    "verify-lp": INSTANCE + ["--allowance", "--subtrees"],
+    "verify-lp": INSTANCE + ["--subtrees"],
     "verify-paths": INSTANCE + ["--mode", "--rounds"],
-    "count-paths": INSTANCE + ["--size-cap", "--samples", "--seed", "--xi"],
-    "sa1-report": INSTANCE + ["--size-cap", "--ceiling", "--events", "--floor"],
-    "shadow-sample": INSTANCE + ["--size-cap", "--max-dev", "--mc", "--rounds",
-                                 "--samples", "--seed"],
+    "count-paths": INSTANCE + ["--size-cap", "--samples", "--seed"],
+    "sa1-report": INSTANCE + ["--size-cap", "--events"],
+    "shadow-sample": INSTANCE + ["--size-cap", "--rounds", "--samples", "--seed"],
     "bruteforce": INSTANCE + ["--k", "--kind", "--size-cap", "--budget"],
     "certificate": INSTANCE + ["--size-cap"],
     "locally-good": INSTANCE + ["--size-cap", "--radius", "--seed", "--seeds"],
@@ -350,7 +364,7 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 104
+    assert sum(map(len, surface.values())) == 85
 
 
 def test_public_surface():
@@ -419,16 +433,6 @@ class TestDeterminism:
                 assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == golden[cmd]
             else:
                 assert code == EXIT_USAGE and not out.exists()
-
-
-class TestCsv:
-    def test_scan_csv(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        code = main(["scan", "--fn", "g_integral", "--lo", "1e-3", "--hi", "1e-2",
-                     "--points", "4", "--format", "csv", "--out", str(out)])
-        assert code == EXIT_PASS
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 5  # header + 4 points
 
 
 # --- the report writer against json.dumps(..., sort_keys=True, indent=1) ------

@@ -80,6 +80,11 @@ class TestScans:
         with pytest.raises(ValueError):
             scan_proof_function("nope", 0, 1, 3)
 
+    def test_entropy_argument_outside_unit_interval_names_the_point(self):
+        with pytest.raises(ValueError, match=r"^g_integral is undefined at x=3/4: "
+                                             r"entropy argument must lie in \[0, 1\]$"):
+            scan_proof_function("g_integral", Fraction(1, 2), Fraction(3, 4), 2)
+
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             scan_proof_function("f_packing", Fraction(1, 100), Fraction(1, 10), 1)
