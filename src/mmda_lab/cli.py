@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Every command writes a machine-readable JSON report (stdout or --out);
-identical configurations, seeds included, produce byte-identical output.
+Each command returns its payload and its verdict; ``main`` writes the one
+machine-readable JSON report (stdout or --out), so identical
+configurations, seeds included, produce byte-identical output.
 Exit codes: 0 all asserted checks certified, 2 invalid usage, 3 undecided
 certifications remain, 4 a check failed.
 """
@@ -37,6 +38,7 @@ from .shadow import ConditionEvent, check_seed, sa1_certificate, sample, shadow_
 SCHEMA_VERSION = 1
 
 EXIT_PASS, EXIT_USAGE, EXIT_UNDECIDED, EXIT_FAIL = 0, 2, 3, 4
+STATUS = {EXIT_PASS: "pass", EXIT_UNDECIDED: "undecided", EXIT_FAIL: "fail"}
 
 # The fixed verdict gates.  Each report carries the exact value its gate
 # reads, so another gate can be applied to the report itself.
@@ -80,16 +82,16 @@ def rational_up_to(hi: Fraction):
     return rational
 
 
-def _status(report_ok: bool, undecided: int = 0) -> tuple[str, int]:
-    if undecided:
-        return "undecided", EXIT_UNDECIDED
-    return ("pass", EXIT_PASS) if report_ok else ("fail", EXIT_FAIL)
-
-
-def _emit(args, payload: dict, code: int) -> int:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _report(args, payload: dict, ok: bool | None, undecided: int = 0) -> int:
+    """Write the report of ``args.command`` and return its exit code.  A
+    command that asserts nothing (``ok`` None) gets no ``status``."""
+    head = {"schema_version": SCHEMA_VERSION, "command": args.command}
+    code = EXIT_PASS
+    if ok is not None:
+        code = EXIT_UNDECIDED if undecided else EXIT_PASS if ok else EXIT_FAIL
+        head["status"] = STATUS[code]
     with full_int_digits():
-        text = _dumps(payload) + "\n"
+        text = _dumps({**payload, **head}) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -183,15 +185,14 @@ def _instance_from_args(args):
 
 
 # --- commands ---------------------------------------------------------------
+# Each returns (payload, ok) or (payload, ok, undecided) for ``_report``.
 
 
-def cmd_build(args) -> int:
-    inst = _instance_from_args(args)
-    return _emit(args, {"command": "build", "instance": instance_to_json(inst)},
-                 EXIT_PASS)
+def cmd_build(args) -> tuple:
+    return {"instance": instance_to_json(_instance_from_args(args))}, None
 
 
-def cmd_verify_lp(args) -> int:
+def cmd_verify_lp(args) -> tuple:
     inst = _instance_from_args(args)
     sol = assignment_solution(inst)
     rep = verify_assignment(inst, sol)
@@ -208,28 +209,23 @@ def cmd_verify_lp(args) -> int:
             if not verify_assignment(inst, fam.solution_for(f), root=f[1]).ok:
                 subtree_failures += inst.layer_size(f[1][0]) * dminus[f[1][0]]
     ok = rep.ok and all(v for _, v in identities) and subtree_failures == 0
-    status, code = _status(ok, len(rep.undecided))
-    return _emit(args, {
-        "command": "verify-lp",
-        "status": status,
+    return {
         "report": rep.to_json(),
         "identities": [{"name": n, "holds": v} for n, v in identities],
         "subtree_failures": subtree_failures,
         "checked_subtrees": bool(args.subtrees),
-    }, code)
+    }, ok, len(rep.undecided)
 
 
-def cmd_verify_paths(args) -> int:
+def cmd_verify_paths(args) -> tuple:
     inst = _instance_from_args(args)
     ps = path_solution(inst, args.rounds)
     rep = verify_path_hierarchy(inst, ps, mode=args.mode)
-    status, code = _status(rep.ok, len(rep.undecided))
-    return _emit(args, {"command": "verify-paths", "status": status,
-                        "rounds": args.rounds, "mode": args.mode,
-                        "report": rep.to_json()}, code)
+    return ({"rounds": args.rounds, "mode": args.mode, "report": rep.to_json()},
+            rep.ok, len(rep.undecided))
 
 
-def cmd_count_paths(args) -> int:
+def cmd_count_paths(args) -> tuple:
     inst = _instance_from_args(args)
     import random
     rng = random.Random(args.seed)
@@ -255,15 +251,13 @@ def cmd_count_paths(args) -> int:
         if dp != cf:
             mismatches.append({"v": list(v), "u": list(u), "dp": dp, "closed": cf})
     hl = check_helper_lemma(inst, HELPER_XI)
-    ok = not mismatches
-    status, code = _status(ok, len(hl.report.undecided))
-    return _emit(args, {
-        "command": "count-paths", "status": status, "checked": len(pairs),
+    return {
+        "checked": len(pairs),
         "mismatches": mismatches,
         "helper_bound": {"largest_distance": hl.largest_distance,
                          "xi_max": str(hl.xi_max),
                          "violations": len(hl.report.violations)},
-    }, code)
+    }, not mismatches, len(hl.report.undecided)
 
 
 def _first_edges(inst) -> list:
@@ -272,24 +266,20 @@ def _first_edges(inst) -> list:
     return [next(iter(inst.edges_into_layer(i))) for i in range(1, inst.ell + 1)]
 
 
-def cmd_sa1_report(args) -> int:
+def cmd_sa1_report(args) -> tuple:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
     events = None if args.events == "all" else [
         ConditionEvent(e, positive) for e in _first_edges(inst) for positive in (True, False)]
     res = sa1_certificate(model, SA1_FLOOR, SA1_CEILING, events=events)
-    status, code = _status(res.passed)
-    payload = {
-        "command": "sa1-report",
-        "status": status,
+    return {
         "events_checked": res.events_checked,
         "events_skipped": res.events_skipped,
         "min_covering_slack": _exact(res.min_covering_slack),
         "max_packing_sum": _exact(res.max_packing_sum),
         "worst_covering": _loc(res.worst_covering),
         "worst_packing": _loc(res.worst_packing),
-    }
-    return _emit(args, payload, code)
+    }, res.passed
 
 
 def _exact(q):
@@ -300,7 +290,7 @@ def _loc(t):
     return None if t is None else [str(x) for x in t]
 
 
-def cmd_shadow_sample(args) -> int:
+def cmd_shadow_sample(args) -> tuple:
     inst = _instance_from_args(args)
     model = shadow_model(inst)
     emp = sample(model, args.seed, args.samples, rounds=args.rounds)
@@ -312,43 +302,31 @@ def cmd_shadow_sample(args) -> int:
         worst = max(emp.marginal_deviation(e, float(model.marginal(e))) for e in emp.edges)
         for row, e in zip(rows, emp.edges):
             row["exact"] = float(model.marginal(e))
-    status, code = _status(not compare or worst <= MAX_DEV_SE)
-    payload = {
-        "command": "shadow-sample", "samples": args.samples, "seed": args.seed,
-        "rounds": args.rounds,
+    return {
+        "samples": args.samples, "seed": args.seed, "rounds": args.rounds,
         "worst_marginal_deviation_se": worst,
         "max_dev": MAX_DEV_SE,
         "head": rows,
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, not compare or worst <= MAX_DEV_SE
 
 
-def cmd_bruteforce(args) -> int:
+def cmd_bruteforce(args) -> tuple:
     inst = _instance_from_args(args)
     res = bruteforce_best(inst, budget=args.budget)
-    status, code = _status(True, undecided=not res.complete)
-    payload = {
-        "command": "bruteforce",
+    return {
         "quality": scalar_to_json(res.quality.alpha),
         "complete": res.complete,
         "nodes_used": res.nodes_used,
         "edges": sorted([[list(u), list(v)] for u, v in res.solution.edges]),
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, True, not res.complete
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args) -> tuple:
     inst = _instance_from_args(args)
-    cert = counting_certificate(inst.params)
-    status, code = _status(True)
-    payload = {"command": "certificate", "certificate": cert.to_json(),
-               "status": status}
-    return _emit(args, payload, code)
+    return {"certificate": counting_certificate(inst.params).to_json()}, True
 
 
-def cmd_locally_good(args) -> int:
+def cmd_locally_good(args) -> tuple:
     inst = _instance_from_args(args)
     audits = []
     zero_child_violations = 0
@@ -358,17 +336,14 @@ def cmd_locally_good(args) -> int:
         audits.append(audit_to_json(audit))
         if not audit.children_violations:
             zero_child_violations += 1
-    status, code = _status(True)
-    payload = {
-        "command": "locally-good", "seeds": args.seeds, "radius": args.radius,
+    return {
+        "seeds": args.seeds, "radius": args.radius,
         "zero_children_violation_rate": zero_child_violations / args.seeds,
         "audits": audits,
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, True
 
 
-def cmd_ra(args) -> int:
+def cmd_ra(args) -> tuple:
     inst = build_lower_bound(args.k, args.eps)
     pairs = [(f"p{i+1}", f"b{i+1}") for i in range(args.cond)]
     rep = verify_matching_distribution(inst, pairs)
@@ -381,61 +356,51 @@ def cmd_ra(args) -> int:
     if args.k <= 6:
         opt_val, _ = integral_optimum(inst)
         opt = str(opt_val)
-    status, code = _status(rep.meets_target and davies_ok is not False)
-    payload = {
-        "command": "ra", "k": args.k, "eps": str(Fraction(args.eps)),
+    return {
+        "k": args.k, "eps": str(Fraction(args.eps)),
         "instance": ra_instance_to_json(inst),
         "conditioned": args.cond,
         "min_value": scalar_to_json(rep.min_value),
         "meets_target": rep.meets_target,
         "davies_ok": davies_ok,
         "integral_optimum": opt,
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, rep.meets_target and davies_ok is not False
 
 
-def cmd_appendixb(args) -> int:
+def cmd_appendixb(args) -> tuple:
     inst = build_config_lp_gap(args.k)
     sol = build_config_solution(inst)
     rep = verify_config_solution(inst, sol)
     defeat = sa1_defeats(inst)
-    status, code = _status(rep.ok and defeat.all_infeasible)
-    payload = {
-        "command": "appendixb", "k": args.k,
+    return {
+        "k": args.k,
         "config_solution": rep.summary(),
         "defeat": {str(v): {"infeasible": w.infeasible,
                             "demand": None if w.demand is None else str(w.demand),
                             "supply": w.supply}
                    for v, w in sorted(defeat.witnesses.items())},
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, rep.ok and defeat.all_infeasible
 
 
-def cmd_appendixc(args) -> int:
+def cmd_appendixc(args) -> tuple:
     inst = build_subtree_counterexample(args.k)
     res = bruteforce_best(inst, budget=args.budget)
     k = args.k
     bound = Fraction(int(k ** 0.5) + 1, k)
     # an incomplete search only bounds the optimum from below
     within = res.quality.alpha <= bound
-    status, code = _status(within, undecided=within and not res.complete)
-    payload = {
-        "command": "appendixc", "k": k,
+    return {
+        "k": k,
         "quality": scalar_to_json(res.quality.alpha),
         "bound": str(bound),
         "complete": res.complete,
-        "status": status,
-    }
-    return _emit(args, payload, code)
+    }, within, within and not res.complete
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple:
     rep = scan_proof_function(args.fn, args.lo, args.hi, args.points,
                               rho=args.rho, eps=args.eps_param)
-    status, code = _status(rep.all_satisfied, rep.undecided)
-    return _emit(args, {"command": "scan", "status": status, **rep.to_json()}, code)
+    return rep.to_json(), rep.all_satisfied, rep.undecided
 
 
 # --- wiring -----------------------------------------------------------------
@@ -567,7 +532,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         precision_cap()  # a bad MMDA_LAB_PRECISION_CAP fails every command alike
-        return args.handler(args)
+        return _report(args, *args.handler(args))
     except (InstanceError, EnumerationCapExceeded, ValueError,
             ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

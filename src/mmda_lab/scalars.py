@@ -134,17 +134,17 @@ class Interval:
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def round_out(self) -> "Interval":
-        return Interval(round_dyadic(self.lo, self.prec, up=False),
-                        round_dyadic(self.hi, self.prec, up=True), self.prec)
-
     def __repr__(self):
         return f"Interval({float(self.lo):.6g}, {float(self.hi):.6g})"
 
 
+def _outward(lo: Fraction, hi: Fraction, prec: int) -> Interval:
+    """[lo, hi], lo <= hi, with each end rounded outward to prec bits."""
+    return Interval(round_dyadic(lo, prec, up=False), round_dyadic(hi, prec, up=True), prec)
+
+
 def iv_add(a: Interval, b: Interval) -> Interval:
-    p = max(a.prec, b.prec)
-    return Interval(a.lo + b.lo, a.hi + b.hi, p).round_out()
+    return _outward(a.lo + b.lo, a.hi + b.hi, max(a.prec, b.prec))
 
 
 def iv_neg(a: Interval) -> Interval:
@@ -153,22 +153,20 @@ def iv_neg(a: Interval) -> Interval:
 
 def iv_mul(a: Interval, b: Interval) -> Interval:
     cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    p = max(a.prec, b.prec)
-    return Interval(min(cands), max(cands), p).round_out()
+    return _outward(min(cands), max(cands), max(a.prec, b.prec))
 
 
 def iv_scale(a: Interval, q: Fraction) -> Interval:
     if q >= 0:
-        return Interval(a.lo * q, a.hi * q, a.prec).round_out()
-    return Interval(a.hi * q, a.lo * q, a.prec).round_out()
+        return _outward(a.lo * q, a.hi * q, a.prec)
+    return _outward(a.hi * q, a.lo * q, a.prec)
 
 
 def iv_div(a: Interval, b: Interval) -> Interval:
     if b.lo <= 0 <= b.hi:
         raise ZeroDivisionError("division by an interval containing zero")
     cands = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    p = max(a.prec, b.prec)
-    return Interval(min(cands), max(cands), p).round_out()
+    return _outward(min(cands), max(cands), max(a.prec, b.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
     The integer sum is rounded once per endpoint, unreduced, so no gcd runs
     on its long integers; scaling by 2**n commutes with rounding to prec
-    bits, so ``exp2_interval``'s ``round_out`` at the same prec is unchanged.
+    bits, so ``exp2_interval``'s outward rounding at the same prec is unchanged.
     """
     if abs(x) > 1:
         raise ValueError("reduced exponential argument expected")
@@ -298,7 +296,7 @@ def exp2_interval(x: Interval, prec: int | None = None) -> Interval:
     p = prec or x.prec
     lo, _ = exp2_point_bounds(x.lo, p)
     _, hi = exp2_point_bounds(x.hi, p)
-    return Interval(lo, hi, p).round_out()
+    return _outward(lo, hi, p)
 
 
 def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:
@@ -382,13 +380,14 @@ class Monomial:
         raise AttributeError("Monomial is immutable")
 
     # construction helpers ---------------------------------------------
+    # their bases are primes already, so they skip __init__'s factoring
     @classmethod
     def from_int(cls, n: int) -> "Monomial":
-        return cls({p: Fraction(e) for p, e in _factor_int(n).items()})
+        return cls._from_factored((p, Fraction(e)) for p, e in _factor_int(n).items())
 
     @classmethod
     def from_factorial(cls, n: int) -> "Monomial":
-        return cls({p: Fraction(e) for p, e in factorial_exponents(n).items()})
+        return cls._from_factored((p, Fraction(e)) for p, e in factorial_exponents(n).items())
 
     @classmethod
     def from_binomial(cls, n: int, k: int) -> "Monomial":
@@ -399,7 +398,7 @@ class Monomial:
             exps[p] = exps.get(p, Fraction(0)) - e
         for p, e in factorial_exponents(n - k).items():
             exps[p] = exps.get(p, Fraction(0)) - e
-        return cls(exps)
+        return cls._from_factored(exps.items())
 
     @classmethod
     def _from_factored(cls, pairs) -> "Monomial":
@@ -507,7 +506,7 @@ def to_interval(x: Scalar | int, prec: int) -> Interval:
     if isinstance(x, Interval):
         return x
     x = as_scalar(x)
-    return Interval(round_dyadic(x, prec, up=False), round_dyadic(x, prec, up=True), prec)
+    return _outward(x, x, prec)
 
 
 def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
@@ -529,35 +528,24 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
         if ia.lo == ia.hi == ib.lo == ib.hi:
             return EQ
         return UNDECIDED
-    if not isinstance(a, Monomial) and not isinstance(b, Monomial):
-        return LT if a < b else GT if a > b else EQ  # two Fractions
+    if a == b:
+        return EQ
+    fa, fb = as_fraction(a), as_fraction(b)
+    if fa is not None and fb is not None:
+        return LT if fa < fb else GT if fa > fb else EQ
+    # one side is an irrational monomial, so positive
+    if fa is not None and fa <= 0:
+        return LT
+    if fb is not None and fb <= 0:
+        return GT
 
-    # exact operands, at least one monomial
-    if isinstance(a, Monomial) and isinstance(b, Monomial):
-        if a.exponents == b.exponents:
-            return EQ
-        fa, fb = a.as_fraction(), b.as_fraction()
-        if fa is not None and fb is not None:
-            return LT if fa < fb else GT
-        diff = lambda p: iv_add(a.log2_interval(p), iv_neg(b.log2_interval(p)))
-    else:
-        mono, rat, flip = (a, b, False) if isinstance(a, Monomial) else (b, a, True)
-        fm = mono.as_fraction()
-        if fm is not None:
-            r = LT if fm < rat else GT if fm > rat else EQ
-            return {LT: GT, GT: LT, EQ: EQ}[r] if flip else r
-        if rat <= 0:
-            return GT if not flip else LT  # monomials are positive
-        diff = lambda p: iv_add(mono.log2_interval(p),
-                                iv_neg(log2_interval(rat, p)))
-        if flip:
-            inner = diff
-            diff = lambda p: iv_neg(inner(p))
+    def log2(x, p):
+        return x.log2_interval(p) if isinstance(x, Monomial) else log2_interval(x, p)
 
     # a sign certified at low precision is still certified; start cheap
     p, cap = min(64, prec), precision_cap() if cap is None else cap
     while True:
-        s = diff(p).sign()
+        s = iv_add(log2(a, p), iv_neg(log2(b, p))).sign()
         if s is not None:
             return LT if s < 0 else GT if s > 0 else EQ
         if p >= cap:

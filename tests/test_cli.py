@@ -292,7 +292,8 @@ class TestRejectedInputs:
         code = main([*argv, "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert "error:" in err and "Traceback" not in err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag,value", [("--eps-param", "0"), ("--eps-param", "2"),
                                             ("--points", "1"), ("--rho", "0"),

@@ -44,6 +44,17 @@ class TestMonomials:
         assert Monomial.from_factorial(5).as_fraction() == 120
         assert Monomial.from_binomial(8, 2).as_fraction() == 28
         assert Monomial.from_binomial(16, 4).as_fraction() == math.comb(16, 4)
+        # the prime-base constructors against __init__, which factors
+        # every base it is given
+        def init(*bases):
+            return Monomial({b: 1 for b in bases if b > 1})
+        built = [(Monomial.from_int(n), init(n)) for n in range(1, 201)]
+        built += [(Monomial.from_factorial(n), init(*range(2, n + 1))) for n in range(201)]
+        built += [(Monomial.from_binomial(n, k), init(math.comb(n, k)))
+                  for n in range(65) for k in range(n + 1)]
+        for got, want in built:
+            assert got.exponents == want.exponents
+            assert all(type(e) is Fraction for _, e in got.exponents)
 
     def test_irrational_vs_rational_compare(self):
         g = Monomial.from_binomial(16, 4).pow(Fraction(1, 2))  # sqrt(1820)
@@ -141,6 +152,17 @@ class TestCompareProperties:
         pairs = [(Fraction(2, 7), Fraction(3, 7)),
                  (Monomial({2: Fraction(1, 2)}), Fraction(3, 2)),
                  (Monomial.from_binomial(8, 2), Monomial.from_binomial(8, 3))]
+        # irrational monomials against positive, zero and negative rationals
+        irrational = [m for m in _seeded_monomials(40) if not m.is_rational]
+        rationals = [Fraction(0), Fraction(-3, 7), Fraction(1, 10 ** 6), Fraction(1),
+                     Fraction(10 ** 6, 7)]
+        pairs += [(m, q) for m in irrational for q in rationals]
+        pairs += [(m, Fraction(m.approx()).limit_denominator(97)) for m in irrational]
+        # a rational-valued monomial against its own Fraction
+        own = [(m, m.as_fraction()) for m in _seeded_monomials(40) if m.is_rational]
+        assert all(compare_certified(m, q) == EQ for m, q in own)
+        pairs += own
+        assert len(irrational) >= 10 and len(own) >= 5
         flip = {LT: GT, GT: LT, EQ: EQ}
         for a, b in pairs:
             assert compare_certified(b, a) == flip[compare_certified(a, b)]
