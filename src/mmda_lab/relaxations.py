@@ -11,6 +11,7 @@ taken from the monotone closed-form path counts, so both modes are exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -112,14 +113,20 @@ def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution) -> ViolationRep
 
 def _verify_sparse(inst: LayeredInstance, sol, root: Vertex) -> ViolationReport:
     rep = ViolationReport()
-    out_sum: dict[Vertex, Fraction] = {}
-    in_sum: dict[Vertex, Fraction] = {}
+    # values repeat as shared objects: test each once, sum each once per vertex
+    values: dict[int, tuple] = {}  # id -> (value, within [0, 1])
+    out_n, in_n = Counter(), Counter()  # (vertex, id) -> edges
     for e, val in sol.support():
-        if not (0 <= val <= 1):
+        if (seen := values.get(id(val))) is None:
+            seen = values[id(val)] = (val, 0 <= val <= 1)
+        if not seen[1]:
             rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
-        u, v = e
-        out_sum[u] = out_sum.get(u, Fraction(0)) + val
-        in_sum[v] = in_sum.get(v, Fraction(0)) + val
+        out_n[e[0], id(val)] += 1
+        in_n[e[1], id(val)] += 1
+    out_sum, in_sum = {}, {}
+    for sums, counts in ((out_sum, out_n), (in_sum, in_n)):
+        for (v, i), n in counts.items():
+            sums[v] = sums.get(v, Fraction(0)) + n * values[i][0]
 
     if inst.is_sink(root):
         rep.add(vacuous(f"covering:root{root}", "covering", out_sum.get(root, 0), 0))

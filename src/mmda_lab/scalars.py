@@ -172,7 +172,7 @@ def iv_div(a: Interval, b: Interval) -> Interval:
 # ---------------------------------------------------------------------------
 # certified elementary enclosures: exact-rational series with explicit
 # tails, summed over unreduced integers (no gcd in the loops); atanh reduces
-# once, into the returned Fractions, and exp rounds each end once, to prec bits
+# once, into the returned Fractions, and exp first tries a guarded fixed-point sum
 
 
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -253,15 +253,41 @@ def _log2_interval_cached(q: Fraction, prec: int) -> Interval:
     return Interval(end(a_lo, l2_hi, False), end(a_hi, l2_lo, True), prec)
 
 
+_EXP_GUARD_BITS = 60  # bits the fixed-point exp sum carries below its tolerance
+
+
 def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Bounds on exp(x) for |x| <= 1, each already rounded out to prec bits.
 
-    The integer sum is rounded once per endpoint, unreduced, so no gcd runs
-    on its long integers; scaling by 2**n commutes with rounding to prec
-    bits, so ``exp2_interval``'s outward rounding at the same prec is unchanged.
+    The ends are total -/+ (2|term| + 2**-s), s = prec+4, at the first k >= 2
+    whose term x^k/k! is at most 2**-s. A fixed-point sum at s + _EXP_GUARD_BITS
+    bits holds each |term| and the total between a floor and a ceiling; when
+    these decide k and both candidates of each end round alike (rounding is
+    monotone), those are the ends, and otherwise ``_exp_exact`` runs.
     """
     if abs(x) > 1:
         raise ValueError("reduced exponential argument expected")
+    n, d, neg = abs(x.numerator), x.denominator, x.numerator < 0
+    b = (d & -d).bit_length() - 1  # d = o * 2**b, and floor(y/2**b)//q = floor(y/(q*2**b))
+    o = d >> b
+    w, tol = prec + 4 + _EXP_GUARD_BITS, 1 << _EXP_GUARD_BITS  # 2**-s, times 2**w
+    lo = hi = t_lo = t_hi = 1 << w  # |term| and total, times 2**w
+    k = 0
+    while k < 2 or lo > tol:
+        k += 1
+        lo, hi = (lo * n >> b) // (o * k), -((-hi * n >> b) // (o * k))
+        t_lo, t_hi = (t_lo - hi, t_hi - lo) if neg and k & 1 else (t_lo + lo, t_hi + hi)
+    if hi <= tol:
+        lo1, lo2, hi1, hi2 = (_round_ratio(t, 1 << w, prec, up) for t, up in (
+            (t_lo - 2 * hi - tol, False), (t_hi - 2 * lo - tol, False),
+            (t_lo + 2 * lo + tol, True), (t_hi + 2 * hi + tol, True)))
+        if lo1 == lo2 and hi1 == hi2:
+            return lo1, hi1
+    return _exp_exact(x, prec)
+
+
+def _exp_exact(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    # the exact series, each end rounded once from its unreduced integer ratio
     n, d = x.numerator, x.denominator
     s = prec + 4  # tol = 2**-s
     # total = t/den and term = num/den over the shared den = d**k * k!
@@ -281,22 +307,17 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=4096)
-def exp2_point_bounds(x: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
-    """Bounds on 2**x for rational x."""
+def _exp2_end(x: Fraction, prec: int, up: bool) -> Fraction:
+    """A lower bound on 2**x, or with ``up`` an upper one: that end of
+    exp(f ln 2), f = x - floor(x), times 2**floor(x), still prec bits."""
     n = math.floor(x)
-    f = x - n  # in [0, 1)
-    l2_lo, l2_hi = _ln2_bounds(prec)
-    e_lo, _ = _exp_bounds(round_dyadic(f * l2_lo, prec + 8, up=False), prec)
-    _, e_hi = _exp_bounds(round_dyadic(f * l2_hi, prec + 8, up=True), prec)
-    scale = Fraction(1 << n) if n >= 0 else Fraction(1, 1 << -n)
-    return e_lo * scale, e_hi * scale
+    arg = round_dyadic((x - n) * _ln2_bounds(prec)[up], prec + 8, up)
+    return _exp_bounds(arg, prec)[up] * (Fraction(1 << n) if n >= 0 else Fraction(1, 1 << -n))
 
 
 def exp2_interval(x: Interval, prec: int | None = None) -> Interval:
     p = prec or x.prec
-    lo, _ = exp2_point_bounds(x.lo, p)
-    _, hi = exp2_point_bounds(x.hi, p)
-    return _outward(lo, hi, p)
+    return _outward(_exp2_end(x.lo, p, False), _exp2_end(x.hi, p, True), p)
 
 
 def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:

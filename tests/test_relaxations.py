@@ -11,7 +11,8 @@ from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
                                   max_paths_between_layers, path_solution,
                                   sink_inflow, verify_assignment,
                                   verify_path_hierarchy)
-from mmda_lab.scalars import compare_certified
+from mmda_lab.reports import ViolationReport, check_ge, check_le, vacuous
+from mmda_lab.scalars import as_fraction, compare_certified
 
 
 class TestAssignmentSolution:
@@ -260,3 +261,62 @@ class TestConsistencyRatio:
         y_inner = ps.value_class(2, 1)
         ratio = y_front.as_fraction() / y_inner.as_fraction()
         assert ratio == Fraction(1, inst8.profile.delta_minus[1])
+
+
+def _ref_verify_sparse(inst, sol, root):
+    """The sparse check as first written: every edge's value compared with
+    0 and 1 and added to its endpoints' sums one by one."""
+    rep = ViolationReport()
+    out_sum, in_sum = {}, {}
+    for e, val in sol.support():
+        if not (0 <= val <= 1):
+            rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
+        u, v = e
+        out_sum[u] = out_sum.get(u, Fraction(0)) + val
+        in_sum[v] = in_sum.get(v, Fraction(0)) + val
+    if inst.is_sink(root):
+        rep.add(vacuous(f"covering:root{root}", "covering", out_sum.get(root, 0), 0))
+    else:
+        demand_root = max(in_sum.get(root, Fraction(0)), Fraction(1))
+        rep.add(check_ge(f"covering:root{root}", out_sum.get(root, 0),
+                         as_fraction(inst.k_of(root)) * demand_root))
+    for v in sorted(set(in_sum) | set(out_sum)):
+        inflow = in_sum.get(v, Fraction(0))
+        if inflow > 0:
+            rep.add(check_le(f"packing:{v}", inflow, 1))
+        if v == root or inst.is_sink(v):
+            continue
+        if inflow > 0:
+            rep.add(check_ge(f"covering:{v}", out_sum.get(v, 0),
+                             as_fraction(inst.k_of(v)) * inflow))
+        else:
+            rep.add(vacuous(f"covering:{v}", "covering", out_sum.get(v, 0), 0))
+    return rep
+
+
+class TestSparseVerifier:
+    """Values shared as objects are tested and summed once per vertex; the
+    checks are those of the per-edge loop, in its order."""
+
+    def same(self, got, want):
+        assert [c.to_json() for c in got.checks] == [c.to_json() for c in want.checks]
+
+    def test_subtree_solutions_equal_per_edge_reference(self, inst8, family8):
+        for f in [((0, 0), (1, 0)), ((0, 0), (1, 5))] + list(inst8.all_edges())[40::200]:
+            sol = family8.solution_for(f)
+            self.same(verify_assignment(inst8, sol, root=f[1]),
+                      _ref_verify_sparse(inst8, sol, f[1]))
+
+    def test_out_of_range_values_keep_their_per_edge_checks(self, inst8, family8):
+        f = ((0, 0), (1, 2))
+        over, under = Fraction(3, 2), Fraction(-1, 7)
+        table = {}
+        for i, (e, val) in enumerate(family8.support(f)):
+            # shared bad objects, equal values in distinct objects, and ints
+            table[e] = (over, under, Fraction(3, 2), val, 1)[i % 5]
+        sol = SparseSolution(inst8, table)
+        got = verify_assignment(inst8, sol, root=f[1])
+        self.same(got, _ref_verify_sparse(inst8, sol, f[1]))
+        bounds = [c.constraint_id for c in got.checks if c.kind == "bounds"]
+        assert bounds == [f"bounds:{e}" for e, v in table.items() if not 0 <= v <= 1]
+        assert len(bounds) == len(table) - sum(1 for v in table.values() if 0 <= v <= 1) > 0

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from mmda_lab import scalars
 from mmda_lab.scalars import (DEFAULT_PRECISION, EQ, GT, LT, MONO_ONE, UNDECIDED,
                               Interval, Monomial, PrecisionCapExceeded, _atanh_bounds,
                               _exp_bounds, _ln2_bounds, as_fraction, as_scalar,
@@ -578,3 +579,140 @@ class TestMonomialOracle:
         got = a.mul(b).div(c)
         self.same(got, _ref_div(_ref_mul(a, b), c))
         assert got == Monomial({3: Fraction(5, 6)})
+
+
+# The exp kernel's fixed-point sum against its exact fallback, and the
+# enclosures against mpmath, an implementation that shares no code with them.
+
+def _seeded_exp_arguments(prec, count, seed):
+    """Dyadics with prec+8 bits in [-1, 1], as exp2_interval hands the kernel
+    its reduced arguments, and non-dyadic ratios in (-1, 1)."""
+    import random
+    rng = random.Random(seed)
+    bits = prec + 8
+    out = [Fraction(rng.randrange(-(1 << bits), (1 << bits) + 1), 1 << bits)
+           for _ in range(count)]
+    return out + [Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(10 ** 9, 10 ** 10))
+                  for _ in range(count)]
+
+
+def _edge_exp_arguments(prec):
+    """0, +-1, 1/3, -5/7, negative dyadics, and |x| <= 2**-(prec+4), where
+    x^2/2 is already below the tolerance, so the series stops at k = 2."""
+    tiny = Fraction(1, 1 << (prec + 4))
+    return [Fraction(x) for x in (0, 1, -1, Fraction(1, 3), Fraction(-5, 7), Fraction(-1, 2),
+                                  Fraction(-3, 4), Fraction(-1, 1 << 40),
+                                  Fraction(-(1 << 70) + 1, 1 << 70))] + \
+        [tiny, -tiny, tiny / 3, -tiny * Fraction(5, 7), tiny / (1 << 50)]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Arguments the exact exp series is run on, in call order."""
+    calls = []
+    exact = scalars._exp_exact
+
+    def spy(x, prec):
+        calls.append(x)
+        return exact(x, prec)
+    monkeypatch.setattr(scalars, "_exp_exact", spy)
+    return calls
+
+
+class TestExpFastPath:
+    @pytest.mark.parametrize("prec,count", [(64, 30), (256, 30), (1024, 6), (4096, 1)])
+    def test_fixed_point_sum_equals_exact_series(self, prec, count, exact_calls):
+        xs = _seeded_exp_arguments(prec, count, prec + 1)
+        got = [_exp_bounds(x, prec) for x in xs]
+        assert exact_calls == []  # every seeded argument is decided in fixed point
+        for x, g in zip(xs, got):
+            assert g == scalars._exp_exact(x, prec), x
+
+    @pytest.mark.parametrize("prec", (64, 256, 1024, 4096))
+    def test_edge_arguments_equal_exact_series(self, prec, exact_calls):
+        for x in _edge_exp_arguments(prec):
+            got = _exp_bounds(x, prec)
+            assert got == scalars._exp_exact(x, prec), x
+            if prec <= 256:
+                lo, hi = _ref_exp_bounds(x, prec)
+                assert got == (_ref_round_dyadic(lo, prec, False),
+                               _ref_round_dyadic(hi, prec, True)), x
+
+    def test_no_guard_bits_falls_back_to_the_exact_series(self, monkeypatch, exact_calls):
+        # without guard bits the fixed-point bounds straddle a rounding step
+        monkeypatch.setattr(scalars, "_EXP_GUARD_BITS", 0)
+        prec = 256
+        xs = _seeded_exp_arguments(prec, 6, 7)
+        for x in xs:
+            lo, hi = _ref_exp_bounds(x, prec)
+            want = _ref_round_dyadic(lo, prec, False), _ref_round_dyadic(hi, prec, True)
+            assert _exp_bounds(x, prec) == want, x
+        assert exact_calls == xs
+
+    def test_exp2_interval_runs_one_series_per_end(self, monkeypatch):
+        calls = []
+        bounds = scalars._exp_bounds
+
+        def spy(x, prec):
+            calls.append(x)
+            return bounds(x, prec)
+        monkeypatch.setattr(scalars, "_exp_bounds", spy)
+        scalars._exp2_end.cache_clear()
+        iv = Monomial({3: Fraction(1, 2), 5: Fraction(-2, 3)}).log2_interval(256)
+        got = exp2_interval(iv, 256)
+        # the lower end of exp at the lower argument, the upper end at the upper
+        l2_lo, l2_hi = _ln2_bounds(256)
+        n = math.floor(iv.lo)
+        assert math.floor(iv.hi) == n == -1
+        assert calls == [round_dyadic((iv.lo - n) * l2_lo, 264, up=False),
+                         round_dyadic((iv.hi - n) * l2_hi, 264, up=True)]
+        assert got.lo == _exp_bounds(calls[0], 256)[0] / 2
+        assert got.hi == _exp_bounds(calls[1], 256)[1] / 2
+        assert near(got, 3 ** 0.5 / 5 ** (2 / 3))
+
+
+def _from_mpf(v):
+    man, exp = v.man_exp  # the mantissa without its sign
+    return Fraction(-man if v < 0 else man) * Fraction(2) ** exp
+
+
+class TestMpmathEnclosures:
+    """mpmath's 2**y and log2(q) at twice the working precision lie inside
+    the certified enclosures."""
+
+    @pytest.mark.parametrize("prec", (256, 1024))
+    def test_exp2_interval_contains_mpmath(self, prec):
+        mpmath = pytest.importorskip("mpmath")
+        import random
+        rng = random.Random(prec + 2)
+        ys = [Fraction(rng.randrange(-40 * 10 ** 9, 40 * 10 ** 9), rng.randrange(1, 10 ** 9))
+              for _ in range(12)]
+        ys += [Fraction(rng.randrange(-(1 << 80), 1 << 80), 1 << 76) for _ in range(12)]
+        with mpmath.workprec(2 * prec):
+            for y in ys:
+                iv = exp2_interval(Interval(y, y, prec), prec)
+                want = _from_mpf(mpmath.power(2, mpmath.mpf(y.numerator) / y.denominator))
+                assert iv.lo <= want <= iv.hi, y
+
+    @pytest.mark.parametrize("prec", (256, 1024))
+    def test_log2_interval_contains_mpmath(self, prec):
+        mpmath = pytest.importorskip("mpmath")
+        qs = _seeded_q(24, prec + 3) + _EDGES
+        with mpmath.workprec(2 * prec):
+            for q in qs:
+                iv = log2_interval(q, prec)
+                want = _from_mpf(mpmath.log(mpmath.mpf(q.numerator) / q.denominator, 2))
+                assert iv.lo <= want <= iv.hi, q
+
+    @pytest.mark.parametrize("prec", (256, 1024))
+    def test_monomial_to_interval_contains_mpmath(self, prec):
+        mpmath = pytest.importorskip("mpmath")
+        ms = [m for m in _seeded_monomials(60) if m.as_fraction() is None]
+        assert len(ms) >= 24
+        with mpmath.workprec(2 * prec):
+            for m in ms:
+                iv = m.to_interval(prec)
+                want = _from_mpf(mpmath.exp(mpmath.fsum(
+                    mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
+                    for p, e in m.exponents)))
+                assert iv.lo <= want <= iv.hi, m
