@@ -22,10 +22,9 @@ from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
                         build_subtree_counterexample, desiderata_identities,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
-from .relaxations import (ENUMERATION_CAP, EnumerationCapExceeded, SubtreeFamily,
-                          assignment_solution, check_helper_lemma,
+from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
                           closed_form_paths, count_paths, path_solution,
-                          verify_assignment, verify_path_hierarchy)
+                          verify_assignment, verify_path_hierarchy, verify_subtree)
 from .reports import _decide_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
@@ -200,14 +199,11 @@ def cmd_verify_lp(args) -> tuple:
     subtree_failures = 0
     if args.subtrees:
         fam = SubtreeFamily(inst)
-        dplus, dminus = inst.profile.delta_plus, inst.profile.delta_minus
-        if 1 + dplus[1] + dplus[1] * dplus[2] > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"a layer-1 subtree solution holds more than {ENUMERATION_CAP} edges")
         # relabelling an edge relabels its solution and keeps the verdict
         for f in _first_edges(inst):
-            if not verify_assignment(inst, fam.solution_for(f), root=f[1]).ok:
-                subtree_failures += inst.layer_size(f[1][0]) * dminus[f[1][0]]
+            if not verify_subtree(fam, f).ok:
+                i = f[1][0]
+                subtree_failures += inst.layer_size(i) * inst.profile.delta_minus[i]
     ok = rep.ok and all(v for _, v in identities) and subtree_failures == 0
     return {
         "report": rep.to_json(),
@@ -262,8 +258,10 @@ def cmd_count_paths(args) -> tuple:
 
 def _first_edges(inst) -> list:
     """The first edge into each layer.  On a labelled instance S_m maps the
-    edges of a layer onto each other, so one stands for all of its layer."""
-    return [next(iter(inst.edges_into_layer(i))) for i in range(1, inst.ell + 1)]
+    edges of a layer onto each other, so one stands for all of its layer.
+    The rank-0 labels are the lowest bits, so they nest: the first vertices
+    of adjacent layers are the ends of an edge."""
+    return [((i - 1, 0), (i, 0)) for i in range(1, inst.ell + 1)]
 
 
 def cmd_sa1_report(args) -> tuple:
@@ -442,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
-    # --subtrees checks one subtree solution per layer, below ENUMERATION_CAP edges
+    # --subtrees checks one subtree solution per layer, on the label classes of its trigger
     _add_instance_args(p, MMDA_ONLY, capped=False)
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
@@ -533,8 +531,7 @@ def main(argv=None) -> int:
     try:
         precision_cap()  # a bad MMDA_LAB_PRECISION_CAP fails every command alike
         return _report(args, *args.handler(args))
-    except (InstanceError, EnumerationCapExceeded, ValueError,
-            ZeroDivisionError, OSError) as exc:
+    except (InstanceError, ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PrecisionCapExceeded as exc:

@@ -463,6 +463,66 @@ class SingleVertices:
         return [(w, 1) for w in near(cls)]
 
 
+def _weighted_sum(terms) -> Fraction:
+    """The sum of n * q over the pairs (n, q), over the lcm of the
+    denominators and reduced once: values of one edge function share most
+    of their denominators, so this saves a gcd of long integers per term."""
+    terms = list(terms)
+    den = 1
+    for _, q in terms:
+        den *= q.denominator // math.gcd(den, q.denominator)
+    return Fraction(sum(n * q.numerator * (den // q.denominator) for n, q in terms), den)
+
+
+class ClassSums:
+    """An edge function and its vertex in/out sums, each computed once per
+    class of ``part``, a partition of the vertices that the function
+    respects (:class:`LabelCells` or :class:`SingleVertices`).  An edge's
+    class is the pair of its end classes, evaluated by ``value`` at its
+    representative edge, and a vertex's sums add each neighbour class
+    times its count.  ``values`` keeps every class pair evaluated so far.
+    """
+
+    def __init__(self, part, value):
+        self.part = part
+        self.value = value
+        self.values: dict[tuple, Fraction] = {}
+        self._sums: dict = {}
+
+    def _value(self, tail, head) -> Fraction:
+        p = self.values.get((tail, head))
+        if p is None:
+            p = self.values[tail, head] = self.value((self.part.rep(tail), self.part.rep(head)))
+        return p
+
+    def edge(self, e: Edge) -> Fraction:
+        return self._value(self.part.key(e[0]), self.part.key(e[1]))
+
+    def class_sums(self, cls) -> tuple[Fraction, Fraction]:
+        """(sum over the in-edges, sum over the out-edges) of a vertex in cls."""
+        sums = self._sums.get(cls)
+        if sums is None:
+            i = cls[0]                  # the layer, in either kind of class
+            ins = outs = Fraction(0)
+            if i > 0:
+                ins = _weighted_sum((n, self._value(c, cls))
+                                    for c, n in self.part.neighbours(cls, i - 1))
+            if i < self.part.inst.ell:
+                outs = _weighted_sum((n, self._value(cls, c))
+                                     for c, n in self.part.neighbours(cls, i + 1))
+            sums = self._sums[cls] = (ins, outs)
+        return sums
+
+    def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
+        """(sum over the in-edges, sum over the out-edges) of v."""
+        return self.class_sums(self.part.key(v))
+
+    def first_vertices(self, i: int):
+        """(v, vertex(v)) for the first vertex of each class of layer i, in
+        rank order; every other vertex repeats its class's sums."""
+        return ((self.part.rep(c), self.class_sums(c)) for c in self.part.classes(i))
+
+
 class ExplicitInstance(LayeredInstance):
     def __init__(self, layers: list[list[Vertex]], out_adj: dict[Vertex, list[Vertex]],
                  k_map: dict[Vertex, Scalar]):

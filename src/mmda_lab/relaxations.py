@@ -11,14 +11,13 @@ taken from the monotone closed-form path counts, so both modes are exact.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 
-from .instances import (Edge, InstanceError, LabeledInstance,
-                        LayeredInstance, Vertex)
+from .instances import (ClassSums, Edge, InstanceError, LabelCells,
+                        LabeledInstance, LayeredInstance, Vertex)
 from .reports import ViolationReport, check_eq, check_ge, check_le, vacuous
 from .scalars import MONO_ONE, Monomial, Scalar, as_fraction
 
@@ -56,9 +55,6 @@ class SparseSolution:
     def value(self, e: Edge) -> Scalar:
         return self.table.get(e, Fraction(0))
 
-    def support(self):
-        return self.table.items()
-
 
 def assignment_solution(inst: LabeledInstance) -> LayerSolution:
     """x_e = gamma_{i-1} * prod_{j<i} (gamma_{j-1} delta_j^-) on layer i."""
@@ -77,21 +73,9 @@ def assignment_solution(inst: LabeledInstance) -> LayerSolution:
 # assignment LP verification
 
 
-def verify_assignment(inst: LayeredInstance, sol,
-                      root: Vertex | None = None) -> ViolationReport:
-    """Certified check of the covering/packing/bounds constraints.
-
-    ``root`` relocates the covering obligation (used for subtree
-    solutions); it defaults to the instance source.  At the root the
-    demand multiplier is max(in-flow, 1).
-    """
-    if isinstance(sol, LayerSolution) and isinstance(inst, LabeledInstance) \
-            and root in (None, inst.source):
-        return _verify_layerwise(inst, sol)
-    return _verify_sparse(inst, sol, root or inst.source)
-
-
-def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution) -> ViolationReport:
+def verify_assignment(inst: LabeledInstance, sol: LayerSolution) -> ViolationReport:
+    """Certified check of the covering/packing/bounds constraints, one per
+    layer: every edge of a layer carries the same value."""
     rep = ViolationReport()
     prof = inst.profile
     xs = sol.layer_values
@@ -108,46 +92,6 @@ def _verify_layerwise(inst: LabeledInstance, sol: LayerSolution) -> ViolationRep
         rep.add(check_le(f"packing:layer{i}", inflow, 1))
     for i in range(1, inst.ell + 1):
         rep.add(check_le(f"bounds:layer{i}", xs[i], 1, kind="bounds"))
-    return rep
-
-
-def _verify_sparse(inst: LayeredInstance, sol, root: Vertex) -> ViolationReport:
-    rep = ViolationReport()
-    # values repeat as shared objects: test each once, sum each once per vertex
-    values: dict[int, tuple] = {}  # id -> (value, within [0, 1])
-    out_n, in_n = Counter(), Counter()  # (vertex, id) -> edges
-    for e, val in sol.support():
-        if (seen := values.get(id(val))) is None:
-            seen = values[id(val)] = (val, 0 <= val <= 1)
-        if not seen[1]:
-            rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
-        out_n[e[0], id(val)] += 1
-        in_n[e[1], id(val)] += 1
-    out_sum, in_sum = {}, {}
-    for sums, counts in ((out_sum, out_n), (in_sum, in_n)):
-        for (v, i), n in counts.items():
-            sums[v] = sums.get(v, Fraction(0)) + n * values[i][0]
-
-    if inst.is_sink(root):
-        rep.add(vacuous(f"covering:root{root}", "covering", out_sum.get(root, 0), 0))
-    else:
-        demand_root = max(in_sum.get(root, Fraction(0)), Fraction(1))
-        k_root = as_fraction(inst.k_of(root))
-        if k_root is None:
-            raise InstanceError("sparse verification needs rational requirements")
-        rep.add(check_ge(f"covering:root{root}", out_sum.get(root, 0), k_root * demand_root))
-
-    for v in sorted(set(in_sum) | set(out_sum)):
-        inflow = in_sum.get(v, Fraction(0))
-        if inflow > 0:
-            rep.add(check_le(f"packing:{v}", inflow, 1))
-        if v == root or inst.is_sink(v):
-            continue
-        if inflow > 0:
-            kv = as_fraction(inst.k_of(v))
-            rep.add(check_ge(f"covering:{v}", out_sum.get(v, 0), kv * inflow))
-        else:
-            rep.add(vacuous(f"covering:{v}", "covering", out_sum.get(v, 0), 0))
     return rep
 
 
@@ -170,7 +114,7 @@ class SubtreeFamily:
         self._label = inst.label
         # every support value is one of these shared objects, so a consumer
         # converting values can do each distinct one once
-        self._one = Fraction(1)
+        self._zero, self._one = Fraction(0), Fraction(1)
         self._mid = Fraction(1, self.c_small)
         self._splits: dict[int, Fraction] = {}
 
@@ -217,13 +161,54 @@ class SubtreeFamily:
         out.append((e, self._one))
         return out
 
-    def solution_for(self, f: Edge) -> SparseSolution:
-        return SparseSolution(self.inst, dict(self.support(f)))
+    def value(self, f: Edge, e: Edge) -> Fraction:
+        """x_e^{(f)} in closed form, as :meth:`support` lists it: below a
+        layer-1 trigger, a bottom edge's value is read off its labels."""
+        if e == f:
+            return self._one
+        if e[0] == f[1]:
+            return self._mid if f[1][0] == 1 else self._one
+        if f[1][0] == 1 and e[1][0] == 3:
+            lv = self._label(f[1])
+            if self._label(e[0]) & lv == lv:
+                return self.sink_split((self._label(e[1]) & lv).bit_count())
+        return self._zero
 
 
-def sink_inflow(fam: SubtreeFamily, f: Edge, t: Vertex) -> Fraction:
-    """Sum of x^{(f)} over the in-edges of sink t (the flow-splitting sum)."""
-    return sum((val for e, val in fam.support(f) if e[1] == t), Fraction(0))
+def verify_subtree(fam: SubtreeFamily, f: Edge) -> ViolationReport:
+    """Certified check of the relocated solution x^{(f)}: the assignment
+    constraints with the covering obligation moved to f's head, whose
+    demand multiplier is max(in-flow, 1).
+
+    The values are constant on the label cells of f's ends (the Johnson
+    scheme, Delsarte 1973), so each class pair is evaluated once, at its
+    representative edge, and each class's in/out sums are count times
+    value.  Bounds are checked on each distinct value, packing at every
+    class with in-flow, covering at the non-root, non-sink ones with
+    in-flow.
+    """
+    inst = fam.inst
+    root = f[1]
+    part = LabelCells(inst, map(inst.label, f))
+    sums = ClassSums(part, lambda e: fam.value(f, e))
+    rep = ViolationReport()
+    # the sums of every class evaluate every class pair into sums.values
+    flows = [(part.rep(c), sums.class_sums(c))
+             for i in range(inst.ell + 1) for c in part.classes(i)]
+    # values repeat as shared objects: test each once
+    for val in {id(v): v for v in sums.values.values()}.values():
+        rep.add(check_ge(f"bounds:{val}>=0", val, 0, kind="bounds"))
+        rep.add(check_le(f"bounds:{val}<=1", val, 1, kind="bounds"))
+    if not inst.is_sink(root):
+        inflow, out = sums.vertex(root)
+        rep.add(check_ge(f"covering:root{root}", out,
+                         as_fraction(inst.k_of(root)) * max(inflow, Fraction(1))))
+    for v, (inflow, out) in flows:
+        if inflow > 0:
+            rep.add(check_le(f"packing:{v}", inflow, 1))
+            if v != root and not inst.is_sink(v):
+                rep.add(check_ge(f"covering:{v}", out, as_fraction(inst.k_of(v)) * inflow))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +457,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
             rep.add(check_le(f"lifted-packing:({i},{j})", lhs, 1))
 
     # (3)+(4) unlifted assignment constraints for y({e}) = x_e
-    rep.merge(_verify_layerwise(inst, ps.x))
+    rep.merge(verify_assignment(inst, ps.x))
 
     # (5) consistency: extending a path in front multiplies by 1/delta^-,
     # extending at the back multiplies by gamma; both factors are <= 1
@@ -549,7 +534,7 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints
-    rep.merge(_verify_layerwise(inst, ps.x))
+    rep.merge(verify_assignment(inst, ps.x))
 
     # (5) consistency for contiguous subpaths
     for q in paths:

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .instances import (Edge, InstanceError, LabelCells, LabeledInstance, LayeredInstance,
-                        SingleVertices, Vertex)
+from .instances import (ClassSums, Edge, InstanceError, LabelCells, LabeledInstance,
+                        LayeredInstance, SingleVertices, Vertex)
 from .relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
                           assignment_solution)
 from .reports import ViolationReport, check_ge, check_le
@@ -228,76 +228,16 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
     return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
 
 
-def _weighted_sum(terms) -> Fraction:
-    """The sum of n * q over the pairs (n, q), over the lcm of the
-    denominators and reduced once: values under one event share most of
-    their denominators, so this saves a gcd of long integers per term."""
-    terms = list(terms)
-    den = 1
-    for _, q in terms:
-        den *= q.denominator // math.gcd(den, q.denominator)
-    return Fraction(sum(n * q.numerator * (den // q.denominator) for n, q in terms), den)
-
-
-class _EventMoments:
+def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> ClassSums:
     """Conditional edge probabilities and vertex in/out sums under one
-    event (None: unconditioned), each computed once per class of ``part``,
-    a partition of the vertices that the model's values respect
-    (:class:`LabelCells` or :class:`SingleVertices`).  An edge's class is
-    the pair of its end classes, evaluated at its representative edge, and
-    a vertex's sums add each neighbour class times its count.
-    """
-
-    def __init__(self, model: ShadowModel, event: ConditionEvent | None, part):
-        self.model = model
-        self.event = event
-        self.part = part
-        self._edge: dict[tuple, Fraction] = {}
-        self._sums: dict = {}
-
-    def _value(self, tail, head) -> Fraction:
-        p = self._edge.get((tail, head))
-        if p is None:
-            e = (self.part.rep(tail), self.part.rep(head))
-            p = self._edge[tail, head] = (
-                self.model.marginal(e) if self.event is None
-                else self.model.conditional_probability(e, self.event))
-        return p
-
-    def edge(self, e: Edge) -> Fraction:
-        return self._value(self.part.key(e[0]), self.part.key(e[1]))
-
-    def _class_sums(self, cls) -> tuple[Fraction, Fraction]:
-        sums = self._sums.get(cls)
-        if sums is None:
-            i = cls[0]                  # the layer, in either kind of class
-            ins = outs = Fraction(0)
-            if i > 0:
-                ins = _weighted_sum((n, self._value(c, cls))
-                                    for c, n in self.part.neighbours(cls, i - 1))
-            if i < self.model.inst.ell:
-                outs = _weighted_sum((n, self._value(cls, c))
-                                     for c, n in self.part.neighbours(cls, i + 1))
-            sums = self._sums[cls] = (ins, outs)
-        return sums
-
-    def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
-        """(sum over the in-edges, sum over the out-edges) of v."""
-        return self._class_sums(self.part.key(v))
-
-    def first_vertices(self, i: int):
-        """(v, vertex(v)) for the first vertex of each class of layer i, in
-        rank order; every other vertex repeats its class's sums."""
-        return ((self.part.rep(c), self._class_sums(c)) for c in self.part.classes(i))
-
-
-def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> _EventMoments:
-    """A symmetric model's values are constant on the label cells of the
-    event edge (Gatermann & Parrilo 2004); other models walk every vertex."""
+    event (None: unconditioned).  A symmetric model's values are constant
+    on the label cells of the event edge (Gatermann & Parrilo 2004); other
+    models walk every vertex."""
     inst = model.inst
     part = (LabelCells(inst, map(inst.label, event.edge) if event else ())
             if model.symmetric else SingleVertices(inst))
-    return _EventMoments(model, event, part)
+    return ClassSums(part, model.marginal if event is None
+                     else lambda e: model.conditional_probability(e, event))
 
 
 def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:

@@ -73,32 +73,44 @@ class TestCommands:
         # doubled values break the bounds of every solution rooted in the layer
         from mmda_lab import cli
         from mmda_lab.instances import build_mmda, make_params
-        from mmda_lab.relaxations import SubtreeFamily, verify_assignment
-
-        class Broken(SubtreeFamily):
-            def support(self, f):
-                for e, val in super().support(f):
-                    yield e, 2 * val if f[1][0] == layer else val
+        from test_relaxations import FAULTS, Faulty, _ref_verify_sparse
 
         inst = build_mmda(make_params(8, Fraction(1, 4)))
-        fam = Broken(inst)
-        walked = sum(not verify_assignment(inst, fam.solution_for(f), root=f[1]).ok
+        fam = Faulty(inst, layer, FAULTS["doubled"])
+        walked = sum(not _ref_verify_sparse(inst, fam.support(f), f[1]).ok
                      for f in inst.all_edges())
         assert walked == inst.layer_size(layer) * inst.profile.delta_minus[layer]
-        monkeypatch.setattr(cli, "SubtreeFamily", Broken)
+        monkeypatch.setattr(cli, "SubtreeFamily",
+                            lambda inst: Faulty(inst, layer, FAULTS["doubled"]))
         code, data, _ = run(tmp_path, "verify-lp", "--m", "8", "--subtrees")
         assert code == EXIT_FAIL and data["status"] == "fail"
         assert data["subtree_failures"] == walked
 
-    def test_verify_lp_subtrees_refused_above_enumeration_cap(self, tmp_path, capsys):
-        # a layer-1 solution at m=24 holds 1 + 18564 + 18564 * 924 edges
+    def test_verify_lp_subtrees_runs_at_m24(self, tmp_path):
+        # the layer-1 solution at m=24 holds 1 + 18564 + 18564 * 924 edges;
+        # its label classes number a few dozen
         import time
         start = time.perf_counter()
-        code = main(["verify-lp", "--m", "24", "--subtrees", "--out", str(tmp_path / "x.json")])
+        code, data, _ = run(tmp_path, "verify-lp", "--m", "24", "--subtrees")
         assert time.perf_counter() - start < 1
-        assert code == EXIT_USAGE and not (tmp_path / "x.json").exists()
-        assert capsys.readouterr().err == (
-            "error: a layer-1 subtree solution holds more than 10000000 edges\n")
+        assert code == EXIT_PASS and data["status"] == "pass"
+        assert data["checked_subtrees"] is True and data["subtree_failures"] == 0
+
+    def test_first_edges_are_the_first_in_neighbours(self):
+        from mmda_lab.cli import _first_edges
+        from mmda_lab.instances import LabeledInstance, make_params
+        for m, eps in ((4, 1), (8, 1), (12, 1), (16, Fraction(1, 2)), (32, Fraction(1, 8))):
+            inst = LabeledInstance(make_params(m, Fraction(1, 4), epsilon=eps))
+            assert _first_edges(inst) == [next(iter(inst.edges_into_layer(i)))
+                                          for i in range(1, inst.ell + 1)]
+        inst = LabeledInstance(make_params(48, Fraction(1, 4)))
+        import time
+        start = time.perf_counter()
+        edges = _first_edges(inst)
+        assert time.perf_counter() - start < 0.01
+        assert edges == [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0))]
+        for u, v in edges:
+            assert inst.label(u) & inst.label(v) == min(inst.label(u), inst.label(v))
 
     def test_verify_lp_subtrees_rejected_on_deep_instance(self, tmp_path):
         code = main(["verify-lp", "--m", "16", "--rho", "1/4", "--eps", "1/2",

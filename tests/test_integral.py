@@ -145,6 +145,24 @@ class TestCountingCertificate:
         assert len(data["variants"]) == 2
 
 
+class TestCountingCertificateRho8:
+    """The bounds below 1 that the certificate reports at rho=1/8.  The
+    hypotheses of the counting lemma (on theta, rho, epsilon and the
+    threshold) are not checked here, so neither value is a gap claim yet."""
+
+    def test_m16_bound_at_threshold_one(self):
+        cert = counting_certificate(make_params(16, Fraction(1, 8)))
+        best = cert.best_quality_bound()
+        assert [v.threshold for v in cert.variants if v.quality_bound is best] == [1]
+        assert compare_certified(best.pow(2), Fraction(58, 91)) == "="   # 0.79835...
+
+    def test_m32_bound_at_threshold_two(self):
+        cert = counting_certificate(make_params(32, Fraction(1, 8)))
+        best = cert.best_quality_bound()
+        assert [v.threshold for v in cert.variants if v.quality_bound is best] == [2]
+        assert best.as_fraction() == Fraction(17, 35)                     # 0.48571...
+
+
 class TestHallInfeasibility:
     def test_config_gap_demand_exceeds_supply(self):
         for k in (2, 3):

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mmda_lab.instances import build_mmda, make_params
-from mmda_lab.relaxations import (SparseSolution, SubtreeFamily,
-                                  assignment_solution, check_helper_lemma,
-                                  closed_form_paths, count_paths,
-                                  max_paths_between_layers, path_solution,
-                                  sink_inflow, verify_assignment,
-                                  verify_path_hierarchy)
+from mmda_lab.instances import ClassSums, LabelCells, build_mmda, make_params
+from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
+                                  check_helper_lemma, closed_form_paths,
+                                  count_paths, max_paths_between_layers,
+                                  path_solution, verify_assignment,
+                                  verify_path_hierarchy, verify_subtree)
 from mmda_lab.reports import ViolationReport, check_ge, check_le, vacuous
 from mmda_lab.scalars import as_fraction, compare_certified
 
@@ -59,7 +58,7 @@ class TestVerifyAssignment:
         assert compare_certified(packing["packing:layer4"].lhs, boundary) == "="
 
     def test_all_zero_solution_violates_source(self, inst8):
-        rep = verify_assignment(inst8, SparseSolution(inst8, {}))
+        rep = _ref_verify_sparse(inst8, (), inst8.source)
         bad = [c for c in rep.violations if c.constraint_id.startswith("covering:root")]
         assert bad and bad[0].lhs == 0
 
@@ -102,12 +101,13 @@ class TestSubtreeFamily:
 
     def test_flow_splitting_identity_all_sinks(self, inst8, family8):
         e = ((0, 0), (1, 0))
+        sums = subtree_sums(family8, e)
         for t in inst8.vertices(3):
-            assert sink_inflow(family8, e, t) == Fraction(15, 28)
+            assert sums.vertex(t)[0] == Fraction(15, 28)
 
     def test_every_subtree_passes_relocated_check(self, inst8, family8):
         for f in inst8.all_edges():
-            rep = verify_assignment(inst8, family8.solution_for(f), root=f[1])
+            rep = verify_subtree(family8, f)
             assert rep.ok, f
 
     def test_rejects_deep_instance(self, inst16_deep):
@@ -263,14 +263,24 @@ class TestConsistencyRatio:
         assert ratio == Fraction(1, inst8.profile.delta_minus[1])
 
 
-def _ref_verify_sparse(inst, sol, root):
-    """The sparse check as first written: every edge's value compared with
-    0 and 1 and added to its endpoints' sums one by one."""
+def subtree_sums(fam, f):
+    """x^{(f)} and its vertex sums on the label classes of f's ends."""
+    inst = fam.inst
+    return ClassSums(LabelCells(inst, map(inst.label, f)), lambda e: fam.value(f, e))
+
+
+def _ref_verify_sparse(inst, support, root):
+    """The per-edge check of a relocated solution, the oracle for
+    ``verify_subtree``: every edge's value in ``support``, (edge, value)
+    pairs, compared with 0 and 1 and added to its endpoints' sums one by
+    one, with the covering obligation at ``root``."""
     rep = ViolationReport()
     out_sum, in_sum = {}, {}
-    for e, val in sol.support():
-        if not (0 <= val <= 1):
+    for e, val in support:
+        if val > 1:
             rep.add(check_le(f"bounds:{e}", val, 1, kind="bounds"))
+        elif val < 0:
+            rep.add(check_ge(f"bounds:{e}", val, 0, kind="bounds"))
         u, v = e
         out_sum[u] = out_sum.get(u, Fraction(0)) + val
         in_sum[v] = in_sum.get(v, Fraction(0)) + val
@@ -294,29 +304,95 @@ def _ref_verify_sparse(inst, sol, root):
     return rep
 
 
-class TestSparseVerifier:
-    """Values shared as objects are tested and summed once per vertex; the
-    checks are those of the per-edge loop, in its order."""
+class Faulty(SubtreeFamily):
+    """The subtree solutions with ``fault(e, value)`` in place of every
+    positive value of the solutions whose trigger enters ``layer``, in both
+    the support and the closed form."""
 
-    def same(self, got, want):
-        assert [c.to_json() for c in got.checks] == [c.to_json() for c in want.checks]
+    def __init__(self, inst, layer, fault):
+        super().__init__(inst)
+        self.layer, self.fault = layer, fault
 
-    def test_subtree_solutions_equal_per_edge_reference(self, inst8, family8):
-        for f in [((0, 0), (1, 0)), ((0, 0), (1, 5))] + list(inst8.all_edges())[40::200]:
-            sol = family8.solution_for(f)
-            self.same(verify_assignment(inst8, sol, root=f[1]),
-                      _ref_verify_sparse(inst8, sol, f[1]))
+    def _hit(self, f, e, val):
+        return self.fault(e, val) if f[1][0] == self.layer and val else val
 
-    def test_out_of_range_values_keep_their_per_edge_checks(self, inst8, family8):
-        f = ((0, 0), (1, 2))
-        over, under = Fraction(3, 2), Fraction(-1, 7)
-        table = {}
-        for i, (e, val) in enumerate(family8.support(f)):
-            # shared bad objects, equal values in distinct objects, and ints
-            table[e] = (over, under, Fraction(3, 2), val, 1)[i % 5]
-        sol = SparseSolution(inst8, table)
-        got = verify_assignment(inst8, sol, root=f[1])
-        self.same(got, _ref_verify_sparse(inst8, sol, f[1]))
-        bounds = [c.constraint_id for c in got.checks if c.kind == "bounds"]
-        assert bounds == [f"bounds:{e}" for e, v in table.items() if not 0 <= v <= 1]
-        assert len(bounds) == len(table) - sum(1 for v in table.values() if 0 <= v <= 1) > 0
+    def support(self, f):
+        for e, val in super().support(f):
+            yield e, self._hit(f, e, val)
+
+    def value(self, f, e):
+        return self._hit(f, e, super().value(f, e))
+
+
+FAULTS = {"doubled": lambda e, v: 2 * v, "above-one": lambda e, v: v + 1,
+          "negative": lambda e, v: -v}
+
+
+def _halved_bottom(e, v):
+    return v / 2 if e[1][0] == 3 else v
+
+
+# at m=8 the sink labelled like a layer-1 trigger's head has 15 in-edges of
+# 1/28 each; tripled, its in-flow is 45/28 while every value stays below 1
+def _crowded_sink(e, v):
+    return 3 * v if v == Fraction(1, 28) else v
+
+
+# the trigger at 1/2 and its head's out-edges at 3/4: the head's out-flow
+# covers k times its in-flow but not k times max(in-flow, 1)
+def _short_root(e, v):
+    return v / 2 if e[1][0] == 2 else 3 * v / 4
+
+
+class TestSubtreeCheck:
+    """The class check against the per-edge oracle: the same verdict for
+    every trigger at m = 4 and 8, for each layer's first edge at m = 12
+    and 16, and on solutions with a fault in one layer."""
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_every_edge_agrees_with_oracle(self, m):
+        inst = build_mmda(make_params(m, Fraction(1, 4)))
+        fam = SubtreeFamily(inst)
+        for f in inst.all_edges():
+            got = verify_subtree(fam, f)
+            assert got.ok == _ref_verify_sparse(inst, fam.support(f), f[1]).ok == True, f
+            assert not got.undecided
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_first_edges_agree_with_oracle(self, m):
+        inst = build_mmda(make_params(m, Fraction(1, 4)))
+        fam = SubtreeFamily(inst)
+        for i in range(1, inst.ell + 1):
+            f = ((i - 1, 0), (i, 0))
+            assert verify_subtree(fam, f).ok == _ref_verify_sparse(
+                inst, fam.support(f), f[1]).ok == True, f
+
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_faults_flagged_by_both_routes(self, inst8, layer, fault):
+        fam = Faulty(inst8, layer, FAULTS[fault])
+        for i in range(1, inst8.ell + 1):
+            for f in list(inst8.edges_into_layer(i))[::97]:
+                want = i != layer
+                assert verify_subtree(fam, f).ok == want, (fault, f)
+                assert _ref_verify_sparse(inst8, fam.support(f), f[1]).ok == want, (fault, f)
+
+    @pytest.mark.parametrize("fault,layer,kind", [
+        (_halved_bottom, 1, "covering"),        # at the middle vertices
+        (_halved_bottom, 2, "covering"),        # at the root
+        (_halved_bottom, 3, None),              # a sink root has no covering
+        (_crowded_sink, 1, "packing"),
+        (_short_root, 2, "covering")])
+    def test_faults_only_one_constraint_flags(self, inst8, fault, layer, kind):
+        fam = Faulty(inst8, layer, fault)
+        f = ((layer - 1, 0), (layer, 0))
+        got, want = verify_subtree(fam, f), _ref_verify_sparse(inst8, fam.support(f), f[1])
+        assert got.ok == want.ok == (kind is None)
+        assert {c.kind for c in got.violations} == {c.kind for c in want.violations} <= {kind}
+
+    def test_closed_form_equals_support(self, inst8, family8):
+        # x^{(f)} from the labels equals the listed support, zero elsewhere
+        for f in list(inst8.all_edges())[::29]:
+            listed = dict(family8.support(f))
+            for e in inst8.all_edges():
+                assert family8.value(f, e) == listed.get(e, 0), (f, e)

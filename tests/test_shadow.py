@@ -399,6 +399,21 @@ class TestNegativeControls:
         slack = out / (Fraction(5, 2) * mr.conditional[e1])
         assert slack == Fraction(1, 15)
 
+    @pytest.mark.parametrize("m,slack,passed", [(8, Fraction(6, 95), True),
+                                                (12, Fraction(20, 1699), True),
+                                                (16, Fraction(70, 34719), False)])
+    def test_independent_control_under_the_cli_gates(self, m, slack, passed):
+        # with the fixed sa1-report gates the control passes up to m=12;
+        # only at m=16 does its slack fall below the floor of 1/100
+        from mmda_lab.cli import SA1_CEILING, SA1_FLOOR
+        inst = build_mmda(make_params(m, Fraction(1, 4)))
+        res = sa1_certificate(independent_model(inst), SA1_FLOOR, SA1_CEILING,
+                              events=layer_events(inst))
+        assert res.events_checked == 6
+        assert res.min_covering_slack == slack
+        assert res.worst_covering == ("+1.0>2.0", (2, 0))
+        assert res.passed is passed
+
     def test_two_layer_control_values(self, inst8):
         ctl = two_layer_rounding_control(inst8)
         assert ctl.per_edge_bound == Fraction(1, 6)

@@ -12,9 +12,9 @@ import pytest
 
 from mmda_lab.cli import main
 from mmda_lab.instances import build_subtree_counterexample
-from mmda_lab.relaxations import sink_inflow
 from mmda_lab.shadow import (ConditionEvent, counterexample_shadow_model,
                              sa1_certificate)
+from test_relaxations import subtree_sums
 
 
 class TestMiddleLayerPackingIdentity:
@@ -69,7 +69,8 @@ class TestBottomLayerCongestionBound:
 
     def test_flow_inflow_constant(self, inst8, family8):
         e = (inst8.source, (1, 7))
-        vals = {sink_inflow(family8, e, t) for t in list(inst8.vertices(3))[:9]}
+        sums = subtree_sums(family8, e)
+        vals = {sums.vertex(t)[0] for t in list(inst8.vertices(3))[:9]}
         assert vals == {Fraction(15, 28)}
 
 
