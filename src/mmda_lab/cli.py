@@ -23,7 +23,7 @@ from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
 from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
-                          closed_form_paths, count_paths, path_solution,
+                          closed_form_paths, count_paths, count_paths_from, path_solution,
                           verify_assignment, verify_path_hierarchy, verify_subtree)
 from .reports import _decide_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
@@ -105,38 +105,52 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, without
-    the pure-Python encoder json uses when ``indent`` is set.  A dict or
-    list met again at the same depth (a scalar that checks share) is copied
-    from its first rendering, keyed by id: obj keeps its containers alive."""
+    the pure-Python encoder json uses when ``indent`` is set.  Dicts of one
+    shape (the same keys in the same order at the same depth) share their
+    sorted key prefixes; only all-str shapes are kept, as 1, True and 1.0
+    are equal keys that json writes apart.  A dict or list met again at the
+    same depth (a scalar that checks share) is written from its first
+    rendering, keyed by id: obj keeps its containers alive."""
     out: list[str] = []
-    done: dict[tuple[int, int], tuple[int, int]] = {}   # -> slice of out
+    done: dict = {}     # (id, depth) -> slice of out; its text once met again
+    shapes: dict = {}   # (depth, *keys) -> [(key, text before its value)]
 
     def enc(o, depth: int):
-        if not isinstance(o, (dict, list, tuple)):
-            out.append(_leaf(o))
+        leaf = _LEAVES.get(type(o))
+        if leaf is not None or not isinstance(o, (dict, list, tuple)):
+            out.append((leaf or _leaf)(o))
             return
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
-        span = done.get((id(o), depth))
-        if span is not None:
-            out.extend(out[span[0]:span[1]])
+        memo = done.get((id(o), depth))
+        if memo is not None:
+            if type(memo) is tuple:
+                memo = done[id(o), depth] = "".join(out[memo[0]:memo[1]])
+            out.append(memo)
             return
         start = len(out)
         inner = "\n" + " " * (depth + 1)
         if isinstance(o, dict):
-            sep, close = "{" + inner, "}"
-            for k, v in sorted(o.items()):
-                out.append(sep + _ascii(k if isinstance(k, str) else _leaf(k)) + ": ")
-                enc(v, depth + 1)
-                sep = "," + inner
+            shape = (depth, *o)
+            prefixes = shapes.get(shape)
+            if prefixes is None:
+                prefixes = [(k, ("," if n else "{") + inner
+                             + _ascii(k if isinstance(k, str) else _leaf(k)) + ": ")
+                            for n, k in enumerate(sorted(o))]
+                if all(type(k) is str for k in o):
+                    shapes[shape] = prefixes
+            for k, prefix in prefixes:
+                out.append(prefix)
+                enc(o[k], depth + 1)
+            out.append("\n" + " " * depth + "}")
         else:
-            sep, close = "[" + inner, "]"
+            sep = "[" + inner
             for v in o:
                 out.append(sep)
                 enc(v, depth + 1)
                 sep = "," + inner
-        out.append("\n" + " " * depth + close)
+            out.append("\n" + " " * depth + "]")
         done[id(o), depth] = (start, len(out))
 
     enc(obj, 0)
@@ -154,6 +168,11 @@ def _leaf(o) -> str:
         text = float.__repr__(o)
         return _NONFINITE.get(text, text)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+# leaves of these exact types skip _leaf's isinstance chain
+_LEAVES = {str: _ascii, int: int.__repr__, float: _leaf, type(None): lambda _: "null",
+           bool: {False: "false", True: "true"}.__getitem__}
 
 
 def _instance_from_args(args):
@@ -226,7 +245,7 @@ def cmd_count_paths(args) -> tuple:
     import random
     rng = random.Random(args.seed)
     mismatches = []
-    pairs = []
+    pairs, dps = [], []
     if args.samples:
         for _ in range(args.samples):
             i = rng.randrange(0, inst.ell)
@@ -234,11 +253,18 @@ def cmd_count_paths(args) -> tuple:
             v = (i, rng.randrange(inst.layer_size(i)))
             u = (j, rng.randrange(inst.layer_size(j)))
             pairs.append((v, u))
+        # pruned walks: a full pass from a shallow v may cover most of the instance
+        dps = [count_paths(inst, v, u) for v, u in pairs]
     else:
         vs = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
-        pairs = [(v, u) for v in vs for u in vs if v[0] <= u[0]]
-    for v, u in pairs:
-        dp = count_paths(inst, v, u)
+        for v in vs:
+            # one forward pass from v counts its paths to every u
+            counts = count_paths_from(inst, v)
+            for u in vs:
+                if v[0] <= u[0]:
+                    pairs.append((v, u))
+                    dps.append(counts.get(u, 0))
+    for (v, u), dp in zip(pairs, dps):
         if inst.reachable(v, u):
             overlap = (inst.label(v) & inst.label(u)).bit_count()
             cf = closed_form_paths(inst, v[0], u[0], overlap)

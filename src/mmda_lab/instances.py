@@ -566,24 +566,6 @@ def build_mmda(params: InstanceParams, size_cap: int = SIZE_CAP_DEFAULT) -> Labe
     return LabeledInstance(params)
 
 
-def build_depth3_direct(m: int, rho) -> DegreeProfile:
-    """Depth-3 degree profile from its own closed-form degree data.
-
-    Independent of the general gamma formulas; used to cross-check that
-    the eps=1 specialization of ``InstanceParams.profile`` is the same.
-    """
-    params = make_params(m, rho, epsilon=Fraction(1))
-    rm = params.rho_m
-    c_top = Monomial.from_binomial(m, rm)
-    c_mid = Monomial.from_binomial(m - rm, rm)
-    c_small = Monomial.from_binomial(2 * rm, rm)
-    ks = (c_top.div(c_mid), c_mid.div(c_small), c_small)
-    dplus = (math.comb(m, rm), math.comb(m - rm, rm), math.comb(2 * rm, rm))
-    dminus = (0, 1, math.comb(2 * rm, rm), math.comb(m - rm, rm))
-    gammas = tuple(k.div(Monomial.from_int(d)) for k, d in zip(ks, dplus))
-    return DegreeProfile(ks, gammas, dplus, dminus)
-
-
 @dataclass(frozen=True)
 class SantaView:
     """Max-min allocation translation of a private-block gap instance."""

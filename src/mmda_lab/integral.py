@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import combinations, islice
+from operator import or_
 
 from .instances import InstanceError, InstanceParams, LayeredInstance, Vertex, _steps
 from .scalars import Monomial, Scalar, as_fraction, compare_certified
@@ -31,20 +33,6 @@ class IntegralSolution:
         """Source plus every vertex with in-degree one."""
         ins = {e[1] for e in self.edges}
         return [inst.source] + sorted(ins)
-
-    def check_structure(self, inst: LayeredInstance) -> bool:
-        """In-degree at most one and every edge on a source-rooted path."""
-        indeg: dict[Vertex, int] = {}
-        for _, v in self.edges:
-            indeg[v] = indeg.get(v, 0) + 1
-            if indeg[v] > 1:
-                return False
-        reached = {inst.source}
-        frontier = {inst.source}
-        while frontier:
-            frontier = {v for u, v in self.edges if u in frontier}
-            reached |= frontier
-        return all(u in reached for u, _ in self.edges)
 
 
 @dataclass(frozen=True)
@@ -97,9 +85,12 @@ class BruteforceResult:
     infeasible_above: Fraction | None
 
 
-def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
+def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget,
+              out_neighbors, reach_mask):
     """Search for an arborescence with out-degree >= q*k_v everywhere.
 
+    ``out_neighbors`` and ``reach_mask`` (the bitmask of the sinks a vertex
+    reaches) are memos shared by every quality probe of one search.
     Returns an edge set, None (proven infeasible), or "unknown" when the
     node budget ran out first.
     """
@@ -111,18 +102,6 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
     need_from = [1] * (inst.ell + 1)
     for j in reversed(range(inst.ell)):
         need_from[j] = need_from[j + 1] * max(min(demand_of[u] for u in inst.vertices(j)), 1)
-
-    # sink sets as bitmasks over the sink layer: the used sinks a vertex
-    # reaches are one AND with the used-sink mask, kept as sinks are used
-    sink_bit = {t: 1 << n for n, t in enumerate(inst.vertices(inst.ell))}
-    reach_masks: dict[Vertex, int] = {}
-
-    def reach_mask(v: Vertex) -> int:
-        r = reach_masks.get(v)
-        if r is None:
-            sinks = next(islice(inst.frontiers(v), inst.ell - v[0], None))
-            r = reach_masks[v] = sum(sink_bit[t] for t in sinks)
-        return r
 
     used: set[Vertex] = set()
     used_sinks = [0]        # bitmask
@@ -143,7 +122,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         d = demand_of[v]
         if d == 0:
             return expand(rest)
-        candidates = [w for w in inst.out_neighbors(v) if w not in used]
+        candidates = [w for w in out_neighbors(v) if w not in used]
         # per-vertex counting bound
         for u in pending:
             if (reach_mask(u) & ~used_sinks[0]).bit_count() < need_from[u[0]]:
@@ -153,7 +132,7 @@ def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget):
         order = sorted(candidates, key=lambda w: (-reach_mask(w).bit_count(), w))
         for group in combinations(order, d):
             used.update(group)
-            taken = sum(sink_bit.get(w, 0) for w in group)
+            taken = sum(reach_mask(w) for w in group if inst.is_sink(w))
             used_sinks[0] |= taken
             sub = expand(rest + [w for w in group if not inst.is_sink(w)])
             if sub is not None:
@@ -190,6 +169,17 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
               for i in range(inst.ell) for v in inst.vertices(i))
     candidates = sorted(r for r in ratios if r <= cap)
     bud = _Budget(budget)
+    # sink sets as bitmasks over the sink layer: the used sinks a vertex
+    # reaches are one AND with the used-sink mask, kept as sinks are used
+    out_neighbors = cache(inst.out_neighbors)
+    sink_bit = {t: 1 << n for n, t in enumerate(inst.vertices(inst.ell))}
+
+    @cache
+    def reach_mask(v: Vertex) -> int:
+        if inst.is_sink(v):
+            return sink_bit[v]
+        return reduce(or_, map(reach_mask, out_neighbors(v)), 0)
+
     best_edges = single_path_solution(inst).edges
     best_q = solution_quality(inst, IntegralSolution(best_edges)).alpha
     infeasible_above = None
@@ -204,7 +194,7 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
         if q <= best_q:
             lo = mid + 1
             continue
-        res = _feasible(inst, q, bud)
+        res = _feasible(inst, q, bud, out_neighbors, reach_mask)
         if res == "unknown":
             complete = False
             hi = mid
@@ -238,15 +228,6 @@ class CertificateVariant:
 class CountingCertificate:
     theta: Fraction
     variants: tuple
-
-    def best_quality_bound(self) -> Scalar:
-        # the certificate may be evaluated at both integer thresholds;
-        # each variant is valid, so the strongest (smallest) bound applies
-        best = self.variants[0].quality_bound
-        for v in self.variants[1:]:
-            if compare_certified(v.quality_bound, best) == "<":
-                best = v.quality_bound
-        return best
 
     def to_json(self) -> dict:
         from .scalars import scalar_to_json

@@ -488,6 +488,9 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
     rep = ViolationReport()
     t = ps.rounds
     paths = list(ps.enumerate_paths())
+    # each path's id is written by several checks: build it once, here,
+    # so the names die with this call
+    names = {id(p): _pid(p) for p in paths}
     by_prefix: dict[tuple, list[tuple]] = {}
     for p in paths:
         if len(p) > 1:
@@ -505,12 +508,12 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         children = by_prefix.get(p, [])
         if inst.is_sink(end):
             assert not children
-            rep.add(vacuous(f"lifted-covering:{_pid(p)}", "equality", 0, 0))
+            rep.add(vacuous(f"lifted-covering:{names[id(p)]}", "equality", 0, 0))
             continue
         child = ps.value(p + ((end, inst.out_neighbors(end)[0]),))
         total = scaled(child, len(children))
         rhs = k_times(inst.k_of(end), ps.value(p))
-        rep.add(check_eq(f"lifted-covering:{_pid(p)}", total, rhs))
+        rep.add(check_eq(f"lifted-covering:{names[id(p)]}", total, rhs))
 
     # (2) lifted packing: group descendants of p by endpoint; value only
     # depends on the endpoint's layer, so per-endpoint sums are counts
@@ -531,12 +534,13 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
         for v, count in sorted(ends.items()):
             extension = v[0] - p[-1][1][0]
             total = scaled(ps.value_class(first_layer, len(p) + extension), count)
-            rep.add(check_le(f"lifted-packing:{_pid(p)}@{v}", total, ps.value(p)))
+            rep.add(check_le(f"lifted-packing:{names[id(p)]}@{v}", total, ps.value(p)))
 
     # (3)+(4) unlifted constraints
     rep.merge(verify_assignment(inst, ps.x))
 
-    # (5) consistency for contiguous subpaths
+    # (5) consistency for contiguous subpaths; q[a:b] is valued by the
+    # layer its first edge enters and its length
     for q in paths:
         if q[0] == ps.dummy:
             continue
@@ -545,13 +549,13 @@ def _verify_paths_enumerated(inst: LabeledInstance, ps: PathSolution) -> Violati
             for b in range(a + 1, len(q) + 1):
                 if (a, b) == (0, len(q)):
                     continue
-                rep.add(check_le(f"consistency:{_pid(q)}[{a}:{b}]", yq,
-                                 ps.value(q[a:b])))
+                rep.add(check_le(f"consistency:{names[id(q)]}[{a}:{b}]", yq,
+                                 ps.value_class(q[a][1][0], b - a)))
 
     # (6) + (7)
     rep.add(check_eq("root", ps.value((ps.dummy,)), 1))
     for p in paths:
-        rep.add(check_le(f"bounds:{_pid(p)}", ps.value(p), 1, kind="bounds"))
+        rep.add(check_le(f"bounds:{names[id(p)]}", ps.value(p), 1, kind="bounds"))
     return rep
 
 

@@ -31,6 +31,7 @@ from mmda_lab.scans import scan_proof_function
 from mmda_lab.shadow import (ConditionEvent, conditional_report, sample,
                              independent_model, shadow_model,
                              two_layer_rounding_control)
+from test_integral import best_quality_bound
 from test_relaxations import _ref_verify_sparse
 
 
@@ -258,7 +259,7 @@ def test_criterion_09_integral_gap():
     inst4 = build_mmda(make_params(4, Fraction(1, 4)))
     r4 = bruteforce_best(inst4)
     assert r4.complete
-    bound = counting_certificate(inst4.params).best_quality_bound()
+    bound = best_quality_bound(counting_certificate(inst4.params))
     assert compare_certified(r4.quality.alpha, bound) in ("<", "=")
     _line(9, True,
           f"example opt 1, shared-sink k=4 opt {rc.quality.alpha}, cert >= oracle")

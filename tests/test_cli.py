@@ -523,6 +523,42 @@ class TestJsonWriter:
         assert '\n  {\n   "approx": 0.5' in _dumps(payload)
         assert '\n "b": {\n  "approx": 0.5' in _dumps(payload)
 
+    def test_equal_keys_of_other_types_at_one_depth(self):
+        # 1, True and 1.0 are equal dict keys that json writes apart
+        payload = [{1: "x"}, {True: "x"}, {1.0: "x"}, {"1": "x"}, {True: "x"}, {1: "x"}]
+        same_as_json(payload)
+        same_as_json({"a": {1: [0]}, "b": {True: [0]}, "c": {1.0: [0]}, "d": {"1": [0]}})
+        for key in ('"1"', '"true"', '"1.0"'):
+            assert key + ': "x"' in _dumps(payload)
+
+    def test_one_key_set_in_several_orders(self):
+        same_as_json([{"b": 1, "a": 2}, {"a": 3, "b": 4}, {"b": 5, "a": 6},
+                      {"c": 0, "a": 1, "b": 2}, {"a": {"b": 1, "a": 2}, "b": {"a": 3, "b": 4}}])
+
+    def test_dict_subclasses_and_subclassed_leaves(self):
+        from collections import OrderedDict, defaultdict
+        from enum import IntEnum
+
+        class Colour(IntEnum):
+            RED = 1
+
+        class Tag(str):
+            pass
+
+        counts = defaultdict(int, {"b": Colour.RED, "a": 0})
+        payload = OrderedDict([("z", counts), ("y", [Tag("v"), Colour.RED]),
+                               ("x", {"b": Colour.RED, "a": Tag("w")}),
+                               (Tag("k"), OrderedDict([("b", 1), ("a", Tag("q\n"))]))])
+        same_as_json(payload)
+        same_as_json([counts, payload, counts])
+        assert dict(counts) == {"b": 1, "a": 0}     # rendering added no key
+
+    def test_shared_dict_after_its_shape_is_cached(self):
+        shared = {"exact": "1/2", "approx": 0.5}
+        payload = {"a": {"exact": "1", "approx": 1.0}, "b": [shared], "c": shared,
+                   "d": [[shared, shared]], "e": shared, "f": shared}
+        same_as_json(payload)
+
     def test_keys_of_every_json_type(self):
         same_as_json({1: "a", 2.5: "b", True: "c", -3: "d"})
         same_as_json({None: [1]})

@@ -13,6 +13,7 @@ from mmda_lab.relaxations import (assignment_solution, closed_form_paths,
                                   count_paths_from, path_solution,
                                   verify_assignment, verify_path_hierarchy)
 from mmda_lab.shadow import ConditionEvent, conditional_report, shadow_model
+from test_integral import check_structure
 
 
 class TestHierarchyModesAgree:
@@ -73,7 +74,7 @@ class TestBruteforceAgainstEnumeration:
         for r in range(1, len(edges) + 1):
             for chosen in combinations(edges, r):
                 sol = IntegralSolution(frozenset(chosen))
-                if not sol.check_structure(inst):
+                if not check_structure(sol, inst):
                     continue
                 best = max(best, solution_quality(inst, sol).alpha)
         res = bruteforce_best(inst)

@@ -7,7 +7,8 @@ import pytest
 from mmda_lab.instances import ClassSums, LabelCells, build_mmda, make_params
 from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
                                   check_helper_lemma, closed_form_paths,
-                                  count_paths, max_paths_between_layers,
+                                  count_paths, count_paths_from,
+                                  max_paths_between_layers,
                                   path_solution, verify_assignment,
                                   verify_path_hierarchy, verify_subtree)
 from mmda_lab.reports import ViolationReport, check_ge, check_le, vacuous
@@ -171,6 +172,49 @@ class TestPathCounting:
 
     def test_exhaustive_m8_deep(self, inst8_deep):
         self._exhaustive(inst8_deep)
+
+
+class TestPerSourceCounts:
+    """count-paths over all pairs reads one forward pass per source; the
+    pruned walk of count_paths per pair is its oracle."""
+
+    @pytest.mark.parametrize("m,rho,pairs,zeros,paths", [
+        (4, Fraction(1, 4), 147, 78, 103),
+        (12, Fraction(1, 12), 6463, 5874, 1027),
+    ])
+    def test_forward_pass_equals_pruned_walk(self, m, rho, pairs, zeros, paths):
+        inst = build_mmda(make_params(m, rho))
+        vs = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
+        got = []
+        for v in vs:
+            counts = count_paths_from(inst, v)
+            for u in vs:
+                if v[0] <= u[0]:
+                    assert counts.get(u, 0) == count_paths(inst, v, u), (v, u)
+                    got.append(counts.get(u, 0))
+        # unreachable pairs, same-layer ones included, count 0 on both routes
+        assert (len(got), got.count(0), sum(got)) == (pairs, zeros, paths)
+
+    def _calls(self, monkeypatch, argv, tmp_path):
+        import mmda_lab.cli as cli
+        calls = {"count_paths": 0, "count_paths_from": 0}
+        for name in calls:
+            def counted(*a, _name=name, _fn=getattr(cli, name)):
+                calls[_name] += 1
+                return _fn(*a)
+            monkeypatch.setattr(cli, name, counted)
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        return calls
+
+    def test_sampled_pairs_take_the_pruned_walk(self, monkeypatch, tmp_path):
+        calls = self._calls(monkeypatch, ["count-paths", "--m", "16", "--samples", "25",
+                                          "--seed", "3"], tmp_path)
+        assert calls == {"count_paths": 25, "count_paths_from": 0}
+
+    def test_all_pairs_take_one_pass_per_source(self, monkeypatch, tmp_path):
+        calls = self._calls(monkeypatch, ["count-paths", "--m", "12", "--rho", "1/12"],
+                            tmp_path)
+        assert calls == {"count_paths": 0, "count_paths_from": 91}
 
 
 class TestHelperLemma:
