@@ -17,10 +17,10 @@ from functools import cache
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
-from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabeledInstance,
-                        build_config_lp_gap, build_depth3_example, build_mmda,
-                        build_subtree_counterexample, desiderata_identities,
-                        instance_from_json, instance_to_json, make_params)
+from .instances import (SIZE_CAP_DEFAULT, InstanceError, build_config_lp_gap,
+                        build_depth3_example, build_mmda, build_subtree_counterexample,
+                        desiderata_identities, instance_from_json, instance_to_json,
+                        make_params)
 from .integral import bruteforce_best, counting_certificate
 from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
                           closed_form_paths, count_paths, count_paths_from, path_solution,
@@ -176,23 +176,18 @@ _LEAVES = {str: _ascii, int: int.__repr__, float: _leaf, type(None): lambda _: "
 
 
 def _instance_from_args(args):
-    path = getattr(args, "instance_file", None)
-    if path:
+    # a labeled instance, from flags or a file, is built under the command's cap
+    size_cap = getattr(args, "size_cap", None)
+    if getattr(args, "instance_file", None):
         # a build report writes integers in full, past the int digit limit
-        with open(path) as fh, full_int_digits():
+        with open(args.instance_file) as fh, full_int_digits():
             data = json.load(fh)
         if isinstance(data, dict):
             data = data.get("instance", data)
-        inst = instance_from_json(data)
-        if args.kinds == MMDA_ONLY and not isinstance(inst, LabeledInstance):
-            raise InstanceError(f"{args.command} needs a labeled mmda instance")
-        return inst
+        return instance_from_json(data, size_cap)
     kind = getattr(args, "kind", "mmda")
     if kind == "mmda":
-        params = make_params(args.m, args.rho, epsilon=args.eps)
-        if not hasattr(args, "size_cap"):
-            return LabeledInstance(params)
-        return build_mmda(params, size_cap=args.size_cap)
+        return build_mmda(make_params(args.m, args.rho, epsilon=args.eps), size_cap)
     if kind == "config-gap":
         return build_config_lp_gap(args.k)
     if kind == "subtree-cex":
@@ -430,20 +425,19 @@ def cmd_scan(args) -> tuple:
 # --- wiring -----------------------------------------------------------------
 
 
-MMDA_ONLY = ("mmda",)
-ALL_KINDS = ("mmda", "config-gap", "subtree-cex", "example")
+KINDS = ("mmda", "config-gap", "subtree-cex", "example")
 
 
-def _add_instance_args(sub, kinds: tuple[str, ...], capped: bool):
-    """Instance options.  ``--kind`` and the ``--k`` of the explicit kinds
-    come only with a choice of kind.  ``--size-cap`` comes only where a
-    large m is slow; the uncapped commands read closed forms of the params."""
-    sub.set_defaults(kinds=kinds)
-    if kinds != MMDA_ONLY:
-        sub.add_argument("--kind", choices=kinds, default="mmda")
+def _add_instance_args(sub, explicit: bool, capped: bool):
+    """Instance options.  Only ``explicit`` commands name an instance that
+    the labeled flags cannot: by ``--kind`` (with the ``--k`` of the explicit
+    kinds) or by a build report.  ``--size-cap`` comes only where a large m
+    is slow; the uncapped commands read closed forms of the params."""
+    if explicit:
+        sub.add_argument("--kind", choices=KINDS, default="mmda")
         sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--instance-file", default=None,
-                     help="load the instance from a build report instead")
+        sub.add_argument("--instance-file", default=None,
+                         help="load the instance from a build report instead")
     sub.add_argument("--m", type=int, default=8)
     sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4))
     sub.add_argument("--eps", type=parse_rational, default=Fraction(1),
@@ -462,18 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit an instance as JSON")
-    _add_instance_args(p, ALL_KINDS, capped=False)
+    _add_instance_args(p, explicit=True, capped=False)
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
     # --subtrees checks one subtree solution per layer, on the label classes of its trigger
-    _add_instance_args(p, MMDA_ONLY, capped=False)
+    _add_instance_args(p, explicit=False, capped=False)
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
     # paths are enumerated only below the path counts of verify_path_hierarchy
-    _add_instance_args(p, MMDA_ONLY, capped=False)
+    _add_instance_args(p, explicit=False, capped=False)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),
                    default="auto")
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-paths", help="path counting: dynamic program "
                                            "against the closed forms")
-    _add_instance_args(p, MMDA_ONLY, capped=True)
+    _add_instance_args(p, explicit=False, capped=True)
     p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=parse_seed, default=0)
@@ -489,30 +483,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sa1-report", help="conditioned-constraint sweep of the "
                                           "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY, capped=True)
+    _add_instance_args(p, explicit=False, capped=True)
     p.add_argument("--events", choices=("all", "layers"), default="layers")
     p.set_defaults(handler=cmd_sa1_report)
 
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
-    _add_instance_args(p, MMDA_ONLY, capped=True)
+    _add_instance_args(p, explicit=False, capped=True)
     p.add_argument("--samples", type=count_at_least(1), default=10000)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--rounds", type=count_at_least(1), default=1)
     p.set_defaults(handler=cmd_shadow_sample)
 
     p = sub.add_parser("bruteforce", help="exact best integral solution")
-    _add_instance_args(p, ALL_KINDS, capped=True)
+    _add_instance_args(p, explicit=True, capped=True)
     p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
     # Monomial.from_int factors its sums of binomials by trial division
-    _add_instance_args(p, MMDA_ONLY, capped=True)
+    _add_instance_args(p, explicit=False, capped=True)
     p.set_defaults(handler=cmd_certificate)
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
-    _add_instance_args(p, MMDA_ONLY, capped=True)
+    _add_instance_args(p, explicit=False, capped=True)
     p.add_argument("--seeds", type=count_at_least(1), default=10)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--radius", type=count_at_least(0), default=1)

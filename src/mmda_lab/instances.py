@@ -22,6 +22,9 @@ from itertools import combinations, islice
 from .scalars import MONO_ONE, Monomial, Scalar
 
 SIZE_CAP_DEFAULT = 24
+# the explicit builders refuse a k whose closed-form edge count exceeds this;
+# config-gap k = 20 (168,400 edges) is the largest it admits
+EXPLICIT_EDGE_MAX = 200_000
 # layers up to this many vertices keep a label table (masks by rank, ranks
 # by mask); larger ones, such as C(24, 12) at the size cap, unrank instead
 LABEL_TABLE_MAX = 1 << 20
@@ -560,8 +563,9 @@ class ExplicitInstance(LayeredInstance):
 # builders
 
 
-def build_mmda(params: InstanceParams, size_cap: int = SIZE_CAP_DEFAULT) -> LabeledInstance:
-    if params.m > size_cap:
+def build_mmda(params: InstanceParams, size_cap: int | None = SIZE_CAP_DEFAULT) -> LabeledInstance:
+    """The labeled instance of params; None is no cap on m."""
+    if size_cap is not None and params.m > size_cap:
         raise InstanceError(f"m={params.m} exceeds the size cap {size_cap}")
     return LabeledInstance(params)
 
@@ -576,10 +580,16 @@ class SantaView:
     target: Fraction
 
 
-def build_config_lp_gap(k: int):
-    """Source feeding k^2 private blocks of k middle vertices and k sinks."""
+def _check_explicit_k(k: int, edges: int):
     if k < 2:
         raise InstanceError("k must be at least 2")
+    if edges > EXPLICIT_EDGE_MAX:
+        raise InstanceError(f"k={k} gives {edges} edges, above {EXPLICIT_EDGE_MAX}")
+
+
+def build_config_lp_gap(k: int):
+    """Source feeding k^2 private blocks of k middle vertices and k sinks."""
+    _check_explicit_k(k, k * k + k ** 3 + k ** 4)
     s = (0, 0)
     l1 = [(1, j) for j in range(k * k)]
     l2 = [(2, j) for j in range(k * k * k)]
@@ -614,8 +624,7 @@ def _santa_view(inst: ExplicitInstance, k: int) -> SantaView:
 def build_subtree_counterexample(k: int) -> ExplicitInstance:
     """Depth 2: k^2 middle vertices with one private sink each plus k
     public sinks shared by everyone."""
-    if k < 2:
-        raise InstanceError("k must be at least 2")
+    _check_explicit_k(k, 2 * k * k + k ** 3)
     s = (0, 0)
     l1 = [(1, j) for j in range(k * k)]
     private = [(2, j) for j in range(k * k)]
@@ -719,16 +728,17 @@ def instance_to_json(inst: LayeredInstance) -> dict:
     return out
 
 
-def instance_from_json(data) -> LayeredInstance:
-    """The instance :func:`instance_to_json` wrote.  A labeled document may
-    leave out ``ell``; a malformed one raises InstanceError."""
+def instance_from_json(data, size_cap: int | None = None) -> LayeredInstance:
+    """The instance :func:`instance_to_json` wrote, a labeled one built by
+    :func:`build_mmda` under size_cap.  A labeled document may leave out
+    ``ell``; a malformed one raises InstanceError."""
     try:
         if data.get("kind") == "labeled":
             q = data["params"]
             params = InstanceParams(int(q["m"]), q["rho"], q["epsilon"])
             if q.get("ell", params.ell) != params.ell:
                 raise InstanceError(f"ell={q['ell']} is not 3/epsilon={params.ell}")
-            return LabeledInstance(params)
+            return build_mmda(params, size_cap)
         layers = [[tuple(v) for v in layer] for layer in data["layers"]]
         if any(v[0] != i for i, layer in enumerate(layers) for v in layer):
             raise InstanceError("a vertex (layer, index) is listed in another layer")

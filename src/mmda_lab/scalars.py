@@ -503,11 +503,16 @@ MONO_ONE = Monomial()
 Scalar = Fraction | Monomial | Interval
 
 
+# one object per literal bound 0 and 1, so memo keys holding one match by identity
+_INT_SCALARS = {0: Fraction(0), 1: Fraction(1)}
+
+
 def as_scalar(x) -> Scalar:
     # ints first and Fraction last: isinstance against Fraction, an abc
     # class, is several times slower when it fails
     if isinstance(x, int):
-        return Fraction(x)
+        f = _INT_SCALARS.get(x)
+        return Fraction(x) if f is None else f
     if isinstance(x, (Monomial, Interval, Fraction)):
         return x
     raise TypeError(f"cannot coerce {type(x)!r} to Scalar")

@@ -141,12 +141,25 @@ class TestCommands:
         assert data["checked"] > 100 and data["mismatches"] == []
 
     def test_instance_file_round_trip(self, tmp_path):
-        built = tmp_path / "inst.json"
-        assert main(["build", "--m", "8", "--rho", "1/4",
-                     "--out", str(built)]) == EXIT_PASS
-        code, data, _ = run(tmp_path, "verify-lp", "--instance-file", str(built))
-        assert code == EXIT_PASS
-        assert data["status"] == "pass"
+        # a labeled file names the instance its params name
+        built, by_file, by_flags = (tmp_path / n for n in ("inst.json", "file.json",
+                                                           "flags.json"))
+        assert main(["build", "--m", "4", "--out", str(built)]) == EXIT_PASS
+        assert main(["bruteforce", "--instance-file", str(built),
+                     "--out", str(by_file)]) == EXIT_PASS
+        assert main(["bruteforce", "--m", "4", "--out", str(by_flags)]) == EXIT_PASS
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_instance_file_is_built_under_the_size_cap(self, tmp_path, capsys):
+        import time
+        built = tmp_path / "m40.json"
+        assert main(["build", "--m", "40", "--out", str(built)]) == EXIT_PASS
+        start = time.perf_counter()
+        code = main(["bruteforce", "--instance-file", str(built),
+                     "--out", str(tmp_path / "x.json")])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: m=40 exceeds the size cap 24\n"
 
     def test_scan(self, tmp_path):
         code, data, _ = run(tmp_path, "scan", "--fn", "g_integral",
@@ -251,6 +264,11 @@ REJECTED = (
        ["build", "--instance-file", "MISSING"],
        *[["build", "--instance-file", name] for name in MALFORMED],
        ["verify-paths", "--m", "4", "--rounds", "-1"],
+       # the first k of each explicit kind above the edge bound; --budget 1
+       # keeps the search short if the bound does not refuse it
+       ["bruteforce", "--kind", "config-gap", "--k", "21", "--budget", "1"],
+       ["bruteforce", "--kind", "subtree-cex", "--k", "58", "--budget", "1"],
+       ["appendixc", "--k", "58", "--budget", "1"],
        # irrational requirements have no integral search
        ["bruteforce", "--m", "8", "--eps", "1/2"],
        # counts outside their range are rejected when arguments are parsed
@@ -348,18 +366,19 @@ class TestRejectedInputs:
         assert done.returncode == EXIT_PASS and done.stderr == ""
 
 
-INSTANCE = ["--eps", "--instance-file", "--m", "--rho"]
+LABELED_OPTIONS = ["--eps", "--m", "--rho"]
+EXPLICIT_OPTIONS = ["--instance-file", "--k", "--kind"]
 COMMON = ["--out"]
 OPTIONS = {
-    "build": INSTANCE + ["--k", "--kind"],
-    "verify-lp": INSTANCE + ["--subtrees"],
-    "verify-paths": INSTANCE + ["--mode", "--rounds"],
-    "count-paths": INSTANCE + ["--size-cap", "--samples", "--seed"],
-    "sa1-report": INSTANCE + ["--size-cap", "--events"],
-    "shadow-sample": INSTANCE + ["--size-cap", "--rounds", "--samples", "--seed"],
-    "bruteforce": INSTANCE + ["--k", "--kind", "--size-cap", "--budget"],
-    "certificate": INSTANCE + ["--size-cap"],
-    "locally-good": INSTANCE + ["--size-cap", "--radius", "--seed", "--seeds"],
+    "build": LABELED_OPTIONS + EXPLICIT_OPTIONS,
+    "verify-lp": LABELED_OPTIONS + ["--subtrees"],
+    "verify-paths": LABELED_OPTIONS + ["--mode", "--rounds"],
+    "count-paths": LABELED_OPTIONS + ["--size-cap", "--samples", "--seed"],
+    "sa1-report": LABELED_OPTIONS + ["--size-cap", "--events"],
+    "shadow-sample": LABELED_OPTIONS + ["--size-cap", "--rounds", "--samples", "--seed"],
+    "bruteforce": LABELED_OPTIONS + EXPLICIT_OPTIONS + ["--size-cap", "--budget"],
+    "certificate": LABELED_OPTIONS + ["--size-cap"],
+    "locally-good": LABELED_OPTIONS + ["--size-cap", "--radius", "--seed", "--seeds"],
     "ra": ["--alpha", "--cond", "--eps", "--k"],
     "appendixb": ["--k"],
     "appendixc": ["--budget", "--k"],
@@ -377,7 +396,7 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 85
+    assert sum(map(len, surface.values())) == 78
 
 
 def test_public_surface():

@@ -340,6 +340,18 @@ class TestExplicitInstances:
         with pytest.raises(InstanceError):
             build_subtree_counterexample(1)
 
+    @pytest.mark.parametrize("build,k,edges", [(build_config_lp_gap, 20, 168_400),
+                                               (build_subtree_counterexample, 57, 191_691)])
+    def test_largest_k_under_the_edge_bound(self, build, k, edges):
+        # k^2 + k^3 + k^4 and 2k^2 + k^3 edges
+        assert build(k).n_edges == edges <= instances.EXPLICIT_EDGE_MAX
+
+    @pytest.mark.parametrize("build,k,edges", [(build_config_lp_gap, 21, 204_183),
+                                               (build_subtree_counterexample, 58, 201_840)])
+    def test_first_k_above_the_edge_bound(self, build, k, edges):
+        with pytest.raises(InstanceError, match=f"^k={k} gives {edges} edges, above 200000$"):
+            build(k)
+
 
 class TestJson:
     def test_labeled_round_trip(self, inst8):
