@@ -179,6 +179,9 @@ def _instance_from_args(args):
     # a labeled instance, from flags or a file, is built under the command's cap
     size_cap = getattr(args, "size_cap", None)
     if getattr(args, "instance_file", None):
+        if getattr(args, "given", ()):
+            raise InstanceError(f"--instance-file names the instance; {', '.join(args.given)} "
+                                "cannot be given beside it")
         # a build report writes integers in full, past the int digit limit
         with open(args.instance_file) as fh, full_int_digits():
             data = json.load(fh)
@@ -428,19 +431,29 @@ def cmd_scan(args) -> tuple:
 KINDS = ("mmda", "config-gap", "subtree-cex", "example")
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and add the option to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), option_string)
+
+
 def _add_instance_args(sub, explicit: bool, capped: bool):
     """Instance options.  Only ``explicit`` commands name an instance that
     the labeled flags cannot: by ``--kind`` (with the ``--k`` of the explicit
-    kinds) or by a build report.  ``--size-cap`` comes only where a large m
-    is slow; the uncapped commands read closed forms of the params."""
+    kinds) or by a build report, which no other instance option may join.
+    ``--size-cap`` comes only where a large m is slow; the uncapped commands
+    read closed forms of the params."""
+    store = _StoreGiven if explicit else "store"
     if explicit:
-        sub.add_argument("--kind", choices=KINDS, default="mmda")
-        sub.add_argument("--k", type=int, default=3)
+        sub.add_argument("--kind", choices=KINDS, default="mmda", action=store)
+        sub.add_argument("--k", type=int, default=3, action=store)
         sub.add_argument("--instance-file", default=None,
                          help="load the instance from a build report instead")
-    sub.add_argument("--m", type=int, default=8)
-    sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4))
-    sub.add_argument("--eps", type=parse_rational, default=Fraction(1),
+    sub.add_argument("--m", type=int, default=8, action=store)
+    sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4), action=store)
+    sub.add_argument("--eps", type=parse_rational, default=Fraction(1), action=store,
                      help="layer step eps; the depth is ell = 3/eps")
     if capped:
         sub.add_argument("--size-cap", type=int, default=SIZE_CAP_DEFAULT)

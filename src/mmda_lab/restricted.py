@@ -107,29 +107,6 @@ def verify_matching_distribution(inst: MatchingInstance,
     return MatchingReport(pairs, per, low, low >= inst.target)
 
 
-def matching_value_oracle(k: int, eps, conditioned_pairs=()):
-    """Enumerates all matchings (small k) to cross-check the closed form."""
-    inst = build_lower_bound(k, eps)
-    eps = Fraction(eps)
-    fixed = dict(conditioned_pairs)
-    fixed_players = set(fixed)
-    fixed_bigs = set(fixed.values())
-    free_bigs = [f"b{j}" for j in range(1, k + 1) if f"b{j}" not in fixed_bigs]
-    free_players = [p for p in inst.players if p not in fixed_players]
-    exp = dict.fromkeys(inst.players, Fraction(0))
-    count = 0
-    for assign in itertools.permutations(free_players, len(free_bigs)):
-        count += 1
-        totals = {p: 3 * eps for p in inst.players}
-        for p in fixed_players:
-            totals[p] += 1
-        for b, p in zip(free_bigs, assign):
-            totals[p] += 1
-        for p in inst.players:
-            exp[p] += totals[p]
-    return {p: v / count for p, v in exp.items()}
-
-
 def ra_instance_to_json(inst: RAInstance) -> dict:
     return {
         "players": [str(p) for p in inst.players],
@@ -181,40 +158,6 @@ def canonicalize(inst: RAInstance, alpha, T) -> CanonicalInstance:
     players = tuple(sorted(elig))
     return CanonicalInstance(players, values, elig, T, frozenset(bigs),
                              coupling, split)
-
-
-def original_to_canonical_solution(inst: RAInstance, canon: CanonicalInstance,
-                                   assignment: dict) -> dict:
-    """Lift an assignment of value >= T to the canonical instance."""
-    out = {}
-    big_orig = {r for r in inst.values if r in canon.bigs}
-    for r, p in assignment.items():
-        ps, pb = canon.split[p]
-        out[r] = pb if r in big_orig else ps
-    for p in inst.players:
-        ps, pb = canon.split[p]
-        has_big = any(out.get(r) == pb for r in inst.values)
-        out[canon.coupling[p]] = ps if has_big else pb
-    return out
-
-
-def canonical_to_original_solution(canon: CanonicalInstance,
-                                   assignment: dict) -> dict:
-    """Project a canonical assignment back; couplings are dropped."""
-    out = {}
-    back = {side: p for p, sides in canon.split.items() for side in sides}
-    for r, holder in assignment.items():
-        if r in canon.coupling.values():
-            continue
-        out[r] = back[holder]
-    return out
-
-
-def assignment_values(inst: RAInstance, assignment: dict) -> dict:
-    totals = dict.fromkeys(inst.players, Fraction(0))
-    for r, p in assignment.items():
-        totals[p] += inst.values[r]
-    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cmp_to_key, lru_cache
 
 DEFAULT_PRECISION = 256
 
@@ -79,13 +78,14 @@ def _round_odd(x: int, odd: int, e: int, prec: int, up: bool) -> tuple[int, int]
     return (x + 1 if up and r else x), e
 
 
-def _round_ratio(num: int, den: int, prec: int, up: bool) -> Fraction:
-    # round_dyadic of num / den, den > 0, which need not be reduced
+def _round_ratio(num: int, den: int, prec: int, up: bool) -> tuple[int, int]:
+    # round_dyadic of num / den, den > 0, which need not be reduced, as the
+    # pair (n, 2**e) or (n, 1)
     e = (den & -den).bit_length() - 1  # den = odd * 2**e
     # a negative ratio rounds as -|ratio| toward the mirrored side
     m, e = _round_odd(abs(num), den >> e, e, prec, up if num > 0 else not up)
     m = m if num > 0 else -m
-    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+    return (m, 1 << e) if e >= 0 else (m << -e, 1)
 
 
 def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
@@ -94,24 +94,49 @@ def round_dyadic(x: Fraction, prec: int, up: bool) -> Fraction:
     ``up=True`` rounds toward +inf, ``up=False`` toward -inf, so the
     result always brackets x from the requested side.
     """
-    return _round_ratio(x.numerator, x.denominator, prec, up)
+    return Fraction(*_round_ratio(x.numerator, x.denominator, prec, up))
 
 
 # ---------------------------------------------------------------------------
 # intervals
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed enclosure [lo, hi]; bounds are finite Fractions."""
+    """Closed enclosure [lo, hi]; bounds are finite rationals.
 
-    lo: Fraction
-    hi: Fraction
-    prec: int = DEFAULT_PRECISION
+    Each end is held as an integer ratio (numerator, denominator > 0), not
+    necessarily reduced; after any rounding the denominator is a power of
+    two. ``lo`` and ``hi`` build the end's Fraction on first read and keep it.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    __slots__ = ("_l", "_h", "_prec", "_lo", "_hi")
+
+    def __init__(self, lo, hi, prec: int = DEFAULT_PRECISION):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        self._l, self._h = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+        self._prec, self._lo, self._hi = prec, lo, hi
+
+    @property
+    def lo(self) -> Fraction:
+        try:
+            return self._lo
+        except AttributeError:  # first read
+            self._lo = Fraction(*self._l)
+            return self._lo
+
+    @property
+    def hi(self) -> Fraction:
+        try:
+            return self._hi
+        except AttributeError:
+            self._hi = Fraction(*self._h)
+            return self._hi
+
+    @property
+    def prec(self) -> int:
+        return self._prec
 
     @property
     def width(self) -> Fraction:
@@ -119,13 +144,8 @@ class Interval:
 
     def sign(self) -> int | None:
         """-1, 0, +1 when certified, None when the enclosure straddles 0."""
-        if self.hi < 0:
-            return -1
-        if self.lo > 0:
-            return 1
-        if self.lo == 0 == self.hi:
-            return 0
-        return None
+        lo, hi = self._l[0], self._h[0]  # the sign of each end's numerator
+        return -1 if hi < 0 else 1 if lo > 0 else 0 if lo == 0 == hi else None
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -134,45 +154,105 @@ class Interval:
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
 
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi, self._prec) == (other.lo, other.hi, other._prec)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self._prec))
+
     def __repr__(self):
         return f"Interval({float(self.lo):.6g}, {float(self.hi):.6g})"
 
 
-def _outward(lo: Fraction, hi: Fraction, prec: int) -> Interval:
-    """[lo, hi], lo <= hi, with each end rounded outward to prec bits."""
-    return Interval(round_dyadic(lo, prec, up=False), round_dyadic(hi, prec, up=True), prec)
+_new = object.__new__
+
+
+def _iv(lo: tuple[int, int], hi: tuple[int, int], prec: int) -> Interval:
+    # an Interval from end ratios that are ordered by construction, unchecked
+    iv = _new(Interval)
+    iv._l, iv._h, iv._prec = lo, hi, prec
+    return iv
+
+
+def _cmp(x: tuple[int, int], y: tuple[int, int]) -> int:
+    # < 0, 0 or > 0 as x < y, x == y or x > y, for ratios with positive denominators
+    return x[0] * y[1] - y[0] * x[1]
+
+
+_by_value = cmp_to_key(_cmp)
+
+
+def _outward(ln: int, ld: int, hn: int, hd: int, prec: int) -> Interval:
+    """[ln/ld, hn/hd], ordered, with each end rounded outward to prec bits."""
+    return _iv(_round_ratio(ln, ld, prec, False), _round_ratio(hn, hd, prec, True), prec)
 
 
 def iv_add(a: Interval, b: Interval) -> Interval:
-    return _outward(a.lo + b.lo, a.hi + b.hi, max(a.prec, b.prec))
+    (aln, ald), (ahn, ahd) = a._l, a._h
+    (bln, bld), (bhn, bhd) = b._l, b._h
+    return _outward(aln * bld + bln * ald, ald * bld, ahn * bhd + bhn * ahd, ahd * bhd,
+                    max(a._prec, b._prec))
 
 
 def iv_neg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo, a.prec)
+    (ln, ld), (hn, hd) = a._l, a._h
+    return _iv((-hn, hd), (-ln, ld), a._prec)
 
 
 def iv_mul(a: Interval, b: Interval) -> Interval:
-    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _outward(min(cands), max(cands), max(a.prec, b.prec))
+    cands = [(xn * yn, xd * yd) for xn, xd in (a._l, a._h) for yn, yd in (b._l, b._h)]
+    return _outward(*min(cands, key=_by_value), *max(cands, key=_by_value),
+                    max(a._prec, b._prec))
 
 
 def iv_scale(a: Interval, q: Fraction) -> Interval:
-    if q >= 0:
-        return _outward(a.lo * q, a.hi * q, a.prec)
-    return _outward(a.hi * q, a.lo * q, a.prec)
+    qn, qd = q.numerator, q.denominator
+    (ln, ld), (hn, hd) = a._l, a._h
+    if qn >= 0:
+        return _outward(ln * qn, ld * qd, hn * qn, hd * qd, a._prec)
+    return _outward(hn * qn, hd * qd, ln * qn, ld * qd, a._prec)
 
 
 def iv_div(a: Interval, b: Interval) -> Interval:
-    if b.lo <= 0 <= b.hi:
+    (bln, bld), (bhn, bhd) = b._l, b._h
+    if bln <= 0 <= bhn:
         raise ZeroDivisionError("division by an interval containing zero")
-    cands = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return _outward(min(cands), max(cands), max(a.prec, b.prec))
+    s = 1 if bln > 0 else -1  # a times 1/b = [1/b.hi, 1/b.lo], denominators made positive
+    return iv_mul(a, _iv((s * bhd, s * bhn), (s * bld, s * bln), b._prec))
+
+
+def iv_pow_int(a: Interval, n: int) -> Interval:
+    """Enclosure of {x**n : x in a} for an integer n >= 0 at a's precision,
+    by squaring with every product rounded outward. n = 0 gives [1, 1];
+    n = 1 and n = 2 round the exact range of x and of x**2 once."""
+    if n < 0:
+        raise ValueError("iv_pow_int needs n >= 0")
+
+    def end(num, den, up):
+        # |num/den|**n by squaring, each product rounded the way that bounds
+        # the signed result, which is negative for a negative num and odd n
+        neg = num < 0 and n & 1
+        up, k = up != neg, n
+        acc, base = (1, 1), (abs(num), den)
+        while True:
+            if k & 1:
+                acc = _round_ratio(acc[0] * base[0], acc[1] * base[1], a._prec, up)
+            k >>= 1
+            if not k:
+                return (-acc[0], acc[1]) if neg else acc
+            base = _round_ratio(base[0] * base[0], base[1] * base[1], a._prec, up)
+    (ln, ld), (hn, hd) = lo, hi = a._l, a._h
+    if n & 1 == 0 and ln < 0:  # even n: x**n = |x|**n, over the range of |x|
+        lo, hi = (-hn, hd) if hn < 0 else (0, 1), max((-ln, ld), hi, key=_by_value)
+    return _iv(end(*lo, False), end(*hi, True), a._prec)
 
 
 # ---------------------------------------------------------------------------
 # certified elementary enclosures: exact-rational series with explicit
-# tails, summed over unreduced integers (no gcd in the loops); atanh reduces
-# once, into the returned Fractions, and exp first tries a guarded fixed-point sum
+# tails, summed over unreduced integers (no gcd in the loops); atanh hands
+# log2 unreduced ratios, and exp first tries a guarded fixed-point sum
 
 
 def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -191,11 +271,16 @@ def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """
     if not 0 <= z <= Fraction(1, 2):
         raise ValueError("atanh argument must lie in [0, 1/2]")
-    if z == 0:
-        return Fraction(0), Fraction(0)
+    lo, hi = _atanh_ratios(z.numerator, z.denominator, prec)
+    return Fraction(*lo), Fraction(*hi)
+
+
+def _atanh_ratios(n: int, d: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # _atanh_bounds of z = n/d, d > 0 and z unchecked, as unreduced ratios
+    if n == 0:
+        return (0, 1), (0, 1)
     s = prec + 4  # tol = 2**-s
     p = prec + 16
-    n, d = z.numerator, z.denominator
     zb = (d & -d).bit_length() - 1
     zo = d >> zb  # d = zo * 2**zb, zo odd
     zn, zo2, zb2 = n * n, zo * zo, 2 * zb  # z^2 = zn / (zo2 * 2**zb2)
@@ -221,7 +306,7 @@ def _atanh_bounds(z: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     td, md, zd = 1 << ta, mo << mb, zo2 << zb2
     q = md * (2 * k + 1) * (zd - zn)  # rem = mn * zd / q
     hi = ((tn * q + mn * zd * td) << s) + (k + 2) * td * q
-    return Fraction(tn, td), Fraction(hi, (td * q) << s)
+    return (tn, td), (hi, (td * q) << s)
 
 
 @lru_cache(maxsize=None)
@@ -242,15 +327,15 @@ def _log2_interval_cached(q: Fraction, prec: int) -> Interval:
     e = floor_log2(q)
     # r = a/b in [1, 2); ln r = 2 atanh(z), z = (a-b)/(a+b) in [0, 1/3]
     a, b = q.numerator << max(-e, 0), q.denominator << max(e, 0)
-    a_lo, a_hi = _atanh_bounds(_round_ratio(a - b, a + b, prec + 16, False), prec)
-    _, a_hi2 = _atanh_bounds(_round_ratio(a - b, a + b, prec + 16, True), prec)
-    a_hi = max(a_hi, a_hi2)
+    a_lo, a_hi = _atanh_ratios(*_round_ratio(a - b, a + b, prec + 16, False), prec)
+    _, a_hi2 = _atanh_ratios(*_round_ratio(a - b, a + b, prec + 16, True), prec)
+    a_hi = max(a_hi, a_hi2, key=_by_value)
     l2_lo, l2_hi = _ln2_bounds(prec)
     # log2(q) = e + 2*atanh(z)/ln2, the fraction being >= 0, rounded once
     def end(at, l2, up):
-        den = at.denominator * l2.numerator
-        return _round_ratio(e * den + 2 * at.numerator * l2.denominator, den, prec, up)
-    return Interval(end(a_lo, l2_hi, False), end(a_hi, l2_lo, True), prec)
+        den = at[1] * l2.numerator
+        return _round_ratio(e * den + 2 * at[0] * l2.denominator, den, prec, up)
+    return _iv(end(a_lo, l2_hi, False), end(a_hi, l2_lo, True), prec)
 
 
 _EXP_GUARD_BITS = 60  # bits the fixed-point exp sum carries below its tolerance
@@ -281,8 +366,8 @@ def _exp_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
         lo1, lo2, hi1, hi2 = (_round_ratio(t, 1 << w, prec, up) for t, up in (
             (t_lo - 2 * hi - tol, False), (t_hi - 2 * lo - tol, False),
             (t_lo + 2 * lo + tol, True), (t_hi + 2 * hi + tol, True)))
-        if lo1 == lo2 and hi1 == hi2:
-            return lo1, hi1
+        if _cmp(lo1, lo2) == 0 == _cmp(hi1, hi2):
+            return Fraction(*lo1), Fraction(*hi1)
     return _exp_exact(x, prec)
 
 
@@ -303,7 +388,7 @@ def _exp_exact(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             break
     # |remainder| <= 2*|term| once |x|/(k+1) <= 1/2; plus tol
     rem = (2 * abs(num) << s) + den
-    return tuple(_round_ratio((t << s) + r, den << s, prec, r > 0) for r in (-rem, rem))
+    return tuple(Fraction(*_round_ratio((t << s) + r, den << s, prec, r > 0)) for r in (-rem, rem))
 
 
 @lru_cache(maxsize=4096)
@@ -317,7 +402,8 @@ def _exp2_end(x: Fraction, prec: int, up: bool) -> Fraction:
 
 def exp2_interval(x: Interval, prec: int | None = None) -> Interval:
     p = prec or x.prec
-    return _outward(_exp2_end(x.lo, p, False), _exp2_end(x.hi, p, True), p)
+    lo, hi = _exp2_end(x.lo, p, False), _exp2_end(x.hi, p, True)
+    return _outward(lo.numerator, lo.denominator, hi.numerator, hi.denominator, p)
 
 
 def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:
@@ -326,7 +412,7 @@ def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:
     if not 0 <= x <= 1:
         raise ValueError("entropy argument must lie in [0, 1]")
     if x == 0 or x == 1:
-        return Interval(Fraction(0), Fraction(0), prec)
+        return _iv((0, 1), (0, 1), prec)
     t1 = iv_scale(log2_interval(x, prec), -x)
     t2 = iv_scale(log2_interval(1 - x, prec), -(1 - x))
     return iv_add(t1, t2)
@@ -462,7 +548,7 @@ class Monomial:
         return Fraction(num, den)
 
     def log2_interval(self, prec: int = DEFAULT_PRECISION) -> Interval:
-        acc = Interval(Fraction(0), Fraction(0), prec)
+        acc = _iv((0, 1), (0, 1), prec)
         for p, e in self.exponents:
             acc = iv_add(acc, iv_scale(log2_interval(Fraction(p), prec), e))
         return acc
@@ -532,7 +618,8 @@ def to_interval(x: Scalar | int, prec: int) -> Interval:
     if isinstance(x, Interval):
         return x
     x = as_scalar(x)
-    return _outward(x, x, prec)
+    n, d = x.numerator, x.denominator
+    return _outward(n, d, n, d, prec)
 
 
 def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
@@ -547,13 +634,12 @@ def compare_certified(a, b, prec: int = DEFAULT_PRECISION,
     a, b = as_scalar(a), as_scalar(b)
     if isinstance(a, Interval) or isinstance(b, Interval):
         ia, ib = to_interval(a, DEFAULT_PRECISION), to_interval(b, DEFAULT_PRECISION)
-        if ia.hi < ib.lo:
+        if _cmp(ia._h, ib._l) < 0:
             return LT
-        if ia.lo > ib.hi:
+        if _cmp(ia._l, ib._h) > 0:
             return GT
-        if ia.lo == ia.hi == ib.lo == ib.hi:
-            return EQ
-        return UNDECIDED
+        # overlapping, so equal exactly when both are points
+        return EQ if _cmp(ia._l, ia._h) == 0 == _cmp(ib._l, ib._h) else UNDECIDED
     if a == b:
         return EQ
     fa, fb = as_fraction(a), as_fraction(b)

@@ -315,49 +315,6 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
                      rep.ok, rep)
 
 
-# ---------------------------------------------------------------------------
-# dominance scan
-
-
-@dataclass
-class DominanceReport:
-    tau: Fraction
-    binding: tuple | None
-    per_trigger_layer: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.tau < 1
-
-
-def check_no_edge_dominates(model: ShadowModel) -> DominanceReport:
-    """Largest single-edge share of a triggered expected out-degree.
-
-    For each trigger f and each vertex v in its activation cone, compares
-    the biggest per-edge activation value against the expected out-degree
-    E[|delta+(v) cap S_f|]; tau is the worst ratio.
-    """
-    inst = model.inst
-    tau = Fraction(0)
-    binding = None
-    per_layer: dict[int, Fraction] = {}
-    for f in inst.all_edges():
-        by_vertex: dict[Vertex, list[Fraction]] = {}
-        for e, val in model.family.support(f):
-            if e == f:
-                continue
-            by_vertex.setdefault(e[0], []).append(val)
-        for v, vals in by_vertex.items():
-            total = sum(vals, Fraction(0))
-            ratio = max(vals) / total
-            layer = f[1][0]
-            if ratio > per_layer.get(layer, Fraction(0)):
-                per_layer[layer] = ratio
-            if ratio > tau:
-                tau, binding = ratio, (f, v)
-    return DominanceReport(tau, binding, per_layer)
-
-
 class CounterexampleFamily:
     """Relocated solutions on the shared-sink instance.
 

@@ -161,6 +161,27 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: m=40 exceeds the size cap 24\n"
 
+    @pytest.mark.parametrize("command", ["build", "bruteforce"])
+    def test_instance_file_refuses_the_instance_flags_beside_it(self, tmp_path, capsys,
+                                                                command):
+        # a file names the whole instance; a flag beside it was dropped silently
+        built, out = tmp_path / "m8.json", tmp_path / "report.json"
+        assert main(["build", "--m", "8", "--out", str(built)]) == EXIT_PASS
+        for flag, value in [("--m", "4"), ("--m", "8"), ("--rho", "1/4"), ("--eps", "1"),
+                            ("--kind", "mmda"), ("--k", "3")]:
+            code = main([command, "--instance-file", str(built), flag, value,
+                         "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == (f"error: --instance-file names the instance; "
+                                               f"{flag} cannot be given beside it\n")
+            assert not out.exists()
+        # the flags alone, and options that do not name the instance, still run
+        assert main([command, "--m", "4", "--rho", "1/4", "--kind", "mmda",
+                     "--out", str(out)]) == EXIT_PASS
+        if command == "bruteforce":
+            assert main([command, "--instance-file", str(built), "--budget", "1",
+                         "--size-cap", "8", "--out", str(out)]) == EXIT_UNDECIDED
+
     def test_scan(self, tmp_path):
         code, data, _ = run(tmp_path, "scan", "--fn", "g_integral",
                             "--lo", "1e-4", "--hi", "1e-2", "--points", "5")
@@ -339,6 +360,28 @@ class TestRejectedInputs:
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE and out == ""
         assert err == "error: f_packing is undefined at x=1: Fraction(1, 0)\n"
+
+    def test_precision_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no command reaches the cap at m <= 32, so the scan handler is made to
+        # compare two irrationals about 2**-100 apart: undecided at 64 bits
+        from mmda_lab import cli
+        from mmda_lab.scalars import LT, Monomial, compare_certified, precision_cap
+        a, b = Monomial({2: Fraction(1, 2)}), Monomial({2: Fraction(1, 2) + Fraction(1, 10 ** 30)})
+        assert compare_certified(a, b, cap=256) == LT
+        monkeypatch.setattr(cli, "scan_proof_function",
+                            lambda *args, **kw: compare_certified(a, b))
+        monkeypatch.setenv("MMDA_LAB_PRECISION_CAP", "64")
+        out = tmp_path / "report.json"
+        precision_cap.cache_clear()
+        try:
+            code = main(["scan", "--fn", "f_packing", "--lo", "1e-4", "--hi", "1e-2",
+                         "--out", str(out)])
+        finally:
+            precision_cap.cache_clear()
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_UNDECIDED
+        assert err == "error: comparison undecided at 64 bits\n" and stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-5", "63", "1.5e3"])
     def test_bad_precision_cap_is_a_usage_error(self, cap):

@@ -4,14 +4,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmda_lab import scalars
 from mmda_lab.scalars import (DEFAULT_PRECISION, EQ, GT, LT, MONO_ONE, UNDECIDED,
                               Interval, Monomial, PrecisionCapExceeded, _atanh_bounds,
                               _exp_bounds, _ln2_bounds, as_fraction, as_scalar,
                               compare_certified, entropy_interval, exp2_interval,
-                              floor_log2, iv_add, iv_mul, log2_interval,
-                              round_dyadic, scalar_to_json, to_interval)
+                              floor_log2, iv_add, iv_div, iv_mul, iv_neg, iv_pow_int,
+                              iv_scale, log2_interval, round_dyadic, scalar_to_json,
+                              to_interval)
 
 
 def near(iv, x, eps=1e-12):
@@ -716,3 +719,228 @@ class TestMpmathEnclosures:
                     mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
                     for p, e in m.exponents)))
                 assert iv.lo <= want <= iv.hi, m
+
+
+# Interval ends are integer ratios. The Fraction formulas of the interval
+# operations as first written are the references: each kernel must return
+# the same (lo, hi, prec).
+
+def _ref_outward(lo, hi, prec):
+    return _ref_round_dyadic(lo, prec, False), _ref_round_dyadic(hi, prec, True), prec
+
+
+def _ref_iv_add(a, b):
+    return _ref_outward(a.lo + b.lo, a.hi + b.hi, max(a.prec, b.prec))
+
+
+def _ref_iv_neg(a):
+    return -a.hi, -a.lo, a.prec
+
+
+def _ref_iv_mul(a, b):
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return _ref_outward(min(cands), max(cands), max(a.prec, b.prec))
+
+
+def _ref_iv_scale(a, q):
+    if q >= 0:
+        return _ref_outward(a.lo * q, a.hi * q, a.prec)
+    return _ref_outward(a.hi * q, a.lo * q, a.prec)
+
+
+def _ref_iv_div(a, b):
+    cands = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return _ref_outward(min(cands), max(cands), max(a.prec, b.prec))
+
+
+def _ref_compare(a, b):
+    if a.hi < b.lo:
+        return LT
+    if a.lo > b.hi:
+        return GT
+    return EQ if a.lo == a.hi == b.lo == b.hi else UNDECIDED
+
+
+def _ends(iv):
+    return iv.lo, iv.hi, iv.prec
+
+
+def _is_power_of_two(d):
+    return d > 0 and d & (d - 1) == 0
+
+
+_RATIONALS = st.one_of(
+    # dyadic ends, as rounding leaves them, and non-dyadic exact ends
+    st.builds(lambda n, e: Fraction(n, 1 << e), st.integers(-(1 << 300), 1 << 300),
+              st.integers(0, 320)),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30)),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 3),
+                     Fraction(1, 1 << 500)]))
+_PRECS = st.sampled_from([64, 128, 256, 1024])
+
+
+@st.composite
+def _intervals(draw):
+    a = draw(_RATIONALS)
+    b = a if draw(st.booleans()) else draw(_RATIONALS)  # zero width, or not
+    iv = Interval(min(a, b), max(a, b), draw(_PRECS))
+    if draw(st.booleans()):
+        # ends as the kernels leave them: rounded, unreduced ratios
+        iv = iv_add(iv, Interval(Fraction(0), Fraction(0), draw(_PRECS)))
+    return iv
+
+
+_seeded = settings(derandomize=True, database=None, deadline=None, max_examples=400,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestIntegerIntervals:
+    """Seeded property tests of the integer interval kernels against the
+    Fraction formulas: dyadic and non-dyadic, negative, zero-width and
+    straddling intervals at mixed precisions."""
+
+    @_seeded
+    @given(a=_intervals(), b=_intervals(), q=_RATIONALS)
+    def test_operations_equal_fraction_reference(self, a, b, q):
+        got = {"add": iv_add(a, b), "mul": iv_mul(a, b), "scale": iv_scale(a, q),
+               "square": iv_pow_int(a, 2)}
+        want = {"add": _ref_iv_add(a, b), "mul": _ref_iv_mul(a, b),
+                "scale": _ref_iv_scale(a, q),
+                "square": _ref_outward(*_ref_pow_range(a.lo, a.hi, 2), a.prec)}
+        if b.lo <= 0 <= b.hi:
+            with pytest.raises(ZeroDivisionError):
+                iv_div(a, b)
+        else:
+            got["div"], want["div"] = iv_div(a, b), _ref_iv_div(a, b)
+        for op, iv in got.items():
+            assert _ends(iv) == want[op], op
+            # every rounded end is held over a power of two
+            assert _is_power_of_two(iv._l[1]) and _is_power_of_two(iv._h[1]), op
+        # negation rounds nothing: a non-dyadic end stays as it was
+        assert _ends(iv_neg(a)) == _ref_iv_neg(a)
+        assert _ends(iv_neg(iv_neg(a))) == _ends(a)
+
+    @_seeded
+    @given(a=_intervals(), b=_intervals())
+    def test_sign_and_compare_equal_fraction_reference(self, a, b):
+        want = -1 if a.hi < 0 else 1 if a.lo > 0 else 0 if a.lo == 0 == a.hi else None
+        assert a.sign() == want
+        assert compare_certified(a, b) == _ref_compare(a, b)
+        assert compare_certified(a, a) == (EQ if a.lo == a.hi else UNDECIDED)
+
+    @_seeded
+    @given(q=_RATIONALS, prec=_PRECS)
+    def test_to_interval_equals_fraction_reference(self, q, prec):
+        assert _ends(to_interval(q, prec)) == _ref_outward(q, q, prec)
+
+
+class TestIntervalFace:
+    """The public face of Interval: constructor, Fraction ends, value
+    equality and hash, immutability."""
+
+    def test_ends_are_fractions_read_once(self):
+        iv = iv_add(Interval(Fraction(1, 3), Fraction(1, 2), 64), Interval(Fraction(1, 7), 1, 64))
+        # a kernel's result holds no Fraction until an end is read
+        with pytest.raises(AttributeError):
+            iv._lo
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction and type(iv.prec) is int
+        assert iv.lo is iv.lo and iv.hi is iv.hi
+        given = Interval(Fraction(-2, 6), 3)
+        assert _ends(given) == (Fraction(-1, 3), Fraction(3), DEFAULT_PRECISION)
+        assert type(given.hi) is Fraction
+
+    def test_value_equality_and_hash(self):
+        # [1/2, 3/4] built by the constructor and by a kernel whose ends are
+        # unreduced ratios over powers of two
+        made = Interval(Fraction(1, 2), Fraction(3, 4), 64)
+        summed = iv_add(Interval(Fraction(1, 4), Fraction(1, 2), 64),
+                        Interval(Fraction(1, 4), Fraction(1, 4), 64))
+        assert summed._l != (1, 2)
+        assert summed == made and hash(summed) == hash(made)
+        assert hash(made) == hash((Fraction(1, 2), Fraction(3, 4), 64))
+        assert made != Interval(Fraction(1, 2), Fraction(3, 4), 65)
+        assert made != Interval(Fraction(1, 2), Fraction(4, 5), 64)
+        assert made != (Fraction(1, 2), Fraction(3, 4), 64)
+        assert len({made, summed, Interval(Fraction(2, 4), Fraction(6, 8), 64)}) == 1
+        assert repr(made) == "Interval(0.5, 0.75)"
+
+    def test_immutable(self):
+        iv = Interval(Fraction(1), Fraction(2))
+        for name in ("lo", "hi", "prec", "width", "other"):
+            with pytest.raises(AttributeError):
+                setattr(iv, name, Fraction(0))
+        assert (iv.lo, iv.hi, iv.prec) == (1, 2, DEFAULT_PRECISION)
+
+    def test_inverted_ends_rejected(self):
+        for lo, hi in [(Fraction(1), Fraction(0)), (Fraction(-1, 3), Fraction(-1, 2)),
+                       (Fraction(1, 1 << 70) + Fraction(1, 3), Fraction(1, 3))]:
+            with pytest.raises(ValueError, match="inverted interval"):
+                Interval(lo, hi)
+        assert Interval(Fraction(1, 3), Fraction(1, 3)).width == 0
+
+
+def _ref_pow_range(lo, hi, n):
+    """The exact range of x**n over [lo, hi], with 0**0 = 1."""
+    if n % 2 or lo >= 0 or n == 0:
+        return lo ** n, hi ** n
+    if hi <= 0:
+        return hi ** n, lo ** n
+    return Fraction(0), max(lo ** n, hi ** n)
+
+
+class TestPowInt:
+    BASES = [(Fraction(1, 3), Fraction(1, 3)), (Fraction(-3, 2), Fraction(-3, 2)),
+             (Fraction(2, 3), Fraction(5, 7)), (Fraction(-5, 7), Fraction(-2, 3)),
+             (Fraction(-3, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(3, 2)),
+             (Fraction(-3, 10), Fraction(1, 2)), (Fraction(-1, 2), Fraction(3, 10)),
+             (Fraction(0), Fraction(0)), (Fraction(-1), Fraction(1)),
+             (Fraction(-(1 << 200) - 1, 1 << 100), Fraction(7, 1 << 90))]
+
+    @pytest.mark.parametrize("prec", (64, 256))
+    def test_zero_one_and_two_exactly(self, prec):
+        for lo, hi in self.BASES:
+            a = Interval(lo, hi, prec)
+            assert _ends(iv_pow_int(a, 0)) == (1, 1, prec)
+            assert _ends(iv_pow_int(a, 1)) == _ref_outward(lo, hi, prec)
+            assert _ends(iv_pow_int(a, 2)) == _ref_outward(*_ref_pow_range(lo, hi, 2), prec)
+        with pytest.raises(ValueError):
+            iv_pow_int(a, -1)
+
+    @pytest.mark.parametrize("prec", (64, 256))
+    def test_encloses_the_exact_range_tightly(self, prec):
+        # negative and straddling bases at even and odd n; squaring rounds at
+        # most 2*log2(n)+1 times, so each end is within n*2**(3-prec) relative
+        for lo, hi in self.BASES:
+            a = Interval(lo, hi, prec)
+            for n in range(65):
+                got = iv_pow_int(a, n)
+                want = _ref_pow_range(lo, hi, n)
+                assert got.lo <= want[0] and want[1] <= got.hi, (lo, hi, n)
+                for g, w in zip((got.lo, got.hi), want):
+                    assert abs(g - w) <= abs(w) * n / Fraction(2) ** (prec - 3), (lo, hi, n)
+
+    def test_contains_exact_rational_powers(self):
+        import random
+        rng = random.Random(64)
+        qs = [Fraction(rng.randrange(-10 ** 20, 10 ** 20), rng.randrange(1, 10 ** 20))
+              for _ in range(12)] + [Fraction(-1, 3), Fraction(5, 1 << 80)]
+        for prec in (64, 256):
+            for q in qs:
+                a = to_interval(q, prec)
+                for n in range(65):
+                    assert iv_pow_int(a, n).contains(q ** n), (q, n, prec)
+
+    @pytest.mark.parametrize("prec", (256, 1024))
+    def test_contains_mpmath(self, prec):
+        mpmath = pytest.importorskip("mpmath")
+        ms = [m for m in _seeded_monomials(30) if m.as_fraction() is None][:8]
+        with mpmath.workprec(2 * prec):
+            for m in ms:
+                x = mpmath.exp(mpmath.fsum(mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
+                                           for p, e in m.exponents))
+                a = m.to_interval(prec)
+                for n in (2, 3, 17, 64):
+                    want = _from_mpf(mpmath.power(x, n))
+                    assert iv_pow_int(a, n).contains(want), (m, n)
+                    # a negative base at odd and even n
+                    assert iv_pow_int(iv_neg(a), n).contains(want if n % 2 == 0 else -want)
