@@ -673,7 +673,6 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
     prod_{i<3/eps} k_i = C(m, rm);
     checked as prime-exponent maps, so equality is syntactic.
     """
-    from .scalars import compare_certified
     prof = params.profile
     m, rm = params.m, params.rho_m
     one_over_eps = int(1 / params.epsilon)
@@ -689,8 +688,7 @@ def desiderata_identities(params: InstanceParams) -> list[tuple[str, bool]]:
     for i in range(params.ell):
         running = running.mul(prof.gamma[i]).mul(Monomial.from_int(prof.delta_plus[i]))
         if i + 1 in targets:
-            out.append((f"phase-prefix:{i + 1}",
-                        compare_certified(running, targets[i + 1]) == "="))
+            out.append((f"phase-prefix:{i + 1}", running == targets[i + 1]))
     return out
 
 

@@ -82,7 +82,6 @@ class BruteforceResult:
     quality: SolutionQuality
     complete: bool
     nodes_used: int
-    infeasible_above: Fraction | None
 
 
 def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget,
@@ -182,7 +181,6 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
 
     best_edges = single_path_solution(inst).edges
     best_q = solution_quality(inst, IntegralSolution(best_edges)).alpha
-    infeasible_above = None
     complete = True
 
     lo = 0
@@ -199,7 +197,6 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
             complete = False
             hi = mid
         elif res is None:
-            infeasible_above = q if infeasible_above is None else min(infeasible_above, q)
             hi = mid
         else:
             sol = IntegralSolution(res)
@@ -208,7 +205,7 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
             lo = mid + 1
     nodes_used = budget - bud.left
     return BruteforceResult(IntegralSolution(best_edges), SolutionQuality(best_q),
-                            complete, nodes_used, infeasible_above)
+                            complete, nodes_used)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from itertools import chain, islice
 
 from .instances import (ClassSums, Edge, InstanceError, LabelCells,
                         LabeledInstance, LayeredInstance, Vertex)
-from .reports import ViolationReport, check_eq, check_ge, check_le, vacuous
+from .reports import (ConstraintCheck, ViolationReport, check_eq, check_ge, check_le,
+                      vacuous)
 from .scalars import MONO_ONE, Monomial, Scalar, as_fraction
 
 ENUMERATION_CAP = 10 ** 7
@@ -371,43 +372,44 @@ def max_paths_between_layers(inst: LabeledInstance, i: int, j: int) -> int:
     return closed_form_paths(inst, i, j, min(si, sj))
 
 
+def lifted_packing(inst: LabeledInstance,
+                   distance: int) -> dict[tuple[int, int], ConstraintCheck]:
+    """The lifted packing rows, one per layer pair (i, j) with
+    j - i <= distance, in (i, j) order: the worst-case path count times
+    the value ratio gamma_i ... gamma_{j-1} is at most 1."""
+    prof = inst.profile
+    rows = {}
+    for i in range(inst.ell + 1):
+        ratio = MONO_ONE
+        for j in range(i, min(inst.ell, i + distance) + 1):
+            if j > i:
+                ratio = ratio.mul(prof.gamma[j - 1])
+            count = max_paths_between_layers(inst, i, j)
+            rows[i, j] = check_le(f"lifted-packing:({i},{j})",
+                                  ratio.mul(Monomial.from_int(count)), 1)
+    return rows
+
+
 @dataclass
 class HelperLemmaReport:
     report: ViolationReport
     largest_distance: int
     xi_max: Fraction
-    pairs: list[dict]
 
 
 def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport:
-    """Compare worst-case path counts against 1/prod(gamma) per layer pair."""
+    """The lifted packing rows up to distance xi*ell; the largest distance
+    is the last one before the first failing row, the rounds frontier of
+    the symbolic path verifier capped at xi*ell."""
     xi = Fraction(xi)
     if not 0 < xi <= 1:
         raise InstanceError("xi must lie in (0, 1]")
     d_cap = int(xi * inst.ell)
-    prof = inst.profile
-    rep = ViolationReport()
-    pairs = []
-    ok_by_distance: dict[int, bool] = {}
-    for i in range(inst.ell + 1):
-        inv_gamma = MONO_ONE
-        for j in range(i, min(inst.ell, i + d_cap) + 1):
-            d = j - i
-            if j > i:
-                inv_gamma = inv_gamma.mul(prof.gamma[j - 1])
-            count = max_paths_between_layers(inst, i, j)
-            bound = inv_gamma.pow(-1)
-            chk = check_le(f"paths:({i},{j})", count, bound)
-            rep.add(chk)
-            ok_by_distance[d] = ok_by_distance.get(d, True) and bool(chk.satisfied)
-            pairs.append({"i": i, "j": j, "count": count,
-                          "bound_approx": bound.approx(),
-                          "ok": chk.satisfied})
-    best = 0
-    for d in range(1, d_cap + 1):
-        if ok_by_distance.get(d, False) and best == d - 1:
-            best = d
-    return HelperLemmaReport(rep, best, Fraction(best, inst.ell), pairs)
+    rows = lifted_packing(inst, d_cap)
+    failing = [j - i for (i, j), c in rows.items() if not c.satisfied]
+    best = min(failing, default=d_cap + 1) - 1
+    return HelperLemmaReport(ViolationReport(list(rows.values())), best,
+                             Fraction(best, inst.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +437,6 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
     """
     rep = ViolationReport()
     prof = inst.profile
-    t = ps.rounds
 
     # (1) lifted covering: children sum equals k at the endpoint, per layer
     for io in range(inst.ell):
@@ -444,17 +445,7 @@ def _verify_paths_symbolic(inst: LabeledInstance, ps: PathSolution) -> Violation
     rep.add(vacuous("lifted-covering:end-sink", "equality", 0, 0))
 
     # (2) lifted packing: worst path count times the value ratio, per (i, j)
-    for i in range(inst.ell + 1):
-        inv = MONO_ONE
-        for j in range(i, inst.ell + 1):
-            d = j - i
-            if d > t:
-                break
-            if j > i:
-                inv = inv.mul(prof.gamma[j - 1])
-            count = max_paths_between_layers(inst, i, j)
-            lhs = inv.mul(Monomial.from_int(count))
-            rep.add(check_le(f"lifted-packing:({i},{j})", lhs, 1))
+    rep.checks.extend(lifted_packing(inst, ps.rounds).values())
 
     # (3)+(4) unlifted assignment constraints for y({e}) = x_e
     rep.merge(verify_assignment(inst, ps.x))

@@ -10,7 +10,13 @@ from mmda_lab.integral import (IntegralSolution, bruteforce_best,
                                counting_certificate, hall_infeasibility,
                                single_path_solution, solution_quality,
                                t1_count, t2_count)
-from mmda_lab.scalars import compare_certified
+from mmda_lab.scalars import as_fraction, compare_certified
+
+
+def sinks_needed(inst, q: Fraction) -> int:
+    """Sinks below the source of any arborescence with out-degree at least
+    q*k_v: the product of the per-layer demands (k is constant on a layer)."""
+    return math.prod(math.ceil(q * as_fraction(k)) for k in inst.profile.k)
 
 
 def check_structure(sol: IntegralSolution, inst) -> bool:
@@ -73,8 +79,9 @@ class TestConstruction:
 
     def test_m4_quality_one_excluded(self, inst4):
         res = bruteforce_best(inst4)
-        assert res.infeasible_above is not None
-        assert res.infeasible_above <= 1
+        assert res.complete and res.quality.alpha < 1
+        # quality 1 needs ceil(4/3) * ceil(3/2) * 2 = 8 sinks below the source
+        assert sinks_needed(inst4, Fraction(1)) == 8 > inst4.layer_size(inst4.ell)
 
 
 class TestCounterexample:
@@ -221,7 +228,8 @@ class TestConstructionM8:
         res = bruteforce_best(inst8, budget=3_000_000)
         assert res.complete
         assert res.quality.alpha == Fraction(4, 5)
-        assert res.infeasible_above == Fraction(5, 6)
+        assert sinks_needed(inst8, Fraction(4, 5)) == 20 <= inst8.layer_size(inst8.ell)
+        assert sinks_needed(inst8, Fraction(5, 6)) == 30 > inst8.layer_size(inst8.ell)
         assert check_structure(res.solution, inst8)
         cert = best_quality_bound(counting_certificate(inst8.params))
         assert compare_certified(res.quality.alpha, cert) == "<"

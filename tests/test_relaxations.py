@@ -217,6 +217,10 @@ class TestPerSourceCounts:
         assert calls == {"count_paths": 0, "count_paths_from": 91}
 
 
+def _rows_by_id(rep):
+    return {c.constraint_id: c for c in rep.checks}
+
+
 class TestHelperLemma:
     def test_deep_instance_distance_two(self, inst16_deep):
         hl = check_helper_lemma(inst16_deep, Fraction(1, 3))
@@ -226,21 +230,23 @@ class TestHelperLemma:
     def test_depth3_distance_one_only(self, inst8):
         hl = check_helper_lemma(inst8, Fraction(1))
         assert hl.largest_distance == 1
-        bad = [p for p in hl.pairs if not p["ok"]]
-        assert {(p["i"], p["j"]) for p in bad} == {(1, 3)}
+        bad = [c.constraint_id for c in hl.report.checks if not c.satisfied]
+        assert bad == ["lifted-packing:(1,3)"]
 
     def test_single_step_always_certified(self, inst16_deep):
         # one-step counts are 1 and gamma <= 1
         hl = check_helper_lemma(inst16_deep, Fraction(1, 6))
-        one_step = [p for p in hl.pairs if p["j"] == p["i"] + 1]
-        assert one_step and all(p["ok"] for p in one_step)
+        rows = _rows_by_id(hl.report)
+        one_step = [rows[f"lifted-packing:({i},{i + 1})"] for i in range(inst16_deep.ell)]
+        assert one_step and all(c.satisfied for c in one_step)
 
     def test_source_to_peak_bound_values(self, inst16_deep):
         # (0, 2): six orderings against 1/(gamma_0 gamma_1) = 11880/4
         hl = check_helper_lemma(inst16_deep, Fraction(1, 3))
-        pair = next(p for p in hl.pairs if (p["i"], p["j"]) == (0, 2))
-        assert pair["count"] == 6 and pair["ok"]
-        inv = inst16_deep.profile.gamma[0].mul(inst16_deep.profile.gamma[1]).pow(-1)
+        row = _rows_by_id(hl.report)["lifted-packing:(0,2)"]
+        gammas = inst16_deep.profile.gamma[0].mul(inst16_deep.profile.gamma[1])
+        assert row.lhs.div(gammas).as_fraction() == 6 and row.satisfied
+        inv = gammas.pow(-1)
         assert inv.as_fraction() == Fraction(11880, 4)
 
     def test_worst_case_is_max_overlap(self, inst16_deep):
@@ -249,6 +255,57 @@ class TestHelperLemma:
                                        min(6, 6))
         assert max_paths_between_layers(inst16_deep, 3, 5) == cnt_nested
         assert closed_form_paths(inst16_deep, 3, 5, 5) <= cnt_nested
+
+    # the five table rows with m <= 32 at rho = 1/4, plus two more depths
+    @pytest.mark.parametrize("m,eps", [(8, Fraction(1, 2)), (12, Fraction(1, 3)),
+                                       (16, Fraction(1, 4)), (24, Fraction(1, 6)),
+                                       (32, Fraction(1, 8)), (8, Fraction(1)),
+                                       (16, Fraction(1, 2))])
+    def test_nested_overlap_is_the_worst_case(self, m, eps):
+        # the maximum over every feasible overlap of each layer pair is
+        # the nested one that max_paths_between_layers evaluates
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+        p = inst.params
+        for i in range(inst.ell + 1):
+            for j in range(i, inst.ell + 1):
+                counts = [closed_form_paths(inst, i, j, t)
+                          for t in range(min(p.label_size(i), p.label_size(j)) + 1)
+                          if inst.linked(i, j, t)]
+                assert max(counts) == max_paths_between_layers(inst, i, j), (i, j)
+
+
+# t*, the largest round count at which the symbolic path verifier passes,
+# with xi = 1 so the helper bound is not capped below it
+ROUNDS_FRONTIER = [(8, Fraction(1, 2), 1), (12, Fraction(1, 3), 3), (16, Fraction(1, 4), 4),
+                   (24, Fraction(1, 6), 6), (32, Fraction(1, 8), 8), (48, Fraction(1, 12), 12),
+                   (64, Fraction(1, 16), 16), (96, Fraction(1, 24), 24)]
+
+
+class TestRoundsFrontier:
+    @pytest.mark.parametrize("m,eps,t_star", ROUNDS_FRONTIER)
+    def test_helper_bound_is_t_star(self, m, eps, t_star):
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+        assert check_helper_lemma(inst, Fraction(1)).largest_distance == t_star
+
+    @pytest.mark.parametrize("m,eps,t_star,failing", [
+        (12, Fraction(1, 3), 3, ["lifted-packing:(4,8)", "lifted-packing:(5,9)"]),
+        (16, Fraction(1, 4), 4, ["lifted-packing:(6,11)", "lifted-packing:(7,12)"])])
+    def test_symbolic_passes_at_t_star_only(self, m, eps, t_star, failing):
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps))
+        assert verify_path_hierarchy(inst, path_solution(inst, t_star), mode="symbolic").ok
+        rep = verify_path_hierarchy(inst, path_solution(inst, t_star + 1), mode="symbolic")
+        assert not rep.undecided
+        assert [c.constraint_id for c in rep.violations] == failing
+
+    def test_enumerated_agrees_at_m8(self, inst8_deep):
+        # m = 8 is the finite-size exception (t*/ell = 1/6); the enumerated
+        # verifier, which does not use the closed-form worst case, agrees
+        assert verify_path_hierarchy(inst8_deep, path_solution(inst8_deep, 1),
+                                     mode="enumerated").ok
+        rep = verify_path_hierarchy(inst8_deep, path_solution(inst8_deep, 2),
+                                    mode="enumerated")
+        assert rep.violations and not rep.undecided
+        assert all(c.constraint_id.startswith("lifted-packing:") for c in rep.violations)
 
 
 class TestPathHierarchy:
