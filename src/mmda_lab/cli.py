@@ -17,13 +17,13 @@ from functools import cache
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
-from .instances import (SIZE_CAP_DEFAULT, InstanceError, build_config_lp_gap,
-                        build_depth3_example, build_mmda, build_subtree_counterexample,
-                        desiderata_identities, instance_from_json, instance_to_json,
-                        make_params)
+from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabelCells,
+                        build_config_lp_gap, build_depth3_example, build_mmda,
+                        build_subtree_counterexample, desiderata_identities,
+                        instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
 from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
-                          closed_form_paths, count_paths, count_paths_from, path_solution,
+                          class_path_counts, closed_form_paths, path_solution,
                           verify_assignment, verify_path_hierarchy, verify_subtree)
 from .reports import _decide_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
@@ -239,40 +239,44 @@ def cmd_verify_paths(args) -> tuple:
 
 
 def cmd_count_paths(args) -> tuple:
+    """Path counts on label classes against the closed forms.  S_m maps any
+    vertex of layer i, and the classes relative to it, to its rank-0 vertex
+    (the lowest bits), so one class walk per layer counts every pair."""
     inst = _instance_from_args(args)
     import random
     rng = random.Random(args.seed)
     mismatches = []
-    pairs, dps = [], []
+
+    @cache
+    def walk(i: int) -> tuple:
+        source = (1 << inst.params.label_size(i)) - 1
+        part = LabelCells(inst, [source])
+        # the class of (i, 0) is first in rank order
+        return source, part, class_path_counts(part, part.classes(i)[0])
+
+    # (v, u, the class of u relative to v)
     if args.samples:
+        checked, pairs = args.samples, []
         for _ in range(args.samples):
             i = rng.randrange(0, inst.ell)
             j = rng.randrange(i, inst.ell + 1)
             v = (i, rng.randrange(inst.layer_size(i)))
             u = (j, rng.randrange(inst.layer_size(j)))
-            pairs.append((v, u))
-        # pruned walks: a full pass from a shallow v may cover most of the instance
-        dps = [count_paths(inst, v, u) for v, u in pairs]
+            pairs.append((v, u, LabelCells(inst, [inst.label(v)]).key(u)))
     else:
-        vs = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
-        for v in vs:
-            # one forward pass from v counts its paths to every u
-            counts = count_paths_from(inst, v)
-            for u in vs:
-                if v[0] <= u[0]:
-                    pairs.append((v, u))
-                    dps.append(counts.get(u, 0))
-    for (v, u), dp in zip(pairs, dps):
-        if inst.reachable(v, u):
-            overlap = (inst.label(v) & inst.label(u)).bit_count()
-            cf = closed_form_paths(inst, v[0], u[0], overlap)
-        else:
-            cf = 0
+        sizes = [inst.layer_size(i) for i in range(inst.ell + 1)]
+        checked = sum(n * sum(sizes[i:]) for i, n in enumerate(sizes))
+        pairs = [((i, 0), walk(i)[1].rep(c), c) for i in range(inst.ell + 1)
+                 for j in range(i, inst.ell + 1) for c in walk(i)[1].classes(j)]
+    for v, u, cls in pairs:
+        source, part, counts = walk(v[0])
+        overlap = sum(k for c, k in zip(part.cells, cls[1]) if c & source)
+        dp, cf = counts.get(cls, 0), closed_form_paths(inst, v[0], u[0], overlap)
         if dp != cf:
             mismatches.append({"v": list(v), "u": list(u), "dp": dp, "closed": cf})
     hl = check_helper_lemma(inst, HELPER_XI)
     return {
-        "checked": len(pairs),
+        "checked": checked,
         "mismatches": mismatches,
         "helper_bound": {"largest_distance": hl.largest_distance,
                          "xi_max": str(hl.xi_max),
@@ -486,9 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.set_defaults(handler=cmd_verify_paths)
 
-    p = sub.add_parser("count-paths", help="path counting: dynamic program "
-                                           "against the closed forms")
-    _add_instance_args(p, explicit=False, capped=True)
+    p = sub.add_parser("count-paths", help="label-class path counts against the closed forms")
+    _add_instance_args(p, explicit=False, capped=False)
     p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=parse_seed, default=0)

@@ -252,12 +252,6 @@ class LayeredInstance:
         return v[0] <= u[0] and u in next(
             islice(self.frontiers(v), u[0] - v[0], None), ())
 
-    def descendant_count_in_layer(self, v: Vertex, j: int) -> int:
-        """|D(v) cap L_j|, v itself counted when j is its layer."""
-        if j < v[0]:
-            return 0
-        return len(next(islice(self.frontiers(v), j - v[0], None), ()))
-
 
 class LabeledInstance(LayeredInstance):
     def __init__(self, params: InstanceParams):
@@ -354,17 +348,6 @@ class LabeledInstance(LayeredInstance):
         return v == u or v[0] < u[0] and self.linked(
             v[0], u[0], (self.label(v) & self.label(u)).bit_count())
 
-    def descendant_count_in_layer(self, v: Vertex, j: int) -> int:
-        """|D(v) cap L_j| without enumeration: the labels of layer j,
-        counted by their overlap t with v's label."""
-        p = self.params
-        i = v[0]
-        if not i <= j <= self.ell:
-            return 0
-        size_v = p.label_size(i)
-        return sum(n for (t, _), n in _steps((0, 0), (size_v, p.m - size_v), p.label_size(j), True)
-                   if self.linked(i, j, t))
-
 
 # ---------------------------------------------------------------------------
 # label cells: counting labels by their overlaps with a few fixed labels
@@ -419,7 +402,7 @@ class LabelCells:
             cells = [c & s for c in cells] + [c & ~s for c in cells]
         self.cells = [c for c in cells if c]
         self.caps = tuple(c.bit_count() for c in self.cells)
-        self.rep = cache(self.rep)          # one label lookup per class
+        self.rep = cache(self.rep)          # one colex rank per class
 
     def key(self, v: Vertex) -> tuple:
         """The class of v."""
@@ -429,7 +412,7 @@ class LabelCells:
     def rep(self, cls: tuple) -> Vertex:
         """The first vertex of ``cls`` in rank order."""
         mask = sum(1 << b for c, k in zip(self.cells, cls[1]) for b in bits_of(c)[:k])
-        return self.inst.vertex_with_label(cls[0], mask)
+        return cls[0], rank_colex(mask)
 
     def classes(self, i: int) -> list:
         """Layer i's classes, in the rank order of their first vertices."""

@@ -186,16 +186,18 @@ def verify_subtree(fam: SubtreeFamily, f: Edge) -> ViolationReport:
     representative edge, and each class's in/out sums are count times
     value.  Bounds are checked on each distinct value, packing at every
     class with in-flow, covering at the non-root, non-sink ones with
-    in-flow.
+    in-flow.  Only the root's class and the classes below it can have
+    in-flow; they are visited in rank order after the tail's class, whose
+    sums meet the value 0 first, as a visit of every class does.
     """
     inst = fam.inst
     root = f[1]
     part = LabelCells(inst, map(inst.label, f))
     sums = ClassSums(part, lambda e: fam.value(f, e))
     rep = ViolationReport()
-    # the sums of every class evaluate every class pair into sums.values
-    flows = [(part.rep(c), sums.class_sums(c))
-             for i in range(inst.ell + 1) for c in part.classes(i)]
+    # the sums of the visited classes evaluate their class pairs into sums.values
+    flows = [(part.rep(c), sums.class_sums(c)) for c in sorted(
+        [part.key(f[0]), *class_path_counts(part, part.key(root))], key=part.rep)]
     # values repeat as shared objects: test each once
     for val in {id(v): v for v in sums.values.values()}.values():
         rep.add(check_ge(f"bounds:{val}>=0", val, 0, kind="bounds"))
@@ -320,12 +322,23 @@ def count_paths_from(inst: LabeledInstance, v: Vertex) -> dict:
     return out
 
 
+def class_path_counts(part, start) -> dict:
+    """Paths from a vertex of class ``start`` to any one vertex of each
+    class of ``part`` it reaches: count(c) = sum of n * count(c') over the
+    classes c' above c holding n in-neighbours of a vertex of c."""
+    counts, layer = {start: 1}, [start]
+    for j in range(start[0] + 1, part.inst.ell + 1):
+        layer = list(dict.fromkeys(c for b in layer for c, _ in part.neighbours(b, j)))
+        for c in layer:
+            counts[c] = sum(n * counts.get(b, 0) for b, n in part.neighbours(c, j - 1))
+    return counts
+
+
 def count_paths(inst: LabeledInstance, v: Vertex, u: Vertex) -> int:
     """Exact number of directed paths from v to u (1 when v == u)."""
     if not inst.reachable(v, u):
         return 0
-    # pruned to the vertices that still reach u: far cheaper than
-    # count_paths_from(inst, v)[u] on deep instances
+    # pruned to the vertices that still reach u, unlike count_paths_from
     walk = inst.frontiers(v, keep=lambda z: inst.reachable(z, u))
     return next(islice(walk, u[0] - v[0], None)).get(u, 0)
 

@@ -140,6 +140,15 @@ class TestCommands:
         assert code == EXIT_PASS
         assert data["checked"] > 100 and data["mismatches"] == []
 
+    def test_count_paths_past_the_old_cap(self, tmp_path):
+        # all pairs at m=48: the vertex walk stopped at m=12
+        code, data, _ = run(tmp_path, "count-paths", "--m", "48", "--eps", "1/12")
+        # ell = 36; labels grow by 1 to size 24 at layer 24, then shrink by 1
+        sizes = [math.comb(48, min(i, 48 - i)) for i in range(37)]
+        assert code == EXIT_PASS and data["mismatches"] == []
+        assert data["checked"] == sum(n * sum(sizes[i:]) for i, n in enumerate(sizes))
+        assert data["helper_bound"]["largest_distance"] == 12
+
     def test_instance_file_round_trip(self, tmp_path):
         # a labeled file names the instance its params name
         built, by_file, by_flags = (tmp_path / n for n in ("inst.json", "file.json",
@@ -294,6 +303,8 @@ REJECTED = (
        ["bruteforce", "--m", "8", "--eps", "1/2"],
        # counts outside their range are rejected when arguments are parsed
        ["count-paths", "--samples", "-1"],
+       # count-paths walks label classes, so no size cap bounds it
+       ["count-paths", "--size-cap", "8"],
        ["locally-good", "--seeds", "0"], ["locally-good", "--seeds", "-2"],
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
        # a lower-bound instance needs eps*k big resources, at least one
@@ -416,7 +427,7 @@ OPTIONS = {
     "build": LABELED_OPTIONS + EXPLICIT_OPTIONS,
     "verify-lp": LABELED_OPTIONS + ["--subtrees"],
     "verify-paths": LABELED_OPTIONS + ["--mode", "--rounds"],
-    "count-paths": LABELED_OPTIONS + ["--size-cap", "--samples", "--seed"],
+    "count-paths": LABELED_OPTIONS + ["--samples", "--seed"],
     "sa1-report": LABELED_OPTIONS + ["--size-cap", "--events"],
     "shadow-sample": LABELED_OPTIONS + ["--size-cap", "--rounds", "--samples", "--seed"],
     "bruteforce": LABELED_OPTIONS + EXPLICIT_OPTIONS + ["--size-cap", "--budget"],
@@ -439,7 +450,7 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 78
+    assert sum(map(len, surface.values())) == 77
 
 
 def test_public_surface():

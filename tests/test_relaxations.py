@@ -6,13 +6,13 @@ import pytest
 
 from mmda_lab.instances import ClassSums, LabelCells, build_mmda, make_params
 from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
-                                  check_helper_lemma, closed_form_paths,
+                                  check_helper_lemma, class_path_counts, closed_form_paths,
                                   count_paths, count_paths_from,
                                   max_paths_between_layers,
                                   path_solution, verify_assignment,
                                   verify_path_hierarchy, verify_subtree)
 from mmda_lab.reports import ViolationReport, check_ge, check_le, vacuous
-from mmda_lab.scalars import as_fraction, compare_certified
+from mmda_lab.scalars import MONO_ONE, Monomial, as_fraction, compare_certified
 
 
 class TestAssignmentSolution:
@@ -174,47 +174,65 @@ class TestPathCounting:
         self._exhaustive(inst8_deep)
 
 
-class TestPerSourceCounts:
-    """count-paths over all pairs reads one forward pass per source; the
-    pruned walk of count_paths per pair is its oracle."""
+def rank0_class_counts(inst, i):
+    """The paths from layer i's rank-0 vertex, whose label is the lowest
+    bits, to each class of its label cells."""
+    label = (1 << inst.params.label_size(i)) - 1
+    part = LabelCells(inst, [label])
+    return class_path_counts(part, (i, tuple((label & c).bit_count() for c in part.cells)))
 
-    @pytest.mark.parametrize("m,rho,pairs,zeros,paths", [
-        (4, Fraction(1, 4), 147, 78, 103),
-        (12, Fraction(1, 12), 6463, 5874, 1027),
+
+class TestClassPathCounts:
+    """count-paths reads path counts off label classes; the vertex walk of
+    count_paths_from is their oracle."""
+
+    @pytest.mark.parametrize("m,rho,eps,pairs,zeros,paths", [
+        (4, Fraction(1, 4), Fraction(1), 147, 78, 103),
+        (8, Fraction(1, 4), Fraction(1, 2), 36907, 29806, 78655),
+        (12, Fraction(1, 12), Fraction(1), 6463, 5874, 1027),
     ])
-    def test_forward_pass_equals_pruned_walk(self, m, rho, pairs, zeros, paths):
-        inst = build_mmda(make_params(m, rho))
+    def test_class_counts_equal_the_vertex_walk(self, m, rho, eps, pairs, zeros, paths):
+        inst = build_mmda(make_params(m, rho, eps))
         vs = [v for i in range(inst.ell + 1) for v in inst.vertices(i)]
         got = []
         for v in vs:
-            counts = count_paths_from(inst, v)
+            part = LabelCells(inst, [inst.label(v)])
+            counts = class_path_counts(part, part.key(v))
+            walked = count_paths_from(inst, v)
             for u in vs:
                 if v[0] <= u[0]:
-                    assert counts.get(u, 0) == count_paths(inst, v, u), (v, u)
-                    got.append(counts.get(u, 0))
+                    assert counts.get(part.key(u), 0) == walked.get(u, 0), (v, u)
+                    got.append(walked.get(u, 0))
         # unreachable pairs, same-layer ones included, count 0 on both routes
         assert (len(got), got.count(0), sum(got)) == (pairs, zeros, paths)
 
-    def _calls(self, monkeypatch, argv, tmp_path):
-        import mmda_lab.cli as cli
-        calls = {"count_paths": 0, "count_paths_from": 0}
-        for name in calls:
-            def counted(*a, _name=name, _fn=getattr(cli, name)):
-                calls[_name] += 1
-                return _fn(*a)
-            monkeypatch.setattr(cli, name, counted)
-        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
-        return calls
+    @pytest.mark.parametrize("argv", [["--m", "16", "--samples", "25", "--seed", "3"],
+                                      ["--m", "12", "--rho", "1/12"]], ids=" ".join)
+    def test_count_paths_walks_no_vertex(self, monkeypatch, tmp_path, argv):
+        import mmda_lab.relaxations as relaxations
+        from mmda_lab.cli import main
+        from mmda_lab.instances import LayeredInstance
 
-    def test_sampled_pairs_take_the_pruned_walk(self, monkeypatch, tmp_path):
-        calls = self._calls(monkeypatch, ["count-paths", "--m", "16", "--samples", "25",
-                                          "--seed", "3"], tmp_path)
-        assert calls == {"count_paths": 25, "count_paths_from": 0}
+        def refuse(*args):
+            raise AssertionError("a vertex walk")
+        for name in ("count_paths", "count_paths_from"):
+            monkeypatch.setattr(relaxations, name, refuse)
+        monkeypatch.setattr(LayeredInstance, "frontiers", refuse)
+        assert main(["count-paths", *argv, "--out", str(tmp_path / "r.json")]) == 0
 
-    def test_all_pairs_take_one_pass_per_source(self, monkeypatch, tmp_path):
-        calls = self._calls(monkeypatch, ["count-paths", "--m", "12", "--rho", "1/12"],
-                            tmp_path)
-        assert calls == {"count_paths": 0, "count_paths_from": 91}
+    def test_all_pairs_build_no_label_table(self, monkeypatch, tmp_path):
+        # the representatives are ranked, and the sources' classes read off
+        # their cells; C(24, 12) labels would fill one layer's table
+        import json
+        from mmda_lab.cli import main
+        from mmda_lab.instances import LabeledInstance
+
+        def refuse(self, i):
+            raise AssertionError(f"the label table of layer {i}")
+        monkeypatch.setattr(LabeledInstance, "_table", refuse)
+        out = tmp_path / "r.json"
+        assert main(["count-paths", "--m", "24", "--eps", "1/6", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["mismatches"] == []
 
 
 def _rows_by_id(rep):
@@ -286,6 +304,30 @@ class TestRoundsFrontier:
     def test_helper_bound_is_t_star(self, m, eps, t_star):
         inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
         assert check_helper_lemma(inst, Fraction(1)).largest_distance == t_star
+
+    def test_class_counts_give_t_star(self):
+        # a second route to every row's t*: the largest path count of each
+        # layer pair from the class walks, not from closed_form_paths, then
+        # the first distance whose gamma-weighted count exceeds 1
+        for m, eps, t_star in ROUNDS_FRONTIER:
+            inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+            most = {}
+            for i in range(inst.ell + 1):
+                for (j, _), n in rank0_class_counts(inst, i).items():
+                    most[i, j] = max(most.get((i, j), 0), n)
+            assert most == {(i, j): max_paths_between_layers(inst, i, j)
+                            for i in range(inst.ell + 1) for j in range(i, inst.ell + 1)}
+            ratio = [MONO_ONE] * (inst.ell + 1)
+
+            def passes(d):
+                for i in range(inst.ell + 1 - d):
+                    ratio[i] = ratio[i].mul(inst.profile.gamma[i + d - 1])
+                return all(check_le("", ratio[i].mul(Monomial.from_int(most[i, i + d])),
+                                    1).satisfied for i in range(inst.ell + 1 - d))
+            t = 0
+            while t < inst.ell and passes(t + 1):
+                t += 1
+            assert t == t_star == check_helper_lemma(inst, Fraction(1)).largest_distance, m
 
     @pytest.mark.parametrize("m,eps,t_star,failing", [
         (12, Fraction(1, 3), 3, ["lifted-packing:(4,8)", "lifted-packing:(5,9)"]),

@@ -72,6 +72,12 @@ GOLDEN = [
      "7e2c59ce9635e1d146983b210666993188e2874d641f4579bbabd5a140467a6a"),
     ("verify-lp --m 48", 0,
      "ae4c178290bf9b4f3f3f48bf4b573c5e1d639359923ee38a8a0bb3a65f692b9f"),
+    # the bytes of the vertex walks that the class counts replaced: all
+    # pairs, and sampled pairs on the certify job's shape
+    ("count-paths --m 8 --eps 1/2", 0,
+     "6ce52b7c346c26180542b27df84ef974524ff1ae38f02a943573701108a199cd"),
+    ("count-paths --m 8 --eps 1/2 --samples 100 --seed 5", 0,
+     "c2dfe67e02ea24a740bcf5446fd87dc441da66ab487cf5550f615b073e368cfe"),
 ]
 
 
