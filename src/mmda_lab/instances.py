@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 from .scalars import MONO_ONE, Monomial, Scalar
 
@@ -402,6 +402,8 @@ class LabelCells:
             cells = [c & s for c in cells] + [c & ~s for c in cells]
         self.cells = [c for c in cells if c]
         self.caps = tuple(c.bit_count() for c in self.cells)
+        # per cell, the masks of its lowest 0, 1, ..., |c| bits
+        self._low = [list(accumulate((1 << b for b in bits_of(c)), initial=0)) for c in self.cells]
         self.rep = cache(self.rep)          # one colex rank per class
 
     def key(self, v: Vertex) -> tuple:
@@ -411,7 +413,7 @@ class LabelCells:
 
     def rep(self, cls: tuple) -> Vertex:
         """The first vertex of ``cls`` in rank order."""
-        mask = sum(1 << b for c, k in zip(self.cells, cls[1]) for b in bits_of(c)[:k])
+        mask = sum(low[k] for low, k in zip(self._low, cls[1]))
         return cls[0], rank_colex(mask)
 
     def classes(self, i: int) -> list:

@@ -144,24 +144,6 @@ class SubtreeFamily:
             for t in inst.out_neighbors(f[1]):
                 yield (f[1], t), self._one
 
-    def triggers_of(self, e: Edge) -> list[tuple[Edge, Fraction]]:
-        """Triggers f with x_e^{(f)} > 0, with their values: the transpose
-        of :meth:`support`."""
-        inst = self.inst
-        out = []
-        layer = e[1][0]
-        if layer == 2:
-            out.append(((inst.source, e[0]), self._mid))
-        elif layer == 3:
-            w, t = e
-            lt = self._label(t)
-            for v in inst.in_neighbors(w):
-                j = (lt & self._label(v)).bit_count()
-                out.append(((inst.source, v), self.sink_split(j)))
-                out.append(((v, w), self._one))
-        out.append((e, self._one))
-        return out
-
     def value(self, f: Edge, e: Edge) -> Fraction:
         """x_e^{(f)} in closed form, as :meth:`support` lists it: below a
         layer-1 trigger, a bottom edge's value is read off its labels."""

@@ -20,9 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .instances import (ClassSums, Edge, InstanceError, LabelCells, LabeledInstance,
-                        LayeredInstance, SingleVertices, Vertex)
-from .relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
-                          assignment_solution)
+                        LayeredInstance, SingleVertices)
+from .relaxations import LayerSolution, SubtreeFamily, assignment_solution
 from .reports import ViolationReport, check_ge, check_le
 from .scalars import as_fraction
 
@@ -33,29 +32,17 @@ class IndependentFamily:
     def __init__(self, inst: LayeredInstance):
         self.inst = inst
 
-    def triggers_of(self, e: Edge):
-        return [(e, Fraction(1))]
-
     def support(self, f: Edge):
         yield f, Fraction(1)
 
+    def value(self, f: Edge, e: Edge) -> Fraction:
+        return Fraction(f == e)
 
-def _grouped_product(factor, terms) -> Fraction:
-    """The product of ``factor(*t)`` over ``terms``, each distinct term
-    evaluated once and raised to its multiplicity, reduced once at the
-    end.  Terms are grouped by the identity of their values: a model's x
-    values and a family's support values repeat as shared objects, kept
-    alive here meanwhile."""
-    groups: dict[tuple, list] = {}
-    for t in terms:
-        hit = groups.get(key := tuple(map(id, t)))
-        if hit is None:
-            groups[key] = [t, 1]
-        else:
-            hit[1] += 1
+
+def _power_product(groups) -> Fraction:
+    """The product of q**n over the (n, q) pairs, reduced once at the end."""
     num = den = 1
-    for t, n in groups.values():
-        q = factor(*t)
+    for n, q in groups:
         num *= q.numerator ** n
         den *= q.denominator ** n
     return Fraction(num, den)
@@ -63,15 +50,17 @@ def _grouped_product(factor, terms) -> Fraction:
 
 class ShadowModel:
     """Exact moments for a base solution x and a family of relocated
-    solutions; every family provides ``support(f)``, the edges trigger f
-    activates with their values, and its transpose ``triggers_of(e)``.
+    solutions.  A family provides ``support(f)``, the edges trigger f
+    activates with their values (the sampler's rows), and ``value(f, e)``,
+    x_e^{(f)} for any pair.  A trigger of e, an f with x_e^{(f)} > 0, is e
+    itself, an edge into e's tail, or an edge into the tail of such an edge.
 
     On a labelled instance with a layer-valued base solution and the
     subtree or independent family, every value depends on labels only
     through their intersection sizes, so the model is ``symmetric``: it is
     invariant under the permutations S_m of the ground set.  S_m acts
     transitively on the edges of each layer, so an edge's survival and
-    marginal are its layer's.
+    marginal are its layer's, and a pair's values are its orbit's.
     """
 
     def __init__(self, inst: LayeredInstance, x, family):
@@ -82,11 +71,11 @@ class ShadowModel:
                           and isinstance(family, (SubtreeFamily, IndependentFamily)))
         self._xcache: dict[Edge, Fraction] = {}
         self._fractions: dict = {}          # base value -> its one Fraction
-        self._triggers: dict[Edge, dict[Edge, Fraction]] = {}
         self._survival: dict = {}               # edge, or layer if symmetric
         self._marginal: dict = {}
-        self._pair_absent: dict[tuple[Edge, Edge], Fraction] = {}
+        self._pair_absent: dict = {}            # pair, or its orbit if symmetric
         self._survival_pairs: dict[tuple, Fraction] = {}
+        self._cells: dict = {}                  # e2 of pair_absent -> its label cells
 
     # --- plumbing ---------------------------------------------------------
     def x_of(self, e: Edge) -> Fraction:
@@ -99,15 +88,36 @@ class ShadowModel:
             self._xcache[e] = v
         return v
 
-    def triggers_of(self, e: Edge) -> dict[Edge, Fraction]:
-        t = self._triggers.get(e)
-        if t is None:
-            t = self._triggers[e] = dict(self.family.triggers_of(e))
-        return t
-
     @cached_property
     def _support_arrays(self) -> _SupportArrays:
         return _SupportArrays(self)
+
+    def _partition(self, *edges):
+        """The vertex classes the model's values are constant on once the
+        ends of ``edges`` are fixed: the label cells of those ends on a
+        symmetric model (Gatermann & Parrilo 2004), else single vertices."""
+        if not self.symmetric:
+            return SingleVertices(self.inst)
+        return LabelCells(self.inst, [self.inst.label(v) for e in edges for v in e])
+
+    def _trigger_groups(self, e: Edge, *fixed: Edge) -> list:
+        """e's triggers as (count, representative f, x_e^{(f)}) groups, zero
+        values dropped, from a walk two steps back from e over the classes
+        of ``_partition(e, *fixed)``, where e's tail is a class of its own:
+        a group is a pair of classes, so its triggers share their values on
+        e and on each fixed edge.  Layer 0 is the source alone, which feeds
+        all of layer 1, so a walk that goes no deeper builds no classes."""
+        part = self._partition(e, *fixed) if e[0][0] > 1 else None
+
+        def edges_into(z, n):           # the edges into z, n times over
+            if z[0] <= 1:
+                return [(n, (self.inst.source, z))] if z[0] else []
+            return [(n * k, (part.rep(c), z)) for c, k in part.neighbours(part.key(z), z[0] - 1)]
+
+        groups = [(1, e)]
+        for n, f in edges_into(e[0], 1):
+            groups += [(n, f), *edges_into(f[0], n)]
+        return [(n, f, v) for n, f in groups if (v := self.family.value(f, e))]
 
     def _orbit(self, e: Edge):
         """The key of e's orbit under the model's symmetry: its layer when
@@ -120,9 +130,8 @@ class ShadowModel:
         key = self._orbit(e)
         s = self._survival.get(key)
         if s is None:
-            s = self._survival[key] = _grouped_product(
-                lambda xf, v: 1 - xf * v,
-                ((self.x_of(f), val) for f, val in self.triggers_of(e).items()))
+            s = self._survival[key] = _power_product(
+                (n, 1 - self.x_of(f) * v) for n, f, v in self._trigger_groups(e))
         return s
 
     def marginal(self, e: Edge) -> Fraction:
@@ -133,20 +142,27 @@ class ShadowModel:
         return m
 
     def pair_absent(self, e1: Edge, e2: Edge) -> Fraction:
-        """P[e1 not in A and e2 not in A], kept per pair: the two signs of
-        an event ask for the same pairs."""
+        """P[e1 not in A and e2 not in A], kept per pair, or on a symmetric
+        model per orbit: e2's layer and the classes of e1's ends in e2's
+        label cells.  The events of one layer ask for the same orbits."""
         if e1 == e2:
             return self.survival(e1)
-        p = self._pair_absent.get((e1, e2))
+        key = (e1, e2)
+        if self.symmetric:
+            part = self._cells.get(e2) or self._cells.setdefault(e2, self._partition(e2))
+            key = (e2[1][0], part.key(e1[0]), part.key(e1[1]))
+        p = self._pair_absent.get(key)
         if p is None:
             p = self._both_survive(e1, e2)
             if p:
-                t1, t2 = self.triggers_of(e1), self.triggers_of(e2)
-                p *= _grouped_product(
-                    lambda xf, v1, v2: ((1 - xf * (v1 + v2 - v1 * v2))
-                                        / ((1 - xf * v1) * (1 - xf * v2))),
-                    ((self.x_of(f), t1[f], t2[f]) for f in t1.keys() & t2.keys()))
-            self._pair_absent[e1, e2] = p
+                # the shared triggers, walked from the edge nearer the source
+                a, b = sorted((e1, e2), key=lambda e: e[1][0])
+                shared = [(n, self.x_of(f), va, vb) for n, f, va in self._trigger_groups(a, b)
+                          if (vb := self.family.value(f, b))]
+                p *= _power_product(
+                    (n, (1 - xf * (va + vb - va * vb)) / ((1 - xf * va) * (1 - xf * vb)))
+                    for n, xf, va, vb in shared)
+            self._pair_absent[key] = p
         return p
 
     def _both_survive(self, e1: Edge, e2: Edge) -> Fraction:
@@ -178,22 +194,21 @@ class ShadowModel:
     def expected_multiplicity(self, e: Edge,
                               event: "ConditionEvent | None" = None) -> Fraction:
         """E[n_e | event], n_e counting activations with multiplicity."""
-        terms = self.triggers_of(e)
         if event is None:
-            return sum((self.x_of(f) * v for f, v in terms.items()), Fraction(0))
+            return sum((n * self.x_of(f) * v for n, f, v in self._trigger_groups(e)),
+                       Fraction(0))
         e1 = event.edge
-        t1 = self.triggers_of(e1)
         s1 = self.survival(e1)
         total = Fraction(0)
-        for f, v in terms.items():
+        for n, f, v in self._trigger_groups(e, e1):
             xf = self.x_of(f)
             if e1 == e:
                 q = Fraction(0)           # e in S_f forces e1 in A
-            elif f in t1:
-                q = s1 * (1 - t1[f]) / (1 - xf * t1[f])
+            elif v1 := self.family.value(f, e1):
+                q = s1 * (1 - v1) / (1 - xf * v1)
             else:
                 q = s1
-            total += xf * v * (q if not event.positive else 1 - q)
+            total += n * xf * v * (q if not event.positive else 1 - q)
         denom = (1 - s1) if event.positive else s1
         if denom == 0:
             raise InstanceError("conditioning on a null event")
@@ -233,9 +248,7 @@ def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> ClassSum
     event (None: unconditioned).  A symmetric model's values are constant
     on the label cells of the event edge (Gatermann & Parrilo 2004); other
     models walk every vertex."""
-    inst = model.inst
-    part = (LabelCells(inst, map(inst.label, event.edge) if event else ())
-            if model.symmetric else SingleVertices(inst))
+    part = model._partition(event.edge) if event else model._partition()
     return ClassSums(part, model.marginal if event is None
                      else lambda e: model.conditional_probability(e, event))
 
@@ -315,102 +328,8 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
                      rep.ok, rep)
 
 
-class CounterexampleFamily:
-    """Relocated solutions on the shared-sink instance.
-
-    A covered middle vertex routes all its demand through the public
-    sinks; the private edges only activate themselves.  Under the shadow
-    process the public edges then appear with probability 1/k while their
-    base value is 0, which is exactly how the bounded-ratio property can
-    fail even though every edge has a relocated solution.
-    """
-
-    def __init__(self, inst: LayeredInstance):
-        self.inst = inst
-        self.public = set(getattr(inst, "public_sinks", ()))
-
-    def triggers_of(self, e: Edge):
-        out = [(e, Fraction(1))]
-        if e[1] in self.public:
-            out.append(((self.inst.source, e[0]), Fraction(1)))
-        return out
-
-    def support(self, f: Edge):
-        yield f, Fraction(1)
-        if f[0] == self.inst.source:
-            for t in self.inst.out_neighbors(f[1]):
-                if t in self.public:
-                    yield (f[1], t), Fraction(1)
-
-
-def counterexample_shadow_model(inst: LayeredInstance) -> ShadowModel:
-    """Shadow model on the shared-sink counterexample; base values are 1/k
-    on first-layer edges, 1 on private-sink edges, 0 on public edges."""
-    k = int(as_fraction(inst.k_of(inst.source)))
-    table = {}
-    for v in inst.vertices(1):
-        table[(inst.source, v)] = Fraction(1, k)
-        for t in inst.out_neighbors(v):
-            if t not in getattr(inst, "public_sinks", ()):
-                table[(v, t)] = Fraction(1)
-    x = SparseSolution(inst, table)
-    return ShadowModel(inst, x, CounterexampleFamily(inst))
-
-
-# ---------------------------------------------------------------------------
-# negative control: the two-layer rounding distribution
-
-
-@dataclass
-class TwoLayerControl:
-    event_edge: Edge
-    sink: Vertex
-    per_edge_bound: Fraction
-    bound_sum: Fraction
-    exact_sum: Fraction
-    exact_per_edge: Fraction
-
-
-def two_layer_rounding_control(inst: LabeledInstance) -> TwoLayerControl:
-    """Conditioned sink packing under the round-then-take-all process.
-
-    Layer-1 edges are kept with probability x_e, each covered layer-1
-    vertex keeps each out-edge with probability 1/C(2rm, rm), and covered
-    layer-2 vertices keep every out-edge.  Conditioning on a first-layer
-    edge (s, v), the sink labeled like v has in-degree sum at least
-    delta^- / C(2rm, rm), the product form below being exact.
-    """
-    if inst.params.epsilon != 1:
-        raise InstanceError("control defined on the depth-3 instance")
-    x1 = as_fraction(assignment_solution(inst).layer_values[1])
-    c_small = math.comb(2 * inst.params.rho_m, inst.params.rho_m)
-    v = (1, 0)
-    e1 = (inst.source, v)
-    t = (3, inst.vertex_with_label(3, inst.label(v))[1])
-    q = Fraction(1, c_small)
-    # P[(u,t) in A | (s,v) kept]: u is covered unless every kept parent
-    # dropped it; v is a parent of every such u since S_t = S_v
-    exact = 1 - (1 - q) * (1 - x1 * q) ** (c_small - 1)
-    dminus = inst.in_degree(t)
-    return TwoLayerControl(e1, t, q, dminus * q, dminus * exact, exact)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-@dataclass(frozen=True)
-class ShadowSample:
-    """One draw: the shadow set, each trigger's activation set, the active
-    set (their union), and per-edge multiplicities."""
-
-    shadow: frozenset
-    triggered: dict             # trigger edge -> frozenset of activated edges
-    active: frozenset
-    multiplicity: dict          # edge -> activation count
-
-    def __post_init__(self):
-        assert self.active == frozenset(self.multiplicity)
 
 
 # A block of B samples holds B x n masks of about this many elements, so
@@ -504,24 +423,6 @@ class _SupportArrays:
             active = np.zeros((b, n), dtype=bool)
             active[owner[hit], self.indices[pos[hit]]] = True
         return shadow, pos, hit, active
-
-
-def draw_one(model: ShadowModel, seed: int, index: int = 0) -> ShadowSample:
-    """The index-th sample of the stream used by :func:`sample`: a block of
-    one."""
-    check_seed(seed)
-    arrays = model._support_arrays
-    edges = arrays.edges
-    shadow, pos, hit, _ = arrays.draw(seed, index, index + 1, rounds=1)
-    shadow = np.flatnonzero(shadow[0])
-    mult = np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
-    ends = np.cumsum(arrays.indptr[shadow + 1] - arrays.indptr[shadow])
-    triggered = {}
-    for f, p, h in zip(shadow, np.split(pos, ends[:-1]), np.split(hit, ends[:-1])):
-        triggered[edges[f]] = frozenset(edges[i] for i in arrays.indices[p[h]])
-    multiplicity = {edges[i]: int(mult[i]) for i in np.flatnonzero(mult)}
-    return ShadowSample(frozenset(edges[f] for f in shadow), triggered,
-                        frozenset(multiplicity), multiplicity)
 
 
 def _deviation(got: float, p: float, n: int) -> float:

@@ -8,6 +8,7 @@ so the whole suite is deterministic.
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,10 @@ from mmda_lab.rounding import sample_forest
 from mmda_lab.scalars import compare_certified
 from mmda_lab.scans import scan_proof_function
 from mmda_lab.shadow import (ConditionEvent, conditional_report, sample,
-                             independent_model, shadow_model,
-                             two_layer_rounding_control)
+                             independent_model, shadow_model)
 from test_integral import best_quality_bound
 from test_relaxations import _ref_verify_sparse
+from test_shadow import subtree_triggers, two_layer_rounding_control
 
 
 def _line(num, ok, detail=""):
@@ -93,18 +94,13 @@ def test_criterion_03_subtree_solutions():
     _line(3, True, "relocated checks and flow splitting exact at m in {8, 12}")
 
 
-def _layer3_trigger_histogram(inst):
-    """(value, multiplicity) pairs of first-layer triggers for a bottom edge."""
-    p = inst.params
-    rm = p.rho_m
-    x1 = Fraction(1, math.comb(p.m - rm, rm))
-    scale = Fraction(math.comb(p.m - rm, rm), math.comb(p.m, rm))
-    out = []
-    for j in range(0, rm + 1):
-        mult = math.comb(rm, j) * math.comb(rm, rm - j)
-        val = scale / math.comb(p.m - 2 * rm + j, j)
-        out.append((x1, val, mult))
-    return out
+def _layer3_trigger_histogram(model):
+    """(x_f, value, multiplicity) of the first-layer triggers f of a bottom
+    edge, read off the test-local transpose of the subtree support."""
+    e = next(iter(model.inst.edges_into_layer(3)))
+    counts = Counter((model.x_of(f), v) for f, v in subtree_triggers(model.family, e).items()
+                     if f[1][0] == 1)
+    return sorted((x, v, n) for (x, v), n in counts.items())
 
 
 def test_criterion_04_shadow_marginals():
@@ -119,8 +115,12 @@ def test_criterion_04_shadow_marginals():
         assert model.marginal(e1) == x1
         w = inst.out_neighbors((1, 0))[0]
         assert model.marginal(((1, 0), w)) == 1 - (1 - x2) ** 2
-        # bottom-layer marginal and ancestor sum via the exact histogram
-        hist = _layer3_trigger_histogram(inst)
+        # bottom-layer marginal and ancestor sum via the exact histogram:
+        # C(rm, j)^2 first-layer triggers meet the sink in j elements
+        hist = _layer3_trigger_histogram(model)
+        scale = Fraction(math.comb(m - rm, rm), math.comb(m, rm))
+        assert hist == sorted((x1, scale / math.comb(m - 2 * rm + j, j), math.comb(rm, j) ** 2)
+                              for j in range(rm + 1))
         anc_sum = sum((x * v * mult for x, v, mult in hist), Fraction(0))
         assert anc_sum == x1
         surv = (1 - x1) * (1 - x2) ** math.comb(2 * rm, rm)
@@ -144,7 +144,7 @@ def test_criterion_04_shadow_marginals():
             if e[1][0] == 1:
                 assert s == x
             if e[1][0] == 3:
-                terms = model.triggers_of(e)
+                terms = subtree_triggers(model.family, e)
                 l1 = sum((model.x_of(f) * val for f, val in terms.items()
                           if f[1][0] == 1), Fraction(0))
                 assert l1 == model.x_of(e), (m, e)

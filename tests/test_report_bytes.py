@@ -52,6 +52,12 @@ GOLDEN = [
      "38263d3529d63495b828854fbce1f440a145dbdbcfcea72a6da028febc6087fc"),
     ("sa1-report --m 8", 0,
      "522c893bb7ea26b65101856fc7b2a7c6c7509cb0e6bec68213c6dfa9b8d4bec4"),
+    # between m=8 and the m=20 extremes of test_shadow_invariants: sizes at
+    # which a bottom edge's triggers fall into far fewer groups
+    ("sa1-report --m 12", 0,
+     "448248587f1a37b810046db83ad2bccfcc53616f8930abddf78296b713e8f793"),
+    ("sa1-report --m 16", 0,
+     "508e495261062da704fc2586eb4fa9b89ad7505dd24c3744243d3492edd49457"),
     ("shadow-sample --m 8 --samples 2000 --seed 1", 0,
      "d60cf882929ef2bf6bed9ce00fa7fca334d6b8974206a0159322c320d62c63d2"),
     # iterated rounds, which skip the rounds=1 exact comparison, and the

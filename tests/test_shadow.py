@@ -1,21 +1,157 @@
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mmda_lab.instances import (build_mmda, build_subtree_counterexample,
-                                make_params)
+from mmda_lab.instances import (Edge, InstanceError, LayeredInstance, Vertex, build_mmda,
+                                build_subtree_counterexample, make_params)
 from mmda_lab.relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
                                   assignment_solution)
 from mmda_lab.scalars import as_fraction
-from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, CounterexampleFamily,
-                             EmpiricalReport, IndependentFamily, ShadowModel,
-                             _event_moments, conditional_report, counterexample_shadow_model,
-                             draw_one, independent_model, sa1_certificate,
-                             sample, shadow_model, two_layer_rounding_control)
+from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, EmpiricalReport, IndependentFamily,
+                             ShadowModel, _event_moments, check_seed, conditional_report,
+                             independent_model, sa1_certificate, sample, shadow_model)
+
+
+# --- test-local references ---------------------------------------------------
+
+
+def subtree_triggers(fam, e) -> dict:
+    """The triggers f of e with x_e^{(f)} > 0, with their values, by the
+    labels: the reference transpose of ``SubtreeFamily.support``."""
+    inst = fam.inst
+    label = inst.label
+    out = {}
+    layer = e[1][0]
+    if layer == 2:
+        out[(inst.source, e[0])] = Fraction(1, fam.c_small)
+    elif layer == 3:
+        w, t = e
+        for v in inst.in_neighbors(w):
+            out[(inst.source, v)] = fam.sink_split((label(t) & label(v)).bit_count())
+            out[(v, w)] = Fraction(1)
+    out[e] = Fraction(1)
+    return out
+
+
+def support_transpose(fam) -> dict:
+    """{e: {f: x_e^{(f)}}} over every edge, read off ``fam.support``."""
+    out = {}
+    for f in fam.inst.all_edges():
+        for e, val in fam.support(f):
+            out.setdefault(e, {})[f] = val
+    return out
+
+
+class CounterexampleFamily:
+    """Relocated solutions on the shared-sink instance.
+
+    A covered middle vertex routes all its demand through the public
+    sinks; the private edges only activate themselves.  Under the shadow
+    process the public edges then appear with probability 1/k while their
+    base value is 0, which is exactly how the bounded-ratio property can
+    fail even though every edge has a relocated solution.
+    """
+
+    def __init__(self, inst: LayeredInstance):
+        self.inst = inst
+        self.public = set(getattr(inst, "public_sinks", ()))
+
+    def support(self, f: Edge):
+        yield f, Fraction(1)
+        if f[0] == self.inst.source:
+            for t in self.inst.out_neighbors(f[1]):
+                if t in self.public:
+                    yield (f[1], t), Fraction(1)
+
+    def value(self, f: Edge, e: Edge) -> Fraction:
+        public_below = e[1] in self.public and f == (self.inst.source, e[0])
+        return Fraction(f == e or public_below)
+
+
+def counterexample_shadow_model(inst: LayeredInstance) -> ShadowModel:
+    """Shadow model on the shared-sink counterexample; base values are 1/k
+    on first-layer edges, 1 on private-sink edges, 0 on public edges."""
+    k = int(as_fraction(inst.k_of(inst.source)))
+    table = {}
+    for v in inst.vertices(1):
+        table[(inst.source, v)] = Fraction(1, k)
+        for t in inst.out_neighbors(v):
+            if t not in getattr(inst, "public_sinks", ()):
+                table[(v, t)] = Fraction(1)
+    x = SparseSolution(inst, table)
+    return ShadowModel(inst, x, CounterexampleFamily(inst))
+
+
+@dataclass
+class TwoLayerControl:
+    event_edge: Edge
+    sink: Vertex
+    per_edge_bound: Fraction
+    bound_sum: Fraction
+    exact_sum: Fraction
+    exact_per_edge: Fraction
+
+
+def two_layer_rounding_control(inst) -> TwoLayerControl:
+    """Conditioned sink packing under the round-then-take-all process, the
+    negative control.
+
+    Layer-1 edges are kept with probability x_e, each covered layer-1
+    vertex keeps each out-edge with probability 1/C(2rm, rm), and covered
+    layer-2 vertices keep every out-edge.  Conditioning on a first-layer
+    edge (s, v), the sink labeled like v has in-degree sum at least
+    delta^- / C(2rm, rm), the product form below being exact.
+    """
+    if inst.params.epsilon != 1:
+        raise InstanceError("control defined on the depth-3 instance")
+    x1 = as_fraction(assignment_solution(inst).layer_values[1])
+    c_small = math.comb(2 * inst.params.rho_m, inst.params.rho_m)
+    v = (1, 0)
+    e1 = (inst.source, v)
+    t = (3, inst.vertex_with_label(3, inst.label(v))[1])
+    q = Fraction(1, c_small)
+    # P[(u,t) in A | (s,v) kept]: u is covered unless every kept parent
+    # dropped it; v is a parent of every such u since S_t = S_v
+    exact = 1 - (1 - q) * (1 - x1 * q) ** (c_small - 1)
+    dminus = inst.in_degree(t)
+    return TwoLayerControl(e1, t, q, dminus * q, dminus * exact, exact)
+
+
+@dataclass(frozen=True)
+class ShadowSample:
+    """One draw: the shadow set, each trigger's activation set, the active
+    set (their union), and per-edge multiplicities."""
+
+    shadow: frozenset
+    triggered: dict             # trigger edge -> frozenset of activated edges
+    active: frozenset
+    multiplicity: dict          # edge -> activation count
+
+    def __post_init__(self):
+        assert self.active == frozenset(self.multiplicity)
+
+
+def draw_one(model, seed: int, index: int = 0) -> ShadowSample:
+    """The index-th sample of the stream used by ``sample``: a block of one."""
+    check_seed(seed)
+    arrays = model._support_arrays
+    edges = arrays.edges
+    shadow, pos, hit, _ = arrays.draw(seed, index, index + 1, rounds=1)
+    shadow = np.flatnonzero(shadow[0])
+    mult = np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
+    ends = np.cumsum(arrays.indptr[shadow + 1] - arrays.indptr[shadow])
+    triggered = {}
+    for f, p, h in zip(shadow, np.split(pos, ends[:-1]), np.split(hit, ends[:-1])):
+        triggered[edges[f]] = frozenset(edges[i] for i in arrays.indices[p[h]])
+    multiplicity = {edges[i]: int(mult[i]) for i in np.flatnonzero(mult)}
+    return ShadowSample(frozenset(edges[f] for f in shadow), triggered,
+                        frozenset(multiplicity), multiplicity)
 
 
 def oracle_joint(model, ea, eb):
@@ -25,7 +161,7 @@ def oracle_joint(model, ea, eb):
     so summing over all shadow subsets of the relevant triggers is an
     exact computation that shares nothing with the engine's algebra.
     """
-    ta, tb = model.triggers_of(ea), model.triggers_of(eb)
+    ta, tb = subtree_triggers(model.family, ea), subtree_triggers(model.family, eb)
     triggers = sorted(set(ta) | set(tb))
     total = Fraction(0)
     for r in range(len(triggers) + 1):
@@ -44,7 +180,7 @@ def oracle_joint(model, ea, eb):
 
 def oracle_multiplicity_joint(model, e, e1):
     """E[n_e * 1(e1 active)] by the same direct enumeration."""
-    te, t1 = model.triggers_of(e), model.triggers_of(e1)
+    te, t1 = subtree_triggers(model.family, e), subtree_triggers(model.family, e1)
     triggers = sorted(set(te) | set(t1))
     total = Fraction(0)
     for r in range(len(triggers) + 1):
@@ -260,7 +396,7 @@ class TestMarginals:
         # the first-layer triggers contribute exactly x_e in expectation
         for w in list(inst8.vertices(2))[:4]:
             for t in inst8.out_neighbors(w)[:2]:
-                terms = model8.triggers_of((w, t))
+                terms = subtree_triggers(model8.family, (w, t))
                 l1 = sum((model8.x_of(f) * val for f, val in terms.items()
                           if f[1][0] == 1), Fraction(0))
                 assert l1 == Fraction(1, 15)
@@ -343,18 +479,164 @@ class TestFamilyProtocol:
         ("independent", 4), ("subtree", 4), ("subtree", 8),
         ("counterexample", 2), ("counterexample", 3)])
     def test_support_and_triggers_are_transposes(self, kind, size):
+        # the model's trigger groups, each a class pair counted n times,
+        # expand to the transpose of support: the same triggers and values
         if kind == "counterexample":
-            fam = CounterexampleFamily(build_subtree_counterexample(size))
+            model = counterexample_shadow_model(build_subtree_counterexample(size))
         else:
             inst = build_mmda(make_params(size, Fraction(1, 4)))
             fam = IndependentFamily(inst) if kind == "independent" \
                 else SubtreeFamily(inst)
+            model = ShadowModel(inst, assignment_solution(inst), fam)
+        fam = model.family
         edges = list(fam.inst.all_edges())
         by_support = [((f, e), val) for f in edges for e, val in fam.support(f)]
-        by_trigger = [((f, e), val) for e in edges for f, val in fam.triggers_of(e)]
-        assert len(by_support) == len(by_trigger)
         assert len(dict(by_support)) == len(by_support)
-        assert dict(by_support) == dict(by_trigger)
+        transpose = support_transpose(fam)
+        assert set(transpose) == set(edges)
+        for e in edges:
+            part = model._partition(e)
+
+            def cls(f):
+                return part.key(f[0]), part.key(f[1])
+
+            groups = model._trigger_groups(e)
+            keys = [cls(f) for _, f, _ in groups]
+            assert len(set(keys)) == len(keys), e
+            assert Counter({k: n for k, (n, _, _) in zip(keys, groups)}) == \
+                Counter(map(cls, transpose[e])), e
+            for k, (_, f, v) in zip(keys, groups):
+                assert {val for g, val in transpose[e].items() if cls(g) == k} == {v}, (e, f)
+            assert all(fam.value(f, e) == val for f, val in transpose[e].items())
+            if kind == "subtree":
+                assert subtree_triggers(fam, e) == transpose[e]
+
+
+class DictProducts:
+    """survival, pair_absent and expected_multiplicity of a subtree model
+    as products over per-edge trigger dicts, the engine's algebra before
+    trigger groups: the reference for the grouped walk."""
+
+    def __init__(self, model):
+        self.model = model
+        self._triggers, self._survival = {}, {}
+        # equal values share one object, so each product of two survivals
+        # and each shared trigger's factor is computed once
+        self._values, self._products, self._factors = {}, {}, {}
+
+    def triggers(self, e):
+        t = self._triggers.get(e)
+        if t is None:
+            t = self._triggers[e] = {f: self._values.setdefault(v, v) for f, v in
+                                     subtree_triggers(self.model.family, e).items()}
+        return t
+
+    def survival(self, e):
+        s = self._survival.get(e)
+        if s is None:
+            s = math.prod((1 - self.model.x_of(f) * v for f, v in self.triggers(e).items()),
+                          start=Fraction(1))
+            s = self._survival[e] = self._values.setdefault(s, s)
+        return s
+
+    def pair_absent(self, e1, e2):
+        if e1 == e2:
+            return self.survival(e1)
+        t1, t2 = self.triggers(e1), self.triggers(e2)
+        s1, s2 = self.survival(e1), self.survival(e2)
+        p = self._products.get((id(s1), id(s2)))
+        if p is None:
+            p = self._products[id(s1), id(s2)] = s1 * s2
+        for f in t1.keys() & t2.keys():
+            xf, v1, v2 = self.model.x_of(f), t1[f], t2[f]
+            q = self._factors.get((id(xf), id(v1), id(v2)))
+            if q is None:
+                q = self._factors[id(xf), id(v1), id(v2)] = (
+                    (1 - xf * (v1 + v2 - v1 * v2)) / ((1 - xf * v1) * (1 - xf * v2)))
+            p *= q
+        return p
+
+    def expected_multiplicity(self, e, event=None):
+        terms = self.triggers(e)
+        if event is None:
+            return sum((self.model.x_of(f) * v for f, v in terms.items()), Fraction(0))
+        e1 = event.edge
+        t1, s1 = self.triggers(e1), self.survival(e1)
+        total = Fraction(0)
+        for f, v in terms.items():
+            xf = self.model.x_of(f)
+            if e1 == e:
+                q = Fraction(0)
+            elif f in t1:
+                q = s1 * (1 - t1[f]) / (1 - xf * t1[f])
+            else:
+                q = s1
+            total += xf * v * (q if not event.positive else 1 - q)
+        return total / ((1 - s1) if event.positive else s1)
+
+
+class TestTriggerGroups:
+    """survival, pair_absent and expected_multiplicity read groups of
+    triggers; each must equal the product over the edge's trigger dict."""
+
+    @staticmethod
+    def assert_pairs_match(model, pairs, signs=(True, False)):
+        ref = DictProducts(model)
+        for e1, e2 in pairs:
+            assert model.pair_absent(e1, e2) == ref.pair_absent(e1, e2), (e1, e2)
+            for positive in signs:
+                ev = ConditionEvent(e2, positive)
+                assert model.expected_multiplicity(e1, ev) == \
+                    ref.expected_multiplicity(e1, ev), (e1, ev.label())
+
+    @staticmethod
+    def assert_edges_match(model, edges):
+        ref = DictProducts(model)
+        for e in edges:
+            assert model.survival(e) == ref.survival(e), e
+            assert model.expected_multiplicity(e) == ref.expected_multiplicity(e), e
+
+    def test_every_pair_m4(self, inst4, model4):
+        edges = list(inst4.all_edges())
+        self.assert_edges_match(model4, edges)
+        self.assert_pairs_match(model4, [(a, b) for b in edges for a in edges])
+
+    def test_every_pair_m8(self, inst8):
+        # a fresh model, so no value comes from another test's cache
+        model = shadow_model(inst8)
+        edges = list(inst8.all_edges())
+        self.assert_edges_match(model, edges)
+        ref = DictProducts(model)
+        for b in edges:
+            for a in edges:
+                assert model.pair_absent(a, b) == ref.pair_absent(a, b), (a, b)
+        # conditioned multiplicities on every edge under one event per
+        # layer and sign, and on seeded pairs that share a trigger
+        rng = random.Random(8)
+        events = [rng.choice(list(inst8.edges_into_layer(i))) for i in (1, 2, 3)]
+        self.assert_pairs_match(model, [(a, b) for b in events for a in edges])
+        sharing = [(a, b) for b in edges for a in edges
+                   if ref.triggers(a).keys() & ref.triggers(b).keys()]
+        self.assert_pairs_match(model, rng.sample(sharing, 500))
+
+    @pytest.mark.parametrize("m", [12, 16])
+    def test_seeded_pairs(self, m):
+        inst = build_mmda(make_params(m, Fraction(1, 4)))
+        model = shadow_model(inst)
+        rng = random.Random(m)
+        layers = [list(inst.edges_into_layer(i)) for i in (1, 2, 3)]
+        edges = [e for layer in layers for e in rng.sample(layer, 10)]
+        self.assert_edges_match(model, edges)
+        pairs = [(rng.choice(layers[i]), rng.choice(layers[j]))
+                 for i in range(3) for j in range(3) for _ in range(8)]
+        # pairs that share triggers: a bottom edge and one from its cone
+        for w, t in rng.sample(layers[2], 8):
+            v = rng.choice(inst.in_neighbors(w))
+            t2 = rng.choice(inst.out_neighbors(w))
+            w2 = rng.choice(inst.out_neighbors(v))
+            pairs += [((w, t), (v, w)), ((w, t), (inst.source, v)),
+                      ((w, t), (w, t2)), ((w, t), (w2, rng.choice(inst.out_neighbors(w2))))]
+        self.assert_pairs_match(model, pairs + [(b, a) for a, b in pairs])
 
 
 class TestConditionalReports:
@@ -460,13 +742,11 @@ class TestDominance:
 
 class TestSingleDraw:
     def test_reproducible(self, model8):
-        from mmda_lab.shadow import draw_one
         a = draw_one(model8, seed=3, index=0)
         b = draw_one(model8, seed=3, index=0)
         assert a.shadow == b.shadow and a.multiplicity == b.multiplicity
 
     def test_structure(self, model8):
-        from mmda_lab.shadow import draw_one
         s = draw_one(model8, seed=1, index=4)
         assert s.active == frozenset().union(*s.triggered.values()) \
             if s.triggered else s.active == frozenset()
@@ -477,7 +757,6 @@ class TestSingleDraw:
             assert n == sum(1 for got in s.triggered.values() if e in got)
 
     def test_agrees_with_aggregate_stream(self, model8):
-        from mmda_lab.shadow import draw_one
         n = 40
         agg = sample(model8, seed=12, n_samples=n)
         counts = {}

@@ -12,9 +12,9 @@ import pytest
 
 from mmda_lab.cli import main
 from mmda_lab.instances import build_subtree_counterexample
-from mmda_lab.shadow import (ConditionEvent, counterexample_shadow_model,
-                             sa1_certificate)
+from mmda_lab.shadow import ConditionEvent, sa1_certificate
 from test_relaxations import subtree_sums
+from test_shadow import counterexample_shadow_model
 
 
 class TestMiddleLayerPackingIdentity:
