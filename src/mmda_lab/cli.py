@@ -25,7 +25,7 @@ from .integral import bruteforce_best, counting_certificate
 from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
                           class_path_counts, closed_form_paths, path_solution,
                           verify_assignment, verify_path_hierarchy, verify_subtree)
-from .reports import _decide_memo
+from .reports import _CheckRow, _verdict_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
@@ -110,10 +110,12 @@ def _dumps(obj) -> str:
     sorted key prefixes; only all-str shapes are kept, as 1, True and 1.0
     are equal keys that json writes apart.  A dict or list met again at the
     same depth (a scalar that checks share) is written from its first
-    rendering, keyed by id: obj keeps its containers alive."""
+    rendering, keyed by id: obj keeps its containers alive.  So is a check
+    row whose verdict comes up again at the same depth, but for its id."""
     out: list[str] = []
     done: dict = {}     # (id, depth) -> slice of out; its text once met again
     shapes: dict = {}   # (depth, *keys) -> [(key, text before its value)]
+    rows: dict = {}     # (id(verdict), depth) -> first row and its slice; texts around the id
 
     def enc(o, depth: int):
         leaf = _LEAVES.get(type(o))
@@ -128,6 +130,13 @@ def _dumps(obj) -> str:
             if type(memo) is tuple:
                 memo = done[id(o), depth] = "".join(out[memo[0]:memo[1]])
             out.append(memo)
+            return
+        if type(o) is _CheckRow and (cut := rows.get((id(o.verdict), depth))):
+            if len(cut) == 3:   # the verdict met again: cut its first row around the id
+                first, a, b = cut
+                i = out.index(_ascii(first["constraint_id"]), a, b)
+                cut = rows[id(o.verdict), depth] = ("".join(out[a:i]), "".join(out[i + 1:b]))
+            out.extend((cut[0], _ascii(o["constraint_id"]), cut[1]))
             return
         start = len(out)
         inner = "\n" + " " * (depth + 1)
@@ -152,6 +161,8 @@ def _dumps(obj) -> str:
                 sep = "," + inner
             out.append("\n" + " " * depth + "]")
         done[id(o), depth] = (start, len(out))
+        if type(o) is _CheckRow:
+            rows[id(o.verdict), depth] = (o, start, len(out))
 
     enc(obj, 0)
     return "".join(out)
@@ -227,7 +238,7 @@ def cmd_verify_lp(args) -> tuple:
         "identities": [{"name": n, "holds": v} for n, v in identities],
         "subtree_failures": subtree_failures,
         "checked_subtrees": bool(args.subtrees),
-    }, ok, len(rep.undecided)
+    }, ok, rep.summary()["undecided"]
 
 
 def cmd_verify_paths(args) -> tuple:
@@ -235,7 +246,7 @@ def cmd_verify_paths(args) -> tuple:
     ps = path_solution(inst, args.rounds)
     rep = verify_path_hierarchy(inst, ps, mode=args.mode)
     return ({"rounds": args.rounds, "mode": args.mode, "report": rep.to_json()},
-            rep.ok, len(rep.undecided))
+            rep.ok, rep.summary()["undecided"])
 
 
 def cmd_count_paths(args) -> tuple:
@@ -275,13 +286,14 @@ def cmd_count_paths(args) -> tuple:
         if dp != cf:
             mismatches.append({"v": list(v), "u": list(u), "dp": dp, "closed": cf})
     hl = check_helper_lemma(inst, HELPER_XI)
+    tally = hl.report.summary()
     return {
         "checked": checked,
         "mismatches": mismatches,
         "helper_bound": {"largest_distance": hl.largest_distance,
                          "xi_max": str(hl.xi_max),
-                         "violations": len(hl.report.violations)},
-    }, not mismatches, len(hl.report.undecided)
+                         "violations": tally["violations"]},
+    }, not mismatches, tally["undecided"]
 
 
 def _first_edges(inst) -> list:
@@ -574,7 +586,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNDECIDED
     finally:
-        _decide_memo.cache_clear()  # its keys hold one command's operands alive
+        _verdict_memo.cache_clear()  # its keys hold one command's operands alive
 
 
 if __name__ == "__main__":

@@ -467,7 +467,7 @@ class TestDeterminism:
     def test_check_memo_is_emptied_after_each_command(self, tmp_path):
         import hashlib
 
-        from mmda_lab.reports import _decide_memo
+        from mmda_lab.reports import _verdict_memo
         argv = ["verify-paths", "--mode", "enumerated", "--m", "12", "--rho", "1/12",
                 "--rounds", "3"]
         for _ in range(2):
@@ -475,7 +475,7 @@ class TestDeterminism:
             assert code == EXIT_FAIL
             assert hashlib.sha256(out.read_bytes()).hexdigest() == (
                 "eaf7624752cc483e1cc48aa5fe3805f2361c1da6e9eb2f9e2b359e21a5357e75")
-            assert _decide_memo.cache_info().currsize == 0
+            assert _verdict_memo.cache_info().currsize == 0
 
     def test_byte_identical_reports(self, tmp_path):
         a = tmp_path / "a.json"
@@ -574,6 +574,41 @@ def same_as_json(obj):
     assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
 
+def _random_report(rng):
+    """A report whose checks repeat verdicts (memo hits, vacuous rows, the
+    same check twice) and also hold equal verdicts as distinct objects."""
+    from mmda_lab.reports import (ConstraintCheck, ViolationReport, check_eq, check_ge,
+                                  check_le, vacuous)
+    from mmda_lab.scalars import Interval, Monomial, as_scalar
+    operands = [0, 1, Fraction(1, 3), Fraction(7, 2), Monomial({2: Fraction(1, 2)}),
+                Monomial({3: Fraction(-1, 3)}), Interval(Fraction(1), Fraction(2)),
+                Interval(Fraction(-1, 2), Fraction(1, 4))]
+    rep = ViolationReport()
+    for _ in range(rng.randrange(1, 14)):
+        cid = rng.choice(STRINGS) + rng.choice(["", "lifted-packing:e0>0.0@(3, 1)"])
+        lhs, rhs = rng.choice(operands), rng.choice(operands)
+        pick = rng.randrange(4)
+        if pick == 0:
+            check = vacuous(cid, rng.choice(["equality", "covering"]), lhs, rhs)
+        elif pick == 1:
+            check = rng.choice([check_le, check_ge, check_eq])(cid, lhs, rhs)
+        elif pick == 2:
+            check = ConstraintCheck(cid, "bounds", as_scalar(lhs), as_scalar(rhs),
+                                    rng.choice([True, False, None]), rng.random() < 0.5,
+                                    rng.choice([None, Fraction(1, 2), operands[6]]))
+        else:
+            check = rng.choice(rep.checks) if rep.checks else check_le(cid, lhs, rhs)
+        rep.add(check)
+    return rep
+
+
+def _nested(rng, data, depth):
+    # data at the given depth, inside dicts and lists
+    for _ in range(depth - 1):
+        data = {"in": data, "n": 1} if rng.random() < 0.5 else ["x", data]
+    return {"report": data}
+
+
 class TestJsonWriter:
     def test_seeded_random_payloads(self):
         import random
@@ -581,6 +616,23 @@ class TestJsonWriter:
         for _ in range(400):
             pool = []
             same_as_json(_random_payload(rng, 0, pool))
+
+    def test_check_rows_of_seeded_reports(self):
+        import random
+        rng = random.Random(20250)
+        repeats = 0
+        for _ in range(300):
+            reports = [_random_report(rng) for _ in range(rng.randrange(1, 4))]
+            repeats += sum(len(r.checks) - len({id(c.verdict) for c in r.checks})
+                           for r in reports)
+            # the same report data at one depth or two; its rows and others of
+            # the same verdicts share the cut text only at one depth
+            data = [r.to_json() for r in reports]
+            data.append(data[0])
+            payload = [_nested(rng, d, rng.randint(1, 3)) for d in data]
+            same_as_json(payload)
+            same_as_json(payload[0])
+        assert repeats > 500     # rows of a verdict met again took the cut text
 
     @pytest.mark.parametrize("leaf", [*STRINGS, *FLOATS, *INTS, True, False, None,
                                       {}, [], (), [[]], {"a": {}}])

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from mmda_lab import reports
 from mmda_lab.reports import (CHECK_MEMO_SIZE, ConstraintCheck, ViolationReport,
-                              _decide, _decide_memo, check_eq, check_ge, check_le)
+                              _decide, _verdict_memo, check_eq, check_ge, check_le,
+                              vacuous)
 from mmda_lab.scalars import EQ, GT, LT, Interval, Monomial, scalar_to_json
 
 OPERANDS = [
@@ -17,34 +18,47 @@ OPERANDS = [
 
 class TestCheckMemo:
     def test_hit_equals_a_fresh_comparison(self):
-        _decide_memo.cache_clear()
+        _verdict_memo.cache_clear()
         for check, accept in ((check_le, (LT, EQ)), (check_ge, (GT, EQ)),
                               (check_eq, (EQ,))):
             for lhs, rhs in OPERANDS:
                 first = check("a", lhs, rhs)
-                hits = _decide_memo.cache_info().hits
+                hits = _verdict_memo.cache_info().hits
                 again = check("b", lhs, rhs)
-                assert _decide_memo.cache_info().hits == hits + 1
+                assert _verdict_memo.cache_info().hits == hits + 1
                 fresh = _decide(lhs, rhs, accept)
                 for c in (first, again):
                     assert (c.satisfied, c.certified, c.factor) == fresh
                 assert again.constraint_id == "b" and again.lhs == lhs and again.rhs == rhs
+                # the two checks share one verdict, not just equal ones
+                assert again.verdict is first.verdict
+
+    def test_vacuous_checks_share_their_verdict(self):
+        _verdict_memo.cache_clear()
+        first = vacuous("a", "equality", 0, 0)
+        again = vacuous("b", "equality", Fraction(0), 0)
+        assert again.verdict is first.verdict
+        assert (again.satisfied, again.certified, again.factor) == (True, True, None)
+        info = _verdict_memo.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        # a decided check of the same operands is another verdict
+        assert check_eq("c", 0, 0).verdict is not first.verdict
 
     def test_int_and_fraction_operands_give_equal_checks(self):
-        _decide_memo.cache_clear()
+        _verdict_memo.cache_clear()
         for check in (check_le, check_ge, check_eq):
             for a, b in ((2, 3), (3, 3), (3, 2), (0, 1), (1, 0)):
                 from_ints = check("n", a, b)
-                hits = _decide_memo.cache_info().hits
+                hits = _verdict_memo.cache_info().hits
                 from_fractions = check("n", Fraction(a), Fraction(b))
                 # the same exact operands, so the same memo entry
-                assert _decide_memo.cache_info().hits == hits + 1
+                assert _verdict_memo.cache_info().hits == hits + 1
                 assert from_ints == from_fractions
                 for c in (from_ints, from_fractions):
                     assert type(c.lhs) is Fraction and type(c.rhs) is Fraction
 
     def test_verdicts_are_the_exact_ones(self):
-        _decide_memo.cache_clear()
+        _verdict_memo.cache_clear()
         sqrt2 = Monomial({2: Fraction(1, 2)})
         for _ in range(2):
             le = check_le("x", sqrt2, Fraction(3, 2))
@@ -55,22 +69,22 @@ class TestCheckMemo:
             assert eq.satisfied is True and eq.factor == Monomial()
 
     def test_interval_operands_bypass_the_memo(self):
-        _decide_memo.cache_clear()
+        _verdict_memo.cache_clear()
         iv = Interval(Fraction(1), Fraction(2))
         cases = [(iv, Fraction(3), True), (Fraction(1, 2), iv, True),
                  (iv, Fraction(1, 2), False), (iv, iv, None)]
         for lhs, rhs, satisfied in cases * 2:
             assert check_le("iv", lhs, rhs).satisfied is satisfied
-        info = _decide_memo.cache_info()
+        info = _verdict_memo.cache_info()
         assert info.currsize == 0 and info.hits == info.misses == 0
 
     def test_memo_stays_within_its_bound(self):
-        _decide_memo.cache_clear()
+        _verdict_memo.cache_clear()
         one = Fraction(1)
         for n in range(CHECK_MEMO_SIZE + 100):
             assert check_le("n", Fraction(n, CHECK_MEMO_SIZE), one).satisfied is (
                 n <= CHECK_MEMO_SIZE)
-        info = _decide_memo.cache_info()
+        info = _verdict_memo.cache_info()
         assert info.maxsize == CHECK_MEMO_SIZE
         assert info.currsize == CHECK_MEMO_SIZE
 
