@@ -17,9 +17,9 @@ from functools import cache
 
 from . import __version__
 from .configgap import build_config_solution, sa1_defeats, verify_config_solution
-from .instances import (SIZE_CAP_DEFAULT, InstanceError, LabelCells,
+from .instances import (WORK_MAX, InstanceError, LabelCells, LabeledInstance,
                         build_config_lp_gap, build_depth3_example, build_mmda,
-                        build_subtree_counterexample, desiderata_identities,
+                        build_subtree_counterexample, check_work, desiderata_identities,
                         instance_from_json, instance_to_json, make_params)
 from .integral import bruteforce_best, counting_certificate
 from .relaxations import (SubtreeFamily, assignment_solution, check_helper_lemma,
@@ -29,10 +29,12 @@ from .reports import _CheckRow, _verdict_memo
 from .restricted import (build_lower_bound, integral_optimum, map_sa1_to_davies,
                          matching_lift, ra_instance_to_json,
                          verify_matching_distribution)
-from .rounding import audit_locality, audit_to_json, sample_forest
+from .rounding import (FOREST_PATH_MAX, audit_locality, audit_to_json,
+                       expected_forest_paths, sample_forest)
 from .scalars import PrecisionCapExceeded, full_int_digits, precision_cap, scalar_to_json
 from .scans import scan_proof_function
-from .shadow import ConditionEvent, check_seed, sa1_certificate, sample, shadow_model
+from .shadow import (ConditionEvent, check_seed, sa1_certificate, sample, shadow_model,
+                     support_entries)
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +44,9 @@ STATUS = {EXIT_PASS: "pass", EXIT_UNDECIDED: "undecided", EXIT_FAIL: "fail"}
 # The fixed verdict gates.  Each report carries the exact value its gate
 # reads, so another gate can be applied to the report itself.
 SA1_FLOOR, SA1_CEILING = Fraction(1, 100), Fraction(8)   # sa1-report
+# sa1-report's largest m: its exact moments carry digits that grow with m
+# and are not counted yet; m=24 takes about 40 s
+SA1_M_MAX = 24
 HELPER_XI = Fraction(1, 3)      # count-paths: helper lemma up to distance xi*ell
 MAX_DEV_SE = 6.0                # shadow-sample: standard errors of the exact marginals
 
@@ -187,8 +192,8 @@ _LEAVES = {str: _ascii, int: int.__repr__, float: _leaf, type(None): lambda _: "
 
 
 def _instance_from_args(args):
-    # a labeled instance, from flags or a file, is built under the command's cap
-    size_cap = getattr(args, "size_cap", None)
+    # a labeled instance is lazy, so building one costs nothing at any m:
+    # each command that walks it refuses, through check_work, what is too big
     if getattr(args, "instance_file", None):
         if getattr(args, "given", ()):
             raise InstanceError(f"--instance-file names the instance; {', '.join(args.given)} "
@@ -198,10 +203,10 @@ def _instance_from_args(args):
             data = json.load(fh)
         if isinstance(data, dict):
             data = data.get("instance", data)
-        return instance_from_json(data, size_cap)
+        return instance_from_json(data)
     kind = getattr(args, "kind", "mmda")
     if kind == "mmda":
-        return build_mmda(make_params(args.m, args.rho, epsilon=args.eps), size_cap)
+        return build_mmda(make_params(args.m, args.rho, epsilon=args.eps))
     if kind == "config-gap":
         return build_config_lp_gap(args.k)
     if kind == "subtree-cex":
@@ -304,8 +309,17 @@ def _first_edges(inst) -> list:
     return [((i - 1, 0), (i, 0)) for i in range(1, inst.ell + 1)]
 
 
+def _at(inst) -> str:
+    """The parameters a refusal names."""
+    if not isinstance(inst, LabeledInstance):
+        return "the instance"
+    p = inst.params
+    return f"m={p.m}, rho={p.rho}, eps={p.epsilon}"
+
+
 def cmd_sa1_report(args) -> tuple:
     inst = _instance_from_args(args)
+    check_work(_at(inst), inst.params.m, "ground elements", SA1_M_MAX)
     model = shadow_model(inst)
     events = None if args.events == "all" else [
         ConditionEvent(e, positive) for e in _first_edges(inst) for positive in (True, False)]
@@ -330,6 +344,7 @@ def _loc(t):
 
 def cmd_shadow_sample(args) -> tuple:
     inst = _instance_from_args(args)
+    check_work(_at(inst), support_entries(inst), "sampler support entries", WORK_MAX)
     model = shadow_model(inst)
     emp = sample(model, args.seed, args.samples, rounds=args.rounds)
     worst = 0.0
@@ -350,6 +365,7 @@ def cmd_shadow_sample(args) -> tuple:
 
 def cmd_bruteforce(args) -> tuple:
     inst = _instance_from_args(args)
+    check_work(_at(inst), inst.n_edges, "edges", WORK_MAX)
     res = bruteforce_best(inst, budget=args.budget)
     return {
         "quality": scalar_to_json(res.quality.alpha),
@@ -365,20 +381,27 @@ def cmd_certificate(args) -> tuple:
 
 
 def cmd_locally_good(args) -> tuple:
+    """A forest cut at the path limit is audited short of its last layer,
+    so its audit is undecided, and marked ``truncated``."""
     inst = _instance_from_args(args)
+    check_work(_at(inst), expected_forest_paths(inst), "expected forest paths",
+               FOREST_PATH_MAX)
     audits = []
-    zero_child_violations = 0
+    zero_child_violations = truncated = 0
     for s in range(args.seeds):
-        forest = sample_forest(inst, seed=args.seed + s)
+        forest = sample_forest(inst, args.seed + s, FOREST_PATH_MAX)
         audit = audit_locality(forest, radius=args.radius)
         audits.append(audit_to_json(audit))
+        if forest.truncated:
+            audits[-1]["truncated"] = True
+            truncated += 1
         if not audit.children_violations:
             zero_child_violations += 1
     return {
         "seeds": args.seeds, "radius": args.radius,
         "zero_children_violation_rate": zero_child_violations / args.seeds,
         "audits": audits,
-    }, True
+    }, True, truncated
 
 
 def cmd_ra(args) -> tuple:
@@ -455,12 +478,10 @@ class _StoreGiven(argparse.Action):
         namespace.given = (*getattr(namespace, "given", ()), option_string)
 
 
-def _add_instance_args(sub, explicit: bool, capped: bool):
+def _add_instance_args(sub, explicit: bool):
     """Instance options.  Only ``explicit`` commands name an instance that
     the labeled flags cannot: by ``--kind`` (with the ``--k`` of the explicit
-    kinds) or by a build report, which no other instance option may join.
-    ``--size-cap`` comes only where a large m is slow; the uncapped commands
-    read closed forms of the params."""
+    kinds) or by a build report, which no other instance option may join."""
     store = _StoreGiven if explicit else "store"
     if explicit:
         sub.add_argument("--kind", choices=KINDS, default="mmda", action=store)
@@ -471,8 +492,6 @@ def _add_instance_args(sub, explicit: bool, capped: bool):
     sub.add_argument("--rho", type=parse_rational, default=Fraction(1, 4), action=store)
     sub.add_argument("--eps", type=parse_rational, default=Fraction(1), action=store,
                      help="layer step eps; the depth is ell = 3/eps")
-    if capped:
-        sub.add_argument("--size-cap", type=int, default=SIZE_CAP_DEFAULT)
 
 
 @cache  # built once per process, which may call main many times
@@ -485,25 +504,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit an instance as JSON")
-    _add_instance_args(p, explicit=True, capped=False)
+    _add_instance_args(p, explicit=True)
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("verify-lp", help="certify the assignment LP solution")
     # --subtrees checks one subtree solution per layer, on the label classes of its trigger
-    _add_instance_args(p, explicit=False, capped=False)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--subtrees", action="store_true")
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
     # paths are enumerated only below the path counts of verify_path_hierarchy
-    _add_instance_args(p, explicit=False, capped=False)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),
                    default="auto")
     p.set_defaults(handler=cmd_verify_paths)
 
     p = sub.add_parser("count-paths", help="label-class path counts against the closed forms")
-    _add_instance_args(p, explicit=False, capped=False)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--samples", type=count_at_least(0), default=0,
                    help="0 = exhaustive over all vertex pairs")
     p.add_argument("--seed", type=parse_seed, default=0)
@@ -511,30 +530,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sa1-report", help="conditioned-constraint sweep of the "
                                           "shadow distribution")
-    _add_instance_args(p, explicit=False, capped=True)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--events", choices=("all", "layers"), default="layers")
     p.set_defaults(handler=cmd_sa1_report)
 
     p = sub.add_parser("shadow-sample", help="Monte Carlo draws from the "
                                              "shadow distribution")
-    _add_instance_args(p, explicit=False, capped=True)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--samples", type=count_at_least(1), default=10000)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--rounds", type=count_at_least(1), default=1)
     p.set_defaults(handler=cmd_shadow_sample)
 
     p = sub.add_parser("bruteforce", help="exact best integral solution")
-    _add_instance_args(p, explicit=True, capped=True)
+    _add_instance_args(p, explicit=True)
     p.add_argument("--budget", type=count_at_least(1), default=2_000_000)
     p.set_defaults(handler=cmd_bruteforce)
 
     p = sub.add_parser("certificate", help="sink-accessibility counting bound")
-    # Monomial.from_int factors its sums of binomials by trial division
-    _add_instance_args(p, explicit=False, capped=True)
+    # Monomial.from_int factors its sums of binomials by trial division,
+    # which gives up past 2^24 (about 1 s): at rho=1/4 first at m=92
+    _add_instance_args(p, explicit=False)
     p.set_defaults(handler=cmd_certificate)
 
     p = sub.add_parser("locally-good", help="sample and audit path forests")
-    _add_instance_args(p, explicit=False, capped=True)
+    _add_instance_args(p, explicit=False)
     p.add_argument("--seeds", type=count_at_least(1), default=10)
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--radius", type=count_at_least(0), default=1)

@@ -21,12 +21,17 @@ from itertools import accumulate, combinations, islice
 
 from .scalars import MONO_ONE, Monomial, Scalar
 
-SIZE_CAP_DEFAULT = 24
 # the explicit builders refuse a k whose closed-form edge count exceeds this;
 # config-gap k = 20 (168,400 edges) is the largest it admits
 EXPLICIT_EDGE_MAX = 200_000
+# bruteforce and shadow-sample refuse an instance whose closed-form count of
+# edges or sampler entries exceeds this (see check_work): at m <= 24 the
+# largest admitted, bruteforce --m 18 --rho 2/9 (6,129,180 edges) and
+# shadow-sample --m 16 --rho 3/16 (6,887,440 entries), take 63 s and 54 s,
+# the next ones (about 10.6 million) run past 75 s
+WORK_MAX = 7_000_000
 # layers up to this many vertices keep a label table (masks by rank, ranks
-# by mask); larger ones, such as C(24, 12) at the size cap, unrank instead
+# by mask); larger ones, such as C(24, 12), unrank instead
 LABEL_TABLE_MAX = 1 << 20
 
 Vertex = tuple[int, int]          # (layer, rank)
@@ -302,6 +307,11 @@ class LabeledInstance(LayeredInstance):
     def in_degree(self, v: Vertex) -> int:
         return self.profile.delta_minus[v[0]] if v[0] > 0 else 0
 
+    @property
+    def n_edges(self) -> int:
+        """Sum over layers i of |layer i| * delta_i^-, no edge enumerated."""
+        return sum(self._sizes[i] * self.profile.delta_minus[i] for i in range(1, self.ell + 1))
+
     def _step_ranks(self, mask: int, grow: bool, j: int) -> list[int]:
         """Sorted colex ranks of the labels in layer j one step from
         ``mask``: supersets with step more elements when ``grow``, else
@@ -548,10 +558,9 @@ class ExplicitInstance(LayeredInstance):
 # builders
 
 
-def build_mmda(params: InstanceParams, size_cap: int | None = SIZE_CAP_DEFAULT) -> LabeledInstance:
-    """The labeled instance of params; None is no cap on m."""
-    if size_cap is not None and params.m > size_cap:
-        raise InstanceError(f"m={params.m} exceeds the size cap {size_cap}")
+def build_mmda(params: InstanceParams) -> LabeledInstance:
+    """The labeled instance of params.  It is lazy: labels and adjacency
+    are generated on use, so building it costs nothing at any m."""
     return LabeledInstance(params)
 
 
@@ -565,11 +574,17 @@ class SantaView:
     target: Fraction
 
 
+def check_work(at: str, count: int, what: str, bound: int):
+    """Refuse a call whose closed-form ``count`` of ``what`` exceeds
+    ``bound``, before anything is built; ``at`` names the parameters."""
+    if count > bound:
+        raise InstanceError(f"{at} gives {count} {what}, above {bound}")
+
+
 def _check_explicit_k(k: int, edges: int):
     if k < 2:
         raise InstanceError("k must be at least 2")
-    if edges > EXPLICIT_EDGE_MAX:
-        raise InstanceError(f"k={k} gives {edges} edges, above {EXPLICIT_EDGE_MAX}")
+    check_work(f"k={k}", edges, "edges", EXPLICIT_EDGE_MAX)
 
 
 def build_config_lp_gap(k: int):
@@ -711,17 +726,18 @@ def instance_to_json(inst: LayeredInstance) -> dict:
     return out
 
 
-def instance_from_json(data, size_cap: int | None = None) -> LayeredInstance:
-    """The instance :func:`instance_to_json` wrote, a labeled one built by
-    :func:`build_mmda` under size_cap.  A labeled document may leave out
-    ``ell``; a malformed one raises InstanceError."""
+def instance_from_json(data) -> LayeredInstance:
+    """The instance :func:`instance_to_json` wrote.  A labeled document may
+    leave out ``ell``; a malformed one raises InstanceError."""
     try:
         if data.get("kind") == "labeled":
             q = data["params"]
-            params = InstanceParams(int(q["m"]), q["rho"], q["epsilon"])
+            if type(q["m"]) is not int:     # 8.7, "8" and true are no m
+                raise InstanceError(f"m={q['m']!r} is not an integer")
+            params = InstanceParams(q["m"], q["rho"], q["epsilon"])
             if q.get("ell", params.ell) != params.ell:
                 raise InstanceError(f"ell={q['ell']} is not 3/epsilon={params.ell}")
-            return build_mmda(params, size_cap)
+            return build_mmda(params)
         layers = [[tuple(v) for v in layer] for layer in data["layers"]]
         if any(v[0] != i for i, layer in enumerate(layers) for v in layer):
             raise InstanceError("a vertex (layer, index) is listed in another layer")

@@ -19,6 +19,8 @@ from .instances import InstanceError, LabeledInstance, LayeredInstance
 from .scalars import LT, as_fraction, compare_certified, to_interval
 
 _U_BITS = 128
+# a forest stops growing past this many paths (and is flagged truncated)
+FOREST_PATH_MAX = 500_000
 
 
 def _uniform_bits(seed: int, path_key: str, edge_key: str) -> int:
@@ -66,8 +68,19 @@ class SampledPathForest:
     inst: LayeredInstance
 
 
+def expected_forest_paths(inst: LabeledInstance) -> int:
+    """The expected number of paths of a sampled forest, rounded: a path
+    ending at layer i gets k_i children in expectation, so the paths ending
+    at layer i number k_0 * ... * k_(i-1)."""
+    total = run = 1.0
+    for k in inst.profile.k:
+        run *= k.approx()
+        total += run
+    return round(total)
+
+
 def sample_forest(inst: LabeledInstance, seed: int,
-                  size_cap: int = 500_000) -> SampledPathForest:
+                  path_limit: int = FOREST_PATH_MAX) -> SampledPathForest:
     thresholds = [_Threshold(inst.profile.gamma[i]) for i in range(inst.ell)]
     root = (inst.source,)
     paths = [root]
@@ -83,7 +96,7 @@ def sample_forest(inst: LabeledInstance, seed: int,
                 if thr.select(_uniform_bits(seed, pk, f"{w[0]}.{w[1]}")):
                     q = p + (w,)
                     nxt.append(q)
-            if len(paths) + len(nxt) > size_cap:
+            if len(paths) + len(nxt) > path_limit:
                 truncated = True
                 break
         paths.extend(nxt)

@@ -435,6 +435,10 @@ def _primes_upto(n: int) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(sieve) if v)
 
 
+# trial division gives up past this divisor (about 1 s) rather than run on
+TRIAL_DIVISOR_MAX = 1 << 24
+
+
 def _factor_int(n: int) -> dict[int, int]:
     if n <= 0:
         raise ValueError("monomials represent positive values only")
@@ -442,6 +446,9 @@ def _factor_int(n: int) -> dict[int, int]:
     m = n
     p = 2
     while p * p <= m:
+        if p > TRIAL_DIVISOR_MAX:
+            raise ValueError(f"trial division up to {TRIAL_DIVISOR_MAX} leaves the cofactor "
+                             f"{m} of {n} unfactored")
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p

@@ -239,6 +239,17 @@ def shadow_model(inst: LabeledInstance) -> ShadowModel:
     return ShadowModel(inst, assignment_solution(inst), SubtreeFamily(inst))
 
 
+def support_entries(inst: LabeledInstance) -> int:
+    """The entries of the sampler's support rows on :func:`shadow_model`,
+    counted in closed form: a trigger into layer 1 activates itself, the
+    delta_1^+ edges out of its head and the delta_2^+ edges out of each of
+    those; one into layer 2 itself and the delta_2^+ edges out of its head;
+    a deeper one only itself."""
+    into = [inst.layer_size(i) * inst.profile.delta_minus[i] for i in (1, 2)]
+    dp = inst.profile.delta_plus
+    return inst.n_edges + into[0] * dp[1] * (1 + dp[2]) + into[1] * dp[2]
+
+
 def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
     return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
 

@@ -159,16 +159,29 @@ class TestCommands:
         assert main(["bruteforce", "--m", "4", "--out", str(by_flags)]) == EXIT_PASS
         assert by_file.read_bytes() == by_flags.read_bytes()
 
-    def test_instance_file_is_built_under_the_size_cap(self, tmp_path, capsys):
+    def test_instance_file_is_refused_by_the_edge_bound(self, tmp_path, capsys):
+        # the file builds the lazy m=40 instance; bruteforce counts its edges
+        # in closed form and refuses it before any vertex is walked
         import time
-        built = tmp_path / "m40.json"
+        built, out = tmp_path / "m40.json", tmp_path / "x.json"
         assert main(["build", "--m", "40", "--out", str(built)]) == EXIT_PASS
+        capsys.readouterr()
         start = time.perf_counter()
-        code = main(["bruteforce", "--instance-file", str(built),
-                     "--out", str(tmp_path / "x.json")])
+        code = main(["bruteforce", "--instance-file", str(built), "--out", str(out)])
         assert time.perf_counter() - start < 1
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: m=40 exceeds the size cap 24\n"
+        assert capsys.readouterr().err == ("error: m=40, rho=1/4, eps=1 gives "
+                                           "50935947404996368 edges, above 7000000\n")
+        assert not out.exists()
+
+    def test_truncated_forest_is_undecided(self, tmp_path, monkeypatch):
+        # the path limit lowered to the expected forest at m=8, 36 paths, so
+        # the call is admitted; seeds 0 and 2 grow 37 and 66 paths
+        from mmda_lab import cli
+        monkeypatch.setattr(cli, "FOREST_PATH_MAX", 36)
+        code, data, _ = run(tmp_path, "locally-good", "--m", "8", "--seeds", "3")
+        assert code == EXIT_UNDECIDED and data["status"] == "undecided"
+        assert [a.get("truncated", False) for a in data["audits"]] == [True, False, True]
 
     @pytest.mark.parametrize("command", ["build", "bruteforce"])
     def test_instance_file_refuses_the_instance_flags_beside_it(self, tmp_path, capsys,
@@ -189,7 +202,7 @@ class TestCommands:
                      "--out", str(out)]) == EXIT_PASS
         if command == "bruteforce":
             assert main([command, "--instance-file", str(built), "--budget", "1",
-                         "--size-cap", "8", "--out", str(out)]) == EXIT_UNDECIDED
+                         "--out", str(out)]) == EXIT_UNDECIDED
 
     def test_scan(self, tmp_path):
         code, data, _ = run(tmp_path, "scan", "--fn", "g_integral",
@@ -268,7 +281,8 @@ MMDA_ONLY_COMMANDS = ("verify-lp", "verify-paths", "count-paths", "sa1-report",
                       "shadow-sample", "certificate", "locally-good")
 
 # instance files that are not instances: no layers, not an object, a depth
-# that is not 3/eps, an edge to an unlisted vertex and a vertex with no k
+# that is not 3/eps, an edge to an unlisted vertex, a vertex with no k and
+# an m that is not a JSON integer
 MALFORMED = {
     "EMPTY": {},
     "LIST": [1, 2],
@@ -278,6 +292,9 @@ MALFORMED = {
              "edges": [[[0, 0], [5, 7]]], "k": [[[0, 0], {"exact": "1"}]]},
     "NOK": {"kind": "explicit", "layers": [[[0, 0]], [[1, 0]]],
             "edges": [[[0, 0], [1, 0]]], "k": []},
+    # 8.7 and "8" built the m=8 instance
+    "MFLOAT": {"kind": "labeled", "params": {"m": 8.7, "rho": "1/4", "epsilon": "1"}},
+    "MSTR": {"kind": "labeled", "params": {"m": "8", "rho": "1/4", "epsilon": "1"}},
 }
 
 # inputs that must end in a usage error; EXPLICIT stands for a built
@@ -303,8 +320,9 @@ REJECTED = (
        ["bruteforce", "--m", "8", "--eps", "1/2"],
        # counts outside their range are rejected when arguments are parsed
        ["count-paths", "--samples", "-1"],
-       # count-paths walks label classes, so no size cap bounds it
-       ["count-paths", "--size-cap", "8"],
+       # no command takes a size cap: each bounds the work its parameters imply
+       *[[cmd, "--size-cap", "8"] for cmd in ("count-paths", "sa1-report", "shadow-sample",
+                                              "bruteforce", "certificate", "locally-good")],
        ["locally-good", "--seeds", "0"], ["locally-good", "--seeds", "-2"],
        ["locally-good", "--radius", "-1"], ["ra", "--cond", "-1"],
        # a lower-bound instance needs eps*k big resources, at least one
@@ -337,6 +355,43 @@ REJECTED = (
        ["sa1-report", "--floor", "1/2"], ["sa1-report", "--ceiling", "4"],
        ["shadow-sample", "--m", "4", "--samples", "3", "--max-dev", "100"],
        ["shadow-sample", "--m", "4", "--samples", "3", "--mc"]])
+
+
+# per command, its first refused call at rho=1/4 and a call just above its
+# bound: the count it names and the bound
+REFUSED = [
+    ("bruteforce --m 20", "m=20, rho=1/4, eps=1 gives 93132528 edges, above 7000000"),
+    ("bruteforce --m 19 --rho 4/19",
+     "m=19, rho=4/19, eps=1 gives 10585356 edges, above 7000000"),
+    ("shadow-sample --m 16",
+     "m=16, rho=1/4, eps=1 gives 128830520 sampler support entries, above 7000000"),
+    ("shadow-sample --m 17 --rho 3/17",
+     "m=17, rho=3/17, eps=1 gives 10644040 sampler support entries, above 7000000"),
+    ("locally-good --m 28",
+     "m=28, rho=1/4, eps=1 gives 1184396 expected forest paths, above 500000"),
+    ("locally-good --m 40 --rho 1/8",
+     "m=40, rho=1/8, eps=1 gives 660622 expected forest paths, above 500000"),
+    ("sa1-report --m 25 --rho 1/25",
+     "m=25, rho=1/25, eps=1 gives 25 ground elements, above 24"),
+    ("certificate --m 128",
+     "trial division up to 16777216 leaves the cofactor 350755368821510873009 of "
+     "700051963601861523372699219450 unfactored"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED, ids=[r[0] for r in REFUSED])
+def test_refused_before_the_walk(tmp_path, capsys, argv, message):
+    # certificate gives up after 2^24 trial divisors, the others before
+    # anything is built
+    import time
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main([*argv.split(), "--out", str(out)])
+    took = time.perf_counter() - start
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert took < (5 if argv.startswith("certificate") else 1)
 
 
 class TestRejectedInputs:
@@ -428,11 +483,11 @@ OPTIONS = {
     "verify-lp": LABELED_OPTIONS + ["--subtrees"],
     "verify-paths": LABELED_OPTIONS + ["--mode", "--rounds"],
     "count-paths": LABELED_OPTIONS + ["--samples", "--seed"],
-    "sa1-report": LABELED_OPTIONS + ["--size-cap", "--events"],
-    "shadow-sample": LABELED_OPTIONS + ["--size-cap", "--rounds", "--samples", "--seed"],
-    "bruteforce": LABELED_OPTIONS + EXPLICIT_OPTIONS + ["--size-cap", "--budget"],
-    "certificate": LABELED_OPTIONS + ["--size-cap"],
-    "locally-good": LABELED_OPTIONS + ["--size-cap", "--radius", "--seed", "--seeds"],
+    "sa1-report": LABELED_OPTIONS + ["--events"],
+    "shadow-sample": LABELED_OPTIONS + ["--rounds", "--samples", "--seed"],
+    "bruteforce": LABELED_OPTIONS + EXPLICIT_OPTIONS + ["--budget"],
+    "certificate": LABELED_OPTIONS,
+    "locally-good": LABELED_OPTIONS + ["--radius", "--seed", "--seeds"],
     "ra": ["--alpha", "--cond", "--eps", "--k"],
     "appendixb": ["--k"],
     "appendixc": ["--budget", "--k"],
@@ -450,7 +505,7 @@ def test_option_surface():
                             if opt not in ("-h", "--help"))
                for name, p in sub.choices.items()}
     assert surface == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 77
+    assert sum(map(len, surface.values())) == 72
 
 
 def test_public_surface():

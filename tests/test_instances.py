@@ -70,9 +70,18 @@ class TestParams:
         with pytest.raises(InstanceError):
             make_params(0, Fraction(1, 4))   # rho*m = 0: empty labels
 
-    def test_size_cap(self):
-        with pytest.raises(InstanceError):
-            build_mmda(make_params(28, Fraction(1, 4)))
+    def test_m28_builds_lazily_and_each_walker_refuses_it(self):
+        # no bound on m: the instance is lazy, and each command that walks
+        # it bounds its own closed-form count of work
+        from mmda_lab.cli import SA1_M_MAX
+        from mmda_lab.rounding import FOREST_PATH_MAX, expected_forest_paths
+        from mmda_lab.shadow import support_entries
+        inst = build_mmda(make_params(28, Fraction(1, 4)))
+        assert inst.layer_size(2) == math.comb(28, 14)
+        assert inst.n_edges == 275_361_526_440 > instances.WORK_MAX
+        assert support_entries(inst) == 945_449_736_814_440 > instances.WORK_MAX
+        assert expected_forest_paths(inst) == 1_184_396 > FOREST_PATH_MAX
+        assert inst.params.m > SA1_M_MAX
 
     def test_label_sizes_both_phases(self):
         p = make_params(16, Fraction(1, 4), epsilon=Fraction(1, 2))
@@ -121,6 +130,18 @@ class TestDepth3Instance:
 
     def test_edge_counts(self, inst8):
         assert inst8.n_edges == 28 + 28 * 15 + 70 * 6
+
+    @pytest.mark.parametrize("m,eps", [(4, Fraction(1)), (8, Fraction(1)),
+                                       (8, Fraction(1, 2))])
+    def test_edge_count_closed_form_is_the_enumeration(self, m, eps):
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps))
+        assert inst.n_edges == sum(1 for _ in inst.all_edges())
+
+    def test_edge_bound_falls_between_m16_and_m20(self):
+        # bruteforce admits m=16 at rho=1/4 and refuses m=20
+        edges = [build_mmda(make_params(m, Fraction(1, 4))).n_edges for m in (12, 16, 20)]
+        assert edges == [37_180, 1_803_620, 93_132_528]
+        assert edges[1] <= instances.WORK_MAX < edges[2]
 
     def test_direct_builder_matches_general(self):
         # monomials are prime-exponent maps, so equal profiles are equal values

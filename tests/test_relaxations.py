@@ -282,7 +282,7 @@ class TestHelperLemma:
     def test_nested_overlap_is_the_worst_case(self, m, eps):
         # the maximum over every feasible overlap of each layer pair is
         # the nested one that max_paths_between_layers evaluates
-        inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps))
         p = inst.params
         for i in range(inst.ell + 1):
             for j in range(i, inst.ell + 1):
@@ -302,7 +302,7 @@ ROUNDS_FRONTIER = [(8, Fraction(1, 2), 1), (12, Fraction(1, 3), 3), (16, Fractio
 class TestRoundsFrontier:
     @pytest.mark.parametrize("m,eps,t_star", ROUNDS_FRONTIER)
     def test_helper_bound_is_t_star(self, m, eps, t_star):
-        inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+        inst = build_mmda(make_params(m, Fraction(1, 4), eps))
         assert check_helper_lemma(inst, Fraction(1)).largest_distance == t_star
 
     def test_class_counts_give_t_star(self):
@@ -310,7 +310,7 @@ class TestRoundsFrontier:
         # layer pair from the class walks, not from closed_form_paths, then
         # the first distance whose gamma-weighted count exceeds 1
         for m, eps, t_star in ROUNDS_FRONTIER:
-            inst = build_mmda(make_params(m, Fraction(1, 4), eps), size_cap=None)
+            inst = build_mmda(make_params(m, Fraction(1, 4), eps))
             most = {}
             for i in range(inst.ell + 1):
                 for (j, _), n in rank0_class_counts(inst, i).items():

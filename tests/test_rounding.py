@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from mmda_lab.instances import build_mmda, make_params
 from mmda_lab.relaxations import check_helper_lemma
-from mmda_lab.rounding import (audit_locality, audit_to_json,
-                               default_congestion_bound, sample_forest)
+from mmda_lab.rounding import (FOREST_PATH_MAX, audit_locality, audit_to_json,
+                               default_congestion_bound, expected_forest_paths,
+                               sample_forest)
 from mmda_lab.scalars import Monomial, compare_certified
 
 
@@ -34,8 +36,27 @@ class TestSampling:
         assert not forest.truncated
 
     def test_size_cap_flags_truncation(self, inst8):
-        forest = sample_forest(inst8, seed=1, size_cap=2)
+        forest = sample_forest(inst8, seed=1, path_limit=2)
         assert forest.truncated
+
+
+class TestExpectedForestPaths:
+    @pytest.mark.parametrize("m,expected", [(8, 36), (12, 235)])
+    def test_mean_of_seeded_forests(self, m, expected):
+        # the mean path count of 40 seeded forests is within a factor 3/2 of
+        # the closed form (40.5 and 172.3 over the first 20 seeds, 39.6 and
+        # 211.6 over all 40)
+        inst = build_mmda(make_params(m, Fraction(1, 4)))
+        assert expected_forest_paths(inst) == expected
+        mean = sum(len(sample_forest(inst, seed=s).paths) for s in range(40)) / 40
+        assert expected / 1.5 <= mean <= expected * 1.5
+
+    def test_bound_falls_between_m24_and_m28(self):
+        # locally-good admits m=24 at rho=1/4 and refuses m=28
+        sizes = [expected_forest_paths(build_mmda(make_params(m, Fraction(1, 4))))
+                 for m in (24, 28)]
+        assert sizes == [134_750, 1_184_396]
+        assert sizes[0] <= FOREST_PATH_MAX < sizes[1]
 
 
 class TestExpectationIdentities:

@@ -15,7 +15,8 @@ from mmda_lab.relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
 from mmda_lab.scalars import as_fraction
 from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, EmpiricalReport, IndependentFamily,
                              ShadowModel, _event_moments, check_seed, conditional_report,
-                             independent_model, sa1_certificate, sample, shadow_model)
+                             independent_model, sa1_certificate, sample, shadow_model,
+                             support_entries)
 
 
 # --- test-local references ---------------------------------------------------
@@ -1001,3 +1002,17 @@ class TestSeedRange:
     def test_largest_seed_accepted(self, model4):
         assert sample(model4, SEED_LIMIT - 1, 3).n_samples == 3
         assert draw_one(model4, SEED_LIMIT - 1, 2) == draw_one(model4, SEED_LIMIT - 1, 2)
+
+
+class TestSupportEntries:
+    @pytest.mark.parametrize("m,entries", [(4, 88), (8, 6_328)])
+    def test_closed_form_counts_the_sampler_rows(self, m, entries):
+        model = shadow_model(build_mmda(make_params(m, Fraction(1, 4))))
+        assert support_entries(model.inst) == len(model._support_arrays.indices) == entries
+
+    def test_bound_falls_between_m12_and_m16(self):
+        # shadow-sample admits m=12 at rho=1/4 and refuses m=16
+        from mmda_lab.instances import WORK_MAX
+        counts = [support_entries(build_mmda(make_params(m, Fraction(1, 4)))) for m in (12, 16)]
+        assert counts == [794_860, 128_830_520]
+        assert counts[0] <= WORK_MAX < counts[1]
