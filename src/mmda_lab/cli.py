@@ -49,6 +49,10 @@ SA1_FLOOR, SA1_CEILING = Fraction(1, 100), Fraction(8)   # sa1-report
 SA1_M_MAX = 24
 HELPER_XI = Fraction(1, 3)      # count-paths: helper lemma up to distance xi*ell
 MAX_DEV_SE = 6.0                # shadow-sample: standard errors of the exact marginals
+# shadow-sample's largest count of draws, one uniform per edge per sample:
+# at it, m=8 with 1,728,110 samples takes 49 s, and m=16, rho=3/16 (support
+# entries near WORK_MAX) with 4,674 samples 32 s
+SAMPLE_DRAW_MAX = 1_500_000_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -311,10 +315,7 @@ def _first_edges(inst) -> list:
 
 def _at(inst) -> str:
     """The parameters a refusal names."""
-    if not isinstance(inst, LabeledInstance):
-        return "the instance"
-    p = inst.params
-    return f"m={p.m}, rho={p.rho}, eps={p.epsilon}"
+    return str(inst.params) if isinstance(inst, LabeledInstance) else "the instance"
 
 
 def cmd_sa1_report(args) -> tuple:
@@ -345,6 +346,8 @@ def _loc(t):
 def cmd_shadow_sample(args) -> tuple:
     inst = _instance_from_args(args)
     check_work(_at(inst), support_entries(inst), "sampler support entries", WORK_MAX)
+    check_work(f"{_at(inst)}, {args.samples} samples", inst.n_edges * args.samples,
+               "edge draws", SAMPLE_DRAW_MAX)
     model = shadow_model(inst)
     emp = sample(model, args.seed, args.samples, rounds=args.rounds)
     worst = 0.0
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify_lp)
 
     p = sub.add_parser("verify-paths", help="certify the path-hierarchy solution")
-    # paths are enumerated only below the path counts of verify_path_hierarchy
+    # paths are enumerated only up to relaxations.PATH_ENUMERATION_MAX
     _add_instance_args(p, explicit=False)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "symbolic", "enumerated"),

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, repeat
 
 from .scalars import MONO_ONE, Monomial, Scalar
 
@@ -30,9 +30,6 @@ EXPLICIT_EDGE_MAX = 200_000
 # shadow-sample --m 16 --rho 3/16 (6,887,440 entries), take 63 s and 54 s,
 # the next ones (about 10.6 million) run past 75 s
 WORK_MAX = 7_000_000
-# layers up to this many vertices keep a label table (masks by rank, ranks
-# by mask); larger ones, such as C(24, 12), unrank instead
-LABEL_TABLE_MAX = 1 << 20
 
 Vertex = tuple[int, int]          # (layer, rank)
 Edge = tuple[Vertex, Vertex]
@@ -47,40 +44,39 @@ class InstanceError(ValueError):
 
 
 def rank_colex(mask: int) -> int:
-    rank = 0
-    i = 1
-    pos = 0
-    m = mask
-    while m:
-        if m & 1:
-            rank += math.comb(pos, i)
-            i += 1
-        m >>= 1
-        pos += 1
+    """Colex rank of a subset: the sum of C(b, n) over its n-th lowest
+    element b, n = 1, 2, ..."""
+    rank = n = 0
+    while mask:
+        low = mask & -mask
+        n += 1
+        rank += math.comb(low.bit_length() - 1, n)
+        mask ^= low
     return rank
 
 
 def unrank_colex(rank: int, k: int) -> int:
-    """Bitmask of the rank-th k-subset in colex order."""
+    """Bitmask of the rank-th k-subset in colex order: from the top, each
+    element is the largest a with C(a, i) within what is left of the rank."""
     mask = 0
-    r = rank
+    a = k - 1
+    while math.comb(a + 1, k) <= rank:
+        a += 1
     for i in range(k, 0, -1):
-        a = i - 1
-        while math.comb(a + 1, i) <= r:
-            a += 1
-        r -= math.comb(a, i)
+        while math.comb(a, i) > rank:
+            a -= 1
+        rank -= math.comb(a, i)
         mask |= 1 << a
+        a -= 1
     return mask
 
 
-def bits_of(mask: int) -> list[int]:
+def one_bits(mask: int) -> list[int]:
+    """The one-bit masks of mask's elements, lowest first."""
     out = []
-    pos = 0
     while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
+        out.append(mask & -mask)
+        mask &= mask - 1
     return out
 
 
@@ -108,6 +104,9 @@ class InstanceParams:
                         ("1/eps", 1 / self.epsilon)):
             if Fraction(q).denominator != 1:
                 raise InstanceError(f"divisibility violation: {name}={q} not integral")
+
+    def __str__(self) -> str:
+        return f"m={self.m}, rho={self.rho}, eps={self.epsilon}"
 
     # derived sizes, computed once; kept outside the fields, so equality
     # and the hash do not see them
@@ -266,35 +265,37 @@ class LabeledInstance(LayeredInstance):
         self.source = (0, 0)
         self._sizes = [math.comb(params.m, params.label_size(i))
                        for i in range(params.ell + 1)]
-        self._tables: list = [None] * (params.ell + 1)
+        # the labels met so far, per layer: masks by rank and ranks by mask;
+        # label and _rank each fill both sides
+        self._masks: list[dict[int, int]] = [{} for _ in self._sizes]
+        self._ranks: list[dict[int, int]] = [{} for _ in self._sizes]
 
     def layer_size(self, i: int) -> int:
         return self._sizes[i]
 
-    def _table(self, i: int) -> tuple[list[int], dict[int, int]] | None:
-        """Layer i's labels by rank and ranks by label, built on first use;
-        None above LABEL_TABLE_MAX vertices.  For a fixed label size, colex
-        order is increasing-mask order, and the combinations of the bits
-        from the highest down come in decreasing-mask order."""
-        t = self._tables[i]
-        if t is None and self._sizes[i] <= LABEL_TABLE_MAX:
-            bits = [1 << b for b in reversed(range(self.params.m))]
-            masks = list(map(sum, combinations(bits, self.params.label_size(i))))
-            masks.reverse()
-            t = self._tables[i] = (masks, dict(zip(masks, range(len(masks)))))
-        return t
-
     def label(self, v: Vertex) -> int:
-        t = self._table(v[0])
-        if t is None:
-            return unrank_colex(v[1], self.params.label_size(v[0]))
-        return t[0][v[1]]
+        i, r = v
+        try:
+            return self._masks[i][r]
+        except KeyError:
+            if not 0 <= r < self._sizes[i]:
+                raise InstanceError(f"no vertex {v}") from None
+            mask = self._masks[i][r] = unrank_colex(r, self.params.label_size(i))
+            self._ranks[i][mask] = r
+            return mask
+
+    def _rank(self, i: int, mask: int) -> int:
+        try:
+            return self._ranks[i][mask]
+        except KeyError:
+            r = self._ranks[i][mask] = rank_colex(mask)
+            self._masks[i][r] = mask
+            return r
 
     def vertex_with_label(self, i: int, mask: int) -> Vertex:
         if mask >> self.params.m or mask.bit_count() != self.params.label_size(i):
             raise InstanceError(f"label {mask:#x} does not fit layer {i}")
-        t = self._table(i)
-        return (i, rank_colex(mask) if t is None else t[1][mask])
+        return (i, self._rank(i, mask))
 
     def k_of(self, v: Vertex) -> Scalar:
         if self.is_sink(v):
@@ -312,32 +313,28 @@ class LabeledInstance(LayeredInstance):
         """Sum over layers i of |layer i| * delta_i^-, no edge enumerated."""
         return sum(self._sizes[i] * self.profile.delta_minus[i] for i in range(1, self.ell + 1))
 
-    def _step_ranks(self, mask: int, grow: bool, j: int) -> list[int]:
-        """Sorted colex ranks of the labels in layer j one step from
-        ``mask``: supersets with step more elements when ``grow``, else
-        subsets with step fewer."""
-        full = (1 << self.params.m) - 1
-        pool = [1 << b for b in bits_of(full ^ mask if grow else mask)]
-        t = self._table(j)
-        rank = rank_colex if t is None else t[1].__getitem__
-        return sorted(rank(mask ^ flip)
-                      for flip in map(sum, combinations(pool, self.params.step)))
+    def _adjacent(self, v: Vertex, j: int) -> list[Vertex]:
+        """v's neighbours in the adjacent layer j, in rank order: the labels
+        with step more elements than v's that contain it, when layer j's
+        labels are the larger, else those it contains with step fewer."""
+        if not 0 <= j <= self.ell:
+            return []
+        p = self.params
+        mask = self.label(v)
+        grow = p.label_size(j) > p.label_size(v[0])
+        pool = one_bits(((1 << p.m) - 1) ^ mask if grow else mask)
+        masks = list(map(mask.__xor__, map(sum, combinations(pool, p.step))))
+        ranks = list(map(self._ranks[j].get, masks))
+        if None in ranks:
+            ranks = [self._rank(j, w) if r is None else r for w, r in zip(masks, ranks)]
+        ranks.sort()
+        return list(zip(repeat(j), ranks))
 
     def out_neighbors(self, v: Vertex) -> list[Vertex]:
-        i = v[0]
-        if i >= self.ell:
-            return []
-        # expanding phase: successors are supersets
-        grow = i + 1 <= self.params.peak_layer
-        return [(i + 1, r) for r in self._step_ranks(self.label(v), grow, i + 1)]
+        return self._adjacent(v, v[0] + 1)
 
     def in_neighbors(self, v: Vertex) -> list[Vertex]:
-        i = v[0]
-        if i <= 0:
-            return []
-        # collapsing phase: predecessors are supersets
-        grow = i > self.params.peak_layer
-        return [(i - 1, r) for r in self._step_ranks(self.label(v), grow, i - 1)]
+        return self._adjacent(v, v[0] - 1)
 
     def linked(self, i: int, j: int, overlap: int) -> bool:
         """Whether a vertex of layer i reaches a vertex of layer j >= i
@@ -413,7 +410,7 @@ class LabelCells:
         self.cells = [c for c in cells if c]
         self.caps = tuple(c.bit_count() for c in self.cells)
         # per cell, the masks of its lowest 0, 1, ..., |c| bits
-        self._low = [list(accumulate((1 << b for b in bits_of(c)), initial=0)) for c in self.cells]
+        self._low = [list(accumulate(one_bits(c), initial=0)) for c in self.cells]
         self.rep = cache(self.rep)          # one colex rank per class
 
     def key(self, v: Vertex) -> tuple:
@@ -424,7 +421,7 @@ class LabelCells:
     def rep(self, cls: tuple) -> Vertex:
         """The first vertex of ``cls`` in rank order."""
         mask = sum(low[k] for low, k in zip(self._low, cls[1]))
-        return cls[0], rank_colex(mask)
+        return cls[0], self.inst._rank(cls[0], mask)
 
     def classes(self, i: int) -> list:
         """Layer i's classes, in the rank order of their first vertices."""

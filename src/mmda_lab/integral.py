@@ -156,16 +156,16 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
     budget runs out the best found solution is returned with the
     completeness flag cleared.
     """
+    # a vertex adds the ratios d/k_v for d up to its out-degree: one set of
+    # them per distinct (k_v, out-degree) pair
+    pairs = {(inst.k_of(v), inst.out_degree(v)) for i in range(inst.ell) for v in inst.vertices(i)}
     ratios = set()
-    for i in range(inst.ell):
-        for v in inst.vertices(i):
-            kv = as_fraction(inst.k_of(v))
-            if kv is None:
-                raise InstanceError("the integral search needs rational requirements")
-            for d in range(1, inst.out_degree(v) + 1):
-                ratios.add(Fraction(d) / kv)
-    cap = min(Fraction(inst.out_degree(v)) / as_fraction(inst.k_of(v))
-              for i in range(inst.ell) for v in inst.vertices(i))
+    for k, degree in pairs:
+        kv = as_fraction(k)
+        if kv is None:
+            raise InstanceError("the integral search needs rational requirements")
+        ratios.update(Fraction(d) / kv for d in range(1, degree + 1))
+    cap = min(Fraction(degree) / as_fraction(k) for k, degree in pairs)
     candidates = sorted(r for r in ratios if r <= cap)
     bud = _Budget(budget)
     # sink sets as bitmasks over the sink layer: the used sinks a vertex

@@ -17,18 +17,16 @@ from functools import cache
 from itertools import chain, islice
 
 from .instances import (ClassSums, Edge, InstanceError, LabelCells,
-                        LabeledInstance, LayeredInstance, Vertex)
+                        LabeledInstance, LayeredInstance, Vertex, check_work)
 from .reports import (ConstraintCheck, ViolationReport, check_eq, check_ge, check_le,
                       vacuous)
 from .scalars import MONO_ONE, Monomial, Scalar, as_fraction
 
-ENUMERATION_CAP = 10 ** 7
+# verify_path_hierarchy enumerates at most this many paths: --mode auto
+# verifies a larger count symbolically, --mode enumerated refuses it
+PATH_ENUMERATION_MAX = 200_000
 
 E0_TAIL = (-1, 0)
-
-
-class EnumerationCapExceeded(InstanceError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +266,6 @@ class PathSolution:
         return total
 
     def enumerate_paths(self):
-        if self.path_count() > ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"path enumeration above cap {ENUMERATION_CAP}")
         inst = self.inst
         # the dummy root first, then every real vertex in layer order; each
         # root's paths come out breadth-first
@@ -414,8 +409,10 @@ def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport
 def verify_path_hierarchy(inst: LabeledInstance, ps: PathSolution,
                           mode: str = "auto") -> ViolationReport:
     if mode == "auto":
-        mode = "enumerated" if ps.path_count() <= 200_000 else "symbolic"
+        mode = "enumerated" if ps.path_count() <= PATH_ENUMERATION_MAX else "symbolic"
     if mode == "enumerated":
+        check_work(f"{inst.params}, rounds={ps.rounds}", ps.path_count(), "paths",
+                   PATH_ENUMERATION_MAX)
         return _verify_paths_enumerated(inst, ps)
     if mode == "symbolic":
         return _verify_paths_symbolic(inst, ps)

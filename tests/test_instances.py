@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -285,42 +286,47 @@ def _unranked_neighbors(inst, v, forward):
 
 
 class TestLabelTable:
-    """The per-layer label table against colex unranking, and the fallback
-    to unranking above LABEL_TABLE_MAX."""
+    """The label/rank memo, filled on demand, against colex unranking."""
 
     @pytest.mark.parametrize("m,rho", [(8, Fraction(1, 4)), (12, Fraction(1, 12))], ids=str)
     def test_table_matches_unranking(self, m, rho):
+        # colex order of k-subsets is increasing-mask order
         inst = build_mmda(make_params(m, rho))
         for i in range(inst.ell + 1):
             k = inst.params.label_size(i)
+            masks = sorted(sum(1 << b for b in c) for c in combinations(range(m), k))
+            assert len(masks) == inst.layer_size(i)
             for r in range(inst.layer_size(i)):
                 v = (i, r)
                 lab = inst.label(v)
-                assert lab == unrank_colex(r, k), v
+                assert lab == masks[r] == unrank_colex(r, k), v
                 assert inst.vertex_with_label(i, lab) == v
                 assert inst.out_neighbors(v) == _unranked_neighbors(inst, v, True), v
                 assert inst.in_neighbors(v) == _unranked_neighbors(inst, v, False), v
 
-    def test_fallback_above_the_table_limit(self, monkeypatch, inst8):
-        # layers of 1 and 28 vertices keep a table, the 70-vertex peak unranks
-        monkeypatch.setattr(instances, "LABEL_TABLE_MAX", 28)
-        small = build_mmda(make_params(8, Fraction(1, 4)))
-        for i in range(small.ell + 1):
-            for v in small.vertices(i):
-                assert small.label(v) == inst8.label(v)
-                assert small.vertex_with_label(i, small.label(v)) == v
-                assert small.out_neighbors(v) == inst8.out_neighbors(v)
-                assert small.in_neighbors(v) == inst8.in_neighbors(v)
-        pairs = [(v, t) for v in small.vertices(2) for t in small.vertices(3)]
-        reach = [small.reachable(v, t) for v, t in pairs]
-        assert reach == [inst8.reachable(v, t) for v, t in pairs]
-        assert sum(reach) == 70 * 6     # each peak label holds C(4, 2) sink labels
-        assert [t is not None for t in small._tables] == [True, True, False, True]
+    def test_a_step_memoizes_only_the_labels_it_meets(self, inst8):
+        # each side of the memo, filled by unranking v and ranking its
+        # neighbours, holds v and its C(6, 2) supersets in layer 2 alone
+        fresh = build_mmda(make_params(8, Fraction(1, 4)))
+        v = (1, 17)
+        near = fresh.out_neighbors(v)
+        assert near == inst8.out_neighbors(v) and len(near) == 15
+        met = {v, *near}
+        assert {(i, r) for i, d in enumerate(fresh._masks) for r in d} == met
+        assert {(i, r) for i, d in enumerate(fresh._ranks) for r in d.values()} == met
+        assert all(fresh._ranks[i][mask] == r
+                   for i, d in enumerate(fresh._masks) for r, mask in d.items())
+        # a vertex met again is read from the memo, no unranking
+        fresh._masks[1][17] = -1
+        assert fresh.label(v) == -1
 
     def test_label_outside_the_layer_is_rejected(self, inst8):
         for mask in (0b111, 0b1_0000_0001, -3):
             with pytest.raises(InstanceError):
                 inst8.vertex_with_label(1, mask)
+        for v in ((1, 28), (1, -1), (2, 70)):
+            with pytest.raises(InstanceError, match="no vertex"):
+                inst8.label(v)
 
 
 class TestExplicitQueries:

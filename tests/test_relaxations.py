@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmda_lab.instances import ClassSums, LabelCells, build_mmda, make_params
+from mmda_lab.instances import ClassSums, InstanceError, LabelCells, build_mmda, make_params
 from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
                                   check_helper_lemma, class_path_counts, closed_form_paths,
                                   count_paths, count_paths_from,
@@ -134,6 +134,21 @@ class TestPathSolution:
         ps = path_solution(inst4, 2)
         assert ps.path_count() == len(list(ps.enumerate_paths()))
 
+    def test_auto_mode_and_the_refusal_share_one_bound(self, monkeypatch, inst4):
+        # at the bound auto enumerates; one path above it auto turns
+        # symbolic and the enumerated mode refuses
+        import mmda_lab.relaxations as relaxations
+        ps = path_solution(inst4, 2)
+        enumerated = verify_path_hierarchy(inst4, ps, mode="enumerated")
+        symbolic = verify_path_hierarchy(inst4, ps, mode="symbolic")
+        assert len(enumerated.checks) != len(symbolic.checks)
+        monkeypatch.setattr(relaxations, "PATH_ENUMERATION_MAX", ps.path_count())
+        assert verify_path_hierarchy(inst4, ps).checks == enumerated.checks
+        monkeypatch.setattr(relaxations, "PATH_ENUMERATION_MAX", ps.path_count() - 1)
+        assert verify_path_hierarchy(inst4, ps).checks == symbolic.checks
+        with pytest.raises(InstanceError, match=f"rounds=2 gives {ps.path_count()} paths"):
+            verify_path_hierarchy(inst4, ps, mode="enumerated")
+
 
 class TestPathCounting:
     def test_nested_pair_count(self, inst8):
@@ -222,17 +237,25 @@ class TestClassPathCounts:
 
     def test_all_pairs_build_no_label_table(self, monkeypatch, tmp_path):
         # the representatives are ranked, and the sources' classes read off
-        # their cells; C(24, 12) labels would fill one layer's table
+        # their cells: the memo keeps one label per class representative,
+        # 795 of the C(24, 12) = 2,704,156 labels of the peak layer alone
         import json
         from mmda_lab.cli import main
         from mmda_lab.instances import LabeledInstance
 
-        def refuse(self, i):
-            raise AssertionError(f"the label table of layer {i}")
-        monkeypatch.setattr(LabeledInstance, "_table", refuse)
+        made, init = [], LabeledInstance.__init__
+
+        def record(self, params):
+            init(self, params)
+            made.append(self)
+        monkeypatch.setattr(LabeledInstance, "__init__", record)
         out = tmp_path / "r.json"
         assert main(["count-paths", "--m", "24", "--eps", "1/6", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["mismatches"] == []
+        [inst] = made
+        assert [len(d) for d in inst._masks] == [len(d) for d in inst._ranks] == [
+            1, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67, 79, 78, 76, 73, 69, 64, 58]
+        assert sum(map(len, inst._masks)) == 795
 
 
 def _rows_by_id(rep):

@@ -1016,3 +1016,20 @@ class TestSupportEntries:
         counts = [support_entries(build_mmda(make_params(m, Fraction(1, 4)))) for m in (12, 16)]
         assert counts == [794_860, 128_830_520]
         assert counts[0] <= WORK_MAX < counts[1]
+
+    def test_draw_bound_keeps_the_grid_and_refuses_the_long_draws(self):
+        # at the default 10,000 samples every call at rho 1/4 or 1/8 that
+        # the support bound admits (m = 4, 8, 12 and m = 8, 16) keeps its
+        # draws; at m=37, rho=2/37 the support is admitted, the draws are not
+        from mmda_lab.cli import SAMPLE_DRAW_MAX
+        from mmda_lab.instances import WORK_MAX
+        admitted = [(m, rho) for rho in (Fraction(1, 4), Fraction(1, 8))
+                    for m in range(int(1 / rho), 65, int(1 / rho))
+                    if support_entries(build_mmda(make_params(m, rho))) <= WORK_MAX]
+        assert admitted == [(4, Fraction(1, 4)), (8, Fraction(1, 4)), (12, Fraction(1, 4)),
+                            (8, Fraction(1, 8)), (16, Fraction(1, 8))]
+        assert max(build_mmda(make_params(m, rho)).n_edges for m, rho in admitted) == 37_180
+        assert 37_180 * 10_000 <= SAMPLE_DRAW_MAX
+        inst = build_mmda(make_params(37, Fraction(2, 37)))
+        assert support_entries(inst) == 5_944_716 <= WORK_MAX
+        assert inst.n_edges * 10_000 == 7_932_060_000 > SAMPLE_DRAW_MAX
