@@ -49,10 +49,11 @@ SA1_FLOOR, SA1_CEILING = Fraction(1, 100), Fraction(8)   # sa1-report
 SA1_M_MAX = 24
 HELPER_XI = Fraction(1, 3)      # count-paths: helper lemma up to distance xi*ell
 MAX_DEV_SE = 6.0                # shadow-sample: standard errors of the exact marginals
-# shadow-sample's largest count of draws, one uniform per edge per sample:
-# at it, m=8 with 1,728,110 samples takes 49 s, and m=16, rho=3/16 (support
-# entries near WORK_MAX) with 4,674 samples 32 s
+# shadow-sample's largest count of draws: one uniform per edge per sample,
+# plus SAMPLE_FIXED_DRAWS for the sample's own stream (about 8 us against
+# 13 ns a draw).  At it, m=4 with 2,388,535 samples takes about 20 s
 SAMPLE_DRAW_MAX = 1_500_000_000
+SAMPLE_FIXED_DRAWS = 600
 
 
 def parse_rational(text: str) -> Fraction:
@@ -346,8 +347,9 @@ def _loc(t):
 def cmd_shadow_sample(args) -> tuple:
     inst = _instance_from_args(args)
     check_work(_at(inst), support_entries(inst), "sampler support entries", WORK_MAX)
-    check_work(f"{_at(inst)}, {args.samples} samples", inst.n_edges * args.samples,
-               "edge draws", SAMPLE_DRAW_MAX)
+    check_work(f"{_at(inst)}, {args.samples} samples",
+               (inst.n_edges + SAMPLE_FIXED_DRAWS) * args.samples,
+               f"draws (edges + {SAMPLE_FIXED_DRAWS} per sample)", SAMPLE_DRAW_MAX)
     model = shadow_model(inst)
     emp = sample(model, args.seed, args.samples, rounds=args.rounds)
     worst = 0.0

@@ -71,10 +71,7 @@ class ShadowModel:
                           and isinstance(family, (SubtreeFamily, IndependentFamily)))
         self._xcache: dict[Edge, Fraction] = {}
         self._fractions: dict = {}          # base value -> its one Fraction
-        self._survival: dict = {}               # edge, or layer if symmetric
-        self._marginal: dict = {}
-        self._pair_absent: dict = {}            # pair, or its orbit if symmetric
-        self._survival_pairs: dict[tuple, Fraction] = {}
+        self._absent: dict = {}                 # pair_absent, by orbit if symmetric
         self._cells: dict = {}                  # e2 of pair_absent -> its label cells
 
     # --- plumbing ---------------------------------------------------------
@@ -119,42 +116,26 @@ class ShadowModel:
             groups += [(n, f), *edges_into(f[0], n)]
         return [(n, f, v) for n, f in groups if (v := self.family.value(f, e))]
 
-    def _orbit(self, e: Edge):
-        """The key of e's orbit under the model's symmetry: its layer when
-        the model is symmetric, else e itself."""
-        return e[1][0] if self.symmetric else e
-
     # --- exact moments -----------------------------------------------------
-    def survival(self, e: Edge) -> Fraction:
-        """P[e not in A]."""
-        key = self._orbit(e)
-        s = self._survival.get(key)
-        if s is None:
-            s = self._survival[key] = _power_product(
-                (n, 1 - self.x_of(f) * v) for n, f, v in self._trigger_groups(e))
-        return s
-
-    def marginal(self, e: Edge) -> Fraction:
-        key = self._orbit(e)
-        m = self._marginal.get(key)
-        if m is None:
-            m = self._marginal[key] = 1 - self.survival(e)
-        return m
-
     def pair_absent(self, e1: Edge, e2: Edge) -> Fraction:
-        """P[e1 not in A and e2 not in A], kept per pair, or on a symmetric
-        model per orbit: e2's layer and the classes of e1's ends in e2's
-        label cells.  The events of one layer ask for the same orbits."""
+        """P[e1 not in A and e2 not in A], and P[e1 not in A] when e1 == e2:
+        the product over the triggers, one memo for both.  A value is kept
+        per pair, or on a symmetric model per orbit: an edge's layer, and a
+        pair's e2 layer with the classes of e1's ends in e2's label cells.
+        The events of one layer ask for the same orbits."""
         if e1 == e2:
-            return self.survival(e1)
-        key = (e1, e2)
-        if self.symmetric:
+            key = e1[1][0] if self.symmetric else e1
+        elif self.symmetric:
             part = self._cells.get(e2) or self._cells.setdefault(e2, self._partition(e2))
             key = (e2[1][0], part.key(e1[0]), part.key(e1[1]))
-        p = self._pair_absent.get(key)
+        else:
+            key = (e1, e2)
+        p = self._absent.get(key)
         if p is None:
-            p = self._both_survive(e1, e2)
-            if p:
+            if e1 == e2:
+                p = _power_product((n, 1 - self.x_of(f) * v)
+                                   for n, f, v in self._trigger_groups(e1))
+            elif p := self.pair_absent(e1, e1) * self.pair_absent(e2, e2):
                 # the shared triggers, walked from the edge nearer the source
                 a, b = sorted((e1, e2), key=lambda e: e[1][0])
                 shared = [(n, self.x_of(f), va, vb) for n, f, va in self._trigger_groups(a, b)
@@ -162,34 +143,39 @@ class ShadowModel:
                 p *= _power_product(
                     (n, (1 - xf * (va + vb - va * vb)) / ((1 - xf * va) * (1 - xf * vb)))
                     for n, xf, va, vb in shared)
-            self._pair_absent[key] = p
+            self._absent[key] = p
         return p
 
-    def _both_survive(self, e1: Edge, e2: Edge) -> Fraction:
-        """survival(e1) * survival(e2), kept per pair of orbits."""
-        key = (self._orbit(e1), self._orbit(e2))
-        p = self._survival_pairs.get(key)
-        if p is None:
-            p = self._survival_pairs[key] = self.survival(e1) * self.survival(e2)
-        return p
+    def survival(self, e: Edge) -> Fraction:
+        """P[e not in A]."""
+        return self.pair_absent(e, e)
+
+    def marginal(self, e: Edge) -> Fraction:
+        return 1 - self.pair_absent(e, e)
 
     def pair_probability(self, e1: Edge, e2: Edge) -> Fraction:
         """P[e1 in A and e2 in A]."""
-        if e1 == e2:
-            return self.marginal(e1)
-        return 1 - self.survival(e1) - self.survival(e2) + self.pair_absent(e1, e2)
+        return 1 - self.pair_absent(e1, e1) - self.pair_absent(e2, e2) + self.pair_absent(e1, e2)
+
+    def event_probability(self, event: "ConditionEvent") -> Fraction:
+        s = self.pair_absent(event.edge, event.edge)
+        return 1 - s if event.positive else s
+
+    def joint_probability(self, e: Edge, event: "ConditionEvent") -> Fraction:
+        """P[e in A and event], by inclusion-exclusion over ``pair_absent``."""
+        if event.positive:
+            return self.pair_probability(e, event.edge)
+        return self.pair_absent(event.edge, event.edge) - self.pair_absent(e, event.edge)
+
+    def _given(self, event: "ConditionEvent") -> Fraction:
+        """P[event], the divisor of a conditional value; a null event raises."""
+        p = self.event_probability(event)
+        if p == 0:
+            raise InstanceError("conditioning on a null event")
+        return p
 
     def conditional_probability(self, e: Edge, event: "ConditionEvent") -> Fraction:
-        e1 = event.edge
-        if event.positive:
-            denom = self.marginal(e1)
-            if denom == 0:
-                raise InstanceError("conditioning on a null event")
-            return self.pair_probability(e, e1) / denom
-        denom = self.survival(e1)
-        if denom == 0:
-            raise InstanceError("conditioning on a null event")
-        return (self.survival(e1) - self.pair_absent(e, e1)) / denom
+        return self.joint_probability(e, event) / self._given(event)
 
     def expected_multiplicity(self, e: Edge,
                               event: "ConditionEvent | None" = None) -> Fraction:
@@ -197,6 +183,7 @@ class ShadowModel:
         if event is None:
             return sum((n * self.x_of(f) * v for n, f, v in self._trigger_groups(e)),
                        Fraction(0))
+        denom = self._given(event)
         e1 = event.edge
         s1 = self.survival(e1)
         total = Fraction(0)
@@ -209,9 +196,6 @@ class ShadowModel:
             else:
                 q = s1
             total += n * xf * v * (q if not event.positive else 1 - q)
-        denom = (1 - s1) if event.positive else s1
-        if denom == 0:
-            raise InstanceError("conditioning on a null event")
         return total / denom
 
 
@@ -255,25 +239,28 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
 
 
 def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> ClassSums:
-    """Conditional edge probabilities and vertex in/out sums under one
-    event (None: unconditioned).  A symmetric model's values are constant
-    on the label cells of the event edge (Gatermann & Parrilo 2004); other
-    models walk every vertex."""
-    part = model._partition(event.edge) if event else model._partition()
-    return ClassSums(part, model.marginal if event is None
-                     else lambda e: model.conditional_probability(e, event))
+    """Joint edge probabilities P[e in A and event] and their vertex in/out
+    sums under one event (None: the marginals); dividing by P[event] gives
+    the conditional ones.  A symmetric model's values are constant on the
+    label cells of the event edge (Gatermann & Parrilo 2004); other models
+    walk every vertex."""
+    if event is None:
+        return ClassSums(model._partition(), model.marginal)
+    return ClassSums(model._partition(event.edge), lambda e: model.joint_probability(e, event))
 
 
 def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:
     """Marginal and conditional probability of every edge, and every
     vertex's conditional out-sum (non-sinks) and in-sum (non-sources)."""
     inst = model.inst
+    p = 1 if event is None else model._given(event)
     marginals = _event_moments(model, None)
     moments = marginals if event is None else _event_moments(model, event)
     marg = {e: marginals.edge(e) for e in inst.all_edges()}
-    cond = dict(marg) if event is None else {e: moments.edge(e) for e in marg}
-    v_out = {v: moments.vertex(v)[1] for i in range(inst.ell) for v in inst.vertices(i)}
-    v_in = {v: moments.vertex(v)[0] for i in range(1, inst.ell + 1) for v in inst.vertices(i)}
+    cond = {e: moments.edge(e) / p for e in marg}
+    v_out = {v: moments.vertex(v)[1] / p for i in range(inst.ell) for v in inst.vertices(i)}
+    v_in = {v: moments.vertex(v)[0] / p
+            for i in range(1, inst.ell + 1) for v in inst.vertices(i)}
     return MomentReport(event, marg, cond, v_out, v_in)
 
 
@@ -295,7 +282,9 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
 
     Covering slack at v is E[out|ev] / (k_v * E[in|ev]) (in-flow of the
     source taken as 1); the certificate passes when all slacks reach the
-    floor and all conditional in-degrees stay below the ceiling.
+    floor and all conditional in-degrees stay below the ceiling.  Both are
+    read off the joint sums: P[ev] cancels from a slack once the source's
+    in-flow is P[ev], and divides each event's largest in-flow once.
     """
     inst = model.inst
     floor = Fraction(covering_slack_floor)
@@ -308,29 +297,31 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
     worst_cov = worst_pack = None
     skipped = checked = 0
     for ev in events:
-        if ev.positive and model.marginal(ev.edge) == 0:
-            skipped += 1
-            continue
-        if not ev.positive and model.survival(ev.edge) == 0:
+        p = model.event_probability(ev)
+        if p == 0:
             skipped += 1
             continue
         checked += 1
         moments = _event_moments(model, ev)
+        top = None                      # the event's largest in-flow, first in order
         for i in range(inst.ell + 1):
             # a vertex of a class met before has the same slack and packing,
             # so the strict comparisons below, which keep the first vertex
             # in (layer, rank) order to reach an extreme, need only the
             # first vertex of each class
-            for v, (pack, out) in moments.first_vertices(i):
-                inflow = Fraction(1) if v == inst.source else pack
+            for v, (inflow, out) in moments.first_vertices(i):
+                if v == inst.source:
+                    inflow = p
+                elif top is None or inflow > top[0]:
+                    top = inflow, v
                 if i < inst.ell and inflow > 0:
-                    kv = as_fraction(inst.k_of(v))
-                    slack = out / (kv * inflow)
+                    slack = out / (as_fraction(inst.k_of(v)) * inflow)
                     if min_cov is None or slack < min_cov:
                         min_cov, worst_cov = slack, (ev.label(), v)
-                if v != inst.source:
-                    if max_pack is None or pack > max_pack:
-                        max_pack, worst_pack = pack, (ev.label(), v)
+        if top is not None:
+            pack = top[0] / p
+            if max_pack is None or pack > max_pack:
+                max_pack, worst_pack = pack, (ev.label(), top[1])
     if min_cov is not None:
         rep.add(check_ge("sa1:min-covering-slack", min_cov, floor))
     if max_pack is not None:

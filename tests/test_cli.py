@@ -372,7 +372,11 @@ REFUSED = [
     ("locally-good --m 40 --rho 1/8",
      "m=40, rho=1/8, eps=1 gives 660622 expected forest paths, above 500000"),
     ("shadow-sample --m 37 --rho 2/37",
-     "m=37, rho=2/37, eps=1, 10000 samples gives 7932060000 edge draws, above 1500000000"),
+     "m=37, rho=2/37, eps=1, 10000 samples gives 7938060000 draws (edges + 600 per sample), "
+     "above 1500000000"),
+    ("shadow-sample --m 4 --samples 2388536",
+     "m=4, rho=1/4, eps=1, 2388536 samples gives 1500000608 draws (edges + 600 per sample), "
+     "above 1500000000"),
     ("verify-paths --m 12 --rounds 1 --mode enumerated",
      "m=12, rho=1/4, eps=1, rounds=1 gives 425481 paths, above 200000"),
     ("sa1-report --m 25 --rho 1/25",

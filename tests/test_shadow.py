@@ -363,8 +363,11 @@ def walk_sa1(model, events):
 
 
 def class_first_vertices(model, event):
-    moments = _event_moments(model, event)
-    return [pair for i in range(model.inst.ell + 1) for pair in moments.first_vertices(i)]
+    """The class engine's first vertices with their joint sums divided by
+    P[event]: the conditional sums the walk computes edge by edge."""
+    moments, p = _event_moments(model, event), model.event_probability(event)
+    return [(v, (ins / p, outs / p)) for i in range(model.inst.ell + 1)
+            for v, (ins, outs) in moments.first_vertices(i)]
 
 
 def layer_events(inst):
@@ -443,6 +446,79 @@ class TestPairProbability:
         t = inst8.out_neighbors(w)[0]
         a, b = ((1, 0), w), (w, t)
         assert model8.pair_probability(a, b) == model8.pair_probability(b, a)
+
+
+def pair_orbits(model, e1):
+    """A representative edge e of every orbit of pairs (e, e1) under e1's
+    stabiliser: the adjacent class pairs of e1's label cells."""
+    part = model._partition(e1)
+    return [(part.rep(c), part.rep(d)) for j in range(1, model.inst.ell + 1)
+            for c in part.classes(j - 1) for d, _ in part.neighbours(c, j)]
+
+
+class TestHarris:
+    """An edge's presence is an increasing event of the independent trigger
+    and activation draws, so two presences correlate non-negatively (Harris
+    1960); they are independent exactly when no trigger reaches both, as
+    every trigger has x_f < 1 here."""
+
+    @pytest.mark.parametrize("m,rho", [(8, Fraction(1, 4)), (12, Fraction(1, 4)),
+                                       (16, Fraction(1, 8))])
+    def test_first_edges_against_every_pair_orbit(self, m, rho):
+        model = shadow_model(build_mmda(make_params(m, rho)))
+        inst = model.inst
+        largest = None
+        for i in range(1, inst.ell + 1):
+            e1 = next(iter(inst.edges_into_layer(i)))
+            for e in pair_orbits(model, e1):
+                joint = model.pair_probability(e, e1)
+                product = model.marginal(e) * model.marginal(e1)
+                assert joint >= product, (e, e1)
+                a, b = sorted((e, e1), key=lambda f: f[1][0])
+                shared = any(model.family.value(f, b) for _, f, _ in model._trigger_groups(a, b))
+                assert (joint == product) is not shared, (e, e1)
+                if e != e1 and (largest is None or joint / product > largest[0]):
+                    largest = joint / product, e1, e
+        assert largest[1:] == (((0, 0), (1, 0)), ((1, 0), (2, 0)))
+        if m == 8:
+            assert largest[0] == Fraction(1425, 179)
+
+
+class TestNullEvents:
+    """An event of probability 0 has no conditional values: sa1 skips it
+    and the conditional calls refuse it, under either sign."""
+
+    @pytest.fixture
+    def model(self, inst4):
+        edges = list(inst4.all_edges())
+        # edges[0] never appears, edges[1] always does
+        x = SparseSolution(inst4, {e: Fraction(1) if i == 1 else Fraction(1, 3)
+                                   for i, e in enumerate(edges) if i})
+        return independent_model(inst4, x)
+
+    def null_events(self, model):
+        edges = list(model.inst.all_edges())
+        return [ConditionEvent(edges[0], True), ConditionEvent(edges[1], False)]
+
+    def test_skipped_by_sa1(self, model):
+        edges = list(model.inst.all_edges())
+        assert model.marginal(edges[0]) == 0 and model.survival(edges[1]) == 0
+        live = [ConditionEvent(edges[0], False), ConditionEvent(edges[1], True)]
+        res = sa1_certificate(model, Fraction(1, 100), Fraction(8),
+                              events=[*self.null_events(model), *live])
+        assert (res.events_checked, res.events_skipped) == (2, 2)
+        assert sa1_certificate(model, Fraction(1, 100), Fraction(8), events=live) \
+            .min_covering_slack == res.min_covering_slack
+
+    def test_conditional_calls_refuse(self, model):
+        e = list(model.inst.all_edges())[2]
+        for ev in self.null_events(model):
+            with pytest.raises(InstanceError, match="null event"):
+                model.conditional_probability(e, ev)
+            with pytest.raises(InstanceError, match="null event"):
+                conditional_report(model, ev)
+            with pytest.raises(InstanceError, match="null event"):
+                model.expected_multiplicity(e, ev)
 
 
 class TestOracleAgreement:
@@ -1020,8 +1096,10 @@ class TestSupportEntries:
     def test_draw_bound_keeps_the_grid_and_refuses_the_long_draws(self):
         # at the default 10,000 samples every call at rho 1/4 or 1/8 that
         # the support bound admits (m = 4, 8, 12 and m = 8, 16) keeps its
-        # draws; at m=37, rho=2/37 the support is admitted, the draws are not
-        from mmda_lab.cli import SAMPLE_DRAW_MAX
+        # draws; at m=37, rho=2/37 the support is admitted, the draws are not;
+        # each sample also counts its stream's fixed cost, so m=4 stops at
+        # 2,388,535 samples (about 20 s), not at 53,571,428 (about 7 minutes)
+        from mmda_lab.cli import SAMPLE_DRAW_MAX, SAMPLE_FIXED_DRAWS
         from mmda_lab.instances import WORK_MAX
         admitted = [(m, rho) for rho in (Fraction(1, 4), Fraction(1, 8))
                     for m in range(int(1 / rho), 65, int(1 / rho))
@@ -1029,7 +1107,9 @@ class TestSupportEntries:
         assert admitted == [(4, Fraction(1, 4)), (8, Fraction(1, 4)), (12, Fraction(1, 4)),
                             (8, Fraction(1, 8)), (16, Fraction(1, 8))]
         assert max(build_mmda(make_params(m, rho)).n_edges for m, rho in admitted) == 37_180
-        assert 37_180 * 10_000 <= SAMPLE_DRAW_MAX
+        assert (37_180 + SAMPLE_FIXED_DRAWS) * 10_000 <= SAMPLE_DRAW_MAX
         inst = build_mmda(make_params(37, Fraction(2, 37)))
         assert support_entries(inst) == 5_944_716 <= WORK_MAX
-        assert inst.n_edges * 10_000 == 7_932_060_000 > SAMPLE_DRAW_MAX
+        assert (inst.n_edges + SAMPLE_FIXED_DRAWS) * 10_000 == 7_938_060_000 > SAMPLE_DRAW_MAX
+        n4 = build_mmda(make_params(4, Fraction(1, 4))).n_edges
+        assert SAMPLE_DRAW_MAX // (n4 + SAMPLE_FIXED_DRAWS) == 2_388_535
