@@ -45,7 +45,7 @@ STATUS = {EXIT_PASS: "pass", EXIT_UNDECIDED: "undecided", EXIT_FAIL: "fail"}
 # reads, so another gate can be applied to the report itself.
 SA1_FLOOR, SA1_CEILING = Fraction(1, 100), Fraction(8)   # sa1-report
 # sa1-report's largest m: its exact moments carry digits that grow with m
-# and are not counted yet; m=24 takes about 40 s
+# and are not counted yet; m=24 takes about 15 s
 SA1_M_MAX = 24
 HELPER_XI = Fraction(1, 3)      # count-paths: helper lemma up to distance xi*ell
 MAX_DEV_SE = 6.0                # shadow-sample: standard errors of the exact marginals
@@ -238,10 +238,9 @@ def cmd_verify_lp(args) -> tuple:
     if args.subtrees:
         fam = SubtreeFamily(inst)
         # relabelling an edge relabels its solution and keeps the verdict
-        for f in _first_edges(inst):
+        for f in inst.first_edges():
             if not verify_subtree(fam, f).ok:
-                i = f[1][0]
-                subtree_failures += inst.layer_size(i) * inst.profile.delta_minus[i]
+                subtree_failures += inst.n_edges_into(f[1][0])
     ok = rep.ok and all(v for _, v in identities) and subtree_failures == 0
     return {
         "report": rep.to_json(),
@@ -306,14 +305,6 @@ def cmd_count_paths(args) -> tuple:
     }, not mismatches, tally["undecided"]
 
 
-def _first_edges(inst) -> list:
-    """The first edge into each layer.  On a labelled instance S_m maps the
-    edges of a layer onto each other, so one stands for all of its layer.
-    The rank-0 labels are the lowest bits, so they nest: the first vertices
-    of adjacent layers are the ends of an edge."""
-    return [((i - 1, 0), (i, 0)) for i in range(1, inst.ell + 1)]
-
-
 def _at(inst) -> str:
     """The parameters a refusal names."""
     return str(inst.params) if isinstance(inst, LabeledInstance) else "the instance"
@@ -324,7 +315,7 @@ def cmd_sa1_report(args) -> tuple:
     check_work(_at(inst), inst.params.m, "ground elements", SA1_M_MAX)
     model = shadow_model(inst)
     events = None if args.events == "all" else [
-        ConditionEvent(e, positive) for e in _first_edges(inst) for positive in (True, False)]
+        ConditionEvent(e, positive) for e in inst.first_edges() for positive in (True, False)]
     res = sa1_certificate(model, SA1_FLOOR, SA1_CEILING, events=events)
     return {
         "events_checked": res.events_checked,

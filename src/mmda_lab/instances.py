@@ -308,10 +308,18 @@ class LabeledInstance(LayeredInstance):
     def in_degree(self, v: Vertex) -> int:
         return self.profile.delta_minus[v[0]] if v[0] > 0 else 0
 
+    def n_edges_into(self, i: int) -> int:
+        """|layer i| * delta_i^-, no edge enumerated."""
+        return self._sizes[i] * self.profile.delta_minus[i]
+
     @property
     def n_edges(self) -> int:
-        """Sum over layers i of |layer i| * delta_i^-, no edge enumerated."""
-        return sum(self._sizes[i] * self.profile.delta_minus[i] for i in range(1, self.ell + 1))
+        return sum(map(self.n_edges_into, range(1, self.ell + 1)))
+
+    def first_edges(self) -> list[Edge]:
+        """The first edge into each layer: the rank-0 labels are the lowest
+        bits, so the first vertices of adjacent layers nest."""
+        return [((i - 1, 0), (i, 0)) for i in range(1, self.ell + 1)]
 
     def _adjacent(self, v: Vertex, j: int) -> list[Vertex]:
         """v's neighbours in the adjacent layer j, in rank order: the labels
@@ -475,38 +483,36 @@ class ClassSums:
     respects (:class:`LabelCells` or :class:`SingleVertices`).  An edge's
     class is the pair of its end classes, evaluated by ``value`` at its
     representative edge, and a vertex's sums add each neighbour class
-    times its count.  ``values`` keeps every class pair evaluated so far.
+    times its count, unless ``sums`` gives a class's sums another way.
+    ``values`` keeps every class pair evaluated so far.
     """
 
-    def __init__(self, part, value):
+    def __init__(self, part, value, sums=None):
         self.part = part
         self.value = value
         self.values: dict[tuple, Fraction] = {}
-        self._sums: dict = {}
+        self.class_sums = cache(sums or self.class_sums)    # one (in, out) per class
 
-    def _value(self, tail, head) -> Fraction:
+    def pair(self, tail, head) -> Fraction:
         p = self.values.get((tail, head))
         if p is None:
             p = self.values[tail, head] = self.value((self.part.rep(tail), self.part.rep(head)))
         return p
 
     def edge(self, e: Edge) -> Fraction:
-        return self._value(self.part.key(e[0]), self.part.key(e[1]))
+        return self.pair(self.part.key(e[0]), self.part.key(e[1]))
 
     def class_sums(self, cls) -> tuple[Fraction, Fraction]:
         """(sum over the in-edges, sum over the out-edges) of a vertex in cls."""
-        sums = self._sums.get(cls)
-        if sums is None:
-            i = cls[0]                  # the layer, in either kind of class
-            ins = outs = Fraction(0)
-            if i > 0:
-                ins = _weighted_sum((n, self._value(c, cls))
-                                    for c, n in self.part.neighbours(cls, i - 1))
-            if i < self.part.inst.ell:
-                outs = _weighted_sum((n, self._value(cls, c))
-                                     for c, n in self.part.neighbours(cls, i + 1))
-            sums = self._sums[cls] = (ins, outs)
-        return sums
+        i = cls[0]                      # the layer, in either kind of class
+        ins = outs = Fraction(0)
+        if i > 0:
+            ins = _weighted_sum((n, self.pair(c, cls))
+                                for c, n in self.part.neighbours(cls, i - 1))
+        if i < self.part.inst.ell:
+            outs = _weighted_sum((n, self.pair(cls, c))
+                                 for c, n in self.part.neighbours(cls, i + 1))
+        return ins, outs
 
     def vertex(self, v: Vertex) -> tuple[Fraction, Fraction]:
         """(sum over the in-edges, sum over the out-edges) of v."""

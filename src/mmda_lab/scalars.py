@@ -331,12 +331,11 @@ def _log2_interval_cached(q: Fraction, prec: int) -> Interval:
     _, a_hi2 = _atanh_ratios(*_round_ratio(a - b, a + b, prec + 16, True), prec)
     l2_lo, l2_hi = _ln2_bounds(prec)
     # log2(q) = e + 2*atanh(z)/ln2, the fraction being >= 0, rounded once;
-    # end is monotone, so the larger atanh bound gives the larger prec-bit end
+    # end grows with atanh(z), so the larger upper atanh bound gives the upper end
     def end(at, l2, up):
         den = at[1] * l2.numerator
         return _round_ratio(e * den + 2 * at[0] * l2.denominator, den, prec, up)
-    return _iv(end(a_lo, l2_hi, False),
-               max(end(a_hi, l2_lo, True), end(a_hi2, l2_lo, True), key=_by_value), prec)
+    return _iv(end(a_lo, l2_hi, False), end(max(a_hi, a_hi2, key=_by_value), l2_lo, True), prec)
 
 
 _EXP_GUARD_BITS = 60  # bits the fixed-point exp sum carries below its tolerance

@@ -73,6 +73,7 @@ class ShadowModel:
         self._fractions: dict = {}          # base value -> its one Fraction
         self._absent: dict = {}                 # pair_absent, by orbit if symmetric
         self._cells: dict = {}                  # e2 of pair_absent -> its label cells
+        self._tables: dict = {}         # pair_absent(., e1) sums by orbit of e1; None: marginals
 
     # --- plumbing ---------------------------------------------------------
     def x_of(self, e: Edge) -> Fraction:
@@ -161,12 +162,6 @@ class ShadowModel:
         s = self.pair_absent(event.edge, event.edge)
         return 1 - s if event.positive else s
 
-    def joint_probability(self, e: Edge, event: "ConditionEvent") -> Fraction:
-        """P[e in A and event], by inclusion-exclusion over ``pair_absent``."""
-        if event.positive:
-            return self.pair_probability(e, event.edge)
-        return self.pair_absent(event.edge, event.edge) - self.pair_absent(e, event.edge)
-
     def _given(self, event: "ConditionEvent") -> Fraction:
         """P[event], the divisor of a conditional value; a null event raises."""
         p = self.event_probability(event)
@@ -175,7 +170,10 @@ class ShadowModel:
         return p
 
     def conditional_probability(self, e: Edge, event: "ConditionEvent") -> Fraction:
-        return self.joint_probability(e, event) / self._given(event)
+        """P[e in A | event], by inclusion-exclusion over ``pair_absent``:
+        P[e in A, e1 not in A] is P[e1 not in A] - P[e, e1 not in A]."""
+        joint = self.pair_absent(event.edge, event.edge) - self.pair_absent(e, event.edge)
+        return (self.marginal(e) - joint if event.positive else joint) / self._given(event)
 
     def expected_multiplicity(self, e: Edge,
                               event: "ConditionEvent | None" = None) -> Fraction:
@@ -229,9 +227,8 @@ def support_entries(inst: LabeledInstance) -> int:
     delta_1^+ edges out of its head and the delta_2^+ edges out of each of
     those; one into layer 2 itself and the delta_2^+ edges out of its head;
     a deeper one only itself."""
-    into = [inst.layer_size(i) * inst.profile.delta_minus[i] for i in (1, 2)]
-    dp = inst.profile.delta_plus
-    return inst.n_edges + into[0] * dp[1] * (1 + dp[2]) + into[1] * dp[2]
+    dp, into = inst.profile.delta_plus, inst.n_edges_into
+    return inst.n_edges + into(1) * dp[1] * (1 + dp[2]) + into(2) * dp[2]
 
 
 def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
@@ -240,13 +237,35 @@ def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
 
 def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> ClassSums:
     """Joint edge probabilities P[e in A and event] and their vertex in/out
-    sums under one event (None: the marginals); dividing by P[event] gives
-    the conditional ones.  A symmetric model's values are constant on the
-    label cells of the event edge (Gatermann & Parrilo 2004); other models
-    walk every vertex."""
+    sums under one event (None: the marginals), over the label cells of the
+    event edge e1 on a symmetric model (Gatermann & Parrilo 2004), else over
+    single vertices.  With s1 = P[e1 not in A] and a(e) = pair_absent(e, e1),
+    a joint value is marginal(e) - s1 + a(e) under a positive event and
+    s1 - a(e) under a negative one: a vertex's sums come from its marginal
+    sums, its degrees and its sums of a, kept once per orbit of e1 for both
+    signs (its layer on a symmetric model: S_m maps the cells of one edge of
+    a layer onto another's, class keys kept)."""
+    tables = model._tables
+    if None not in tables:
+        tables[None] = ClassSums(model._partition(), model.marginal)
     if event is None:
-        return ClassSums(model._partition(), model.marginal)
-    return ClassSums(model._partition(event.edge), lambda e: model.joint_probability(e, event))
+        return tables[None]
+    e1, inst, part = event.edge, model.inst, model._partition(event.edge)
+    key = e1[1][0] if model.symmetric else e1
+    if key not in tables:
+        tables[key] = ClassSums(part, lambda e: model.pair_absent(e, e1))
+    marginals, absent, s1 = tables[None], tables[key], model.survival(e1)
+
+    def joint(marginal, a, n):          # the joint sum of n edges
+        d = a - s1 * n
+        return marginal + d if event.positive else -d
+
+    def sums(cls):
+        v = part.rep(cls)
+        return tuple(map(joint, marginals.vertex(v), absent.class_sums(cls),
+                         (inst.in_degree(v), inst.out_degree(v))))
+    return ClassSums(part, lambda e: joint(model.marginal(e), absent.pair(*map(part.key, e)), 1),
+                     sums)
 
 
 def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> MomentReport:
@@ -254,9 +273,8 @@ def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> Mome
     vertex's conditional out-sum (non-sinks) and in-sum (non-sources)."""
     inst = model.inst
     p = 1 if event is None else model._given(event)
-    marginals = _event_moments(model, None)
-    moments = marginals if event is None else _event_moments(model, event)
-    marg = {e: marginals.edge(e) for e in inst.all_edges()}
+    moments = _event_moments(model, event)
+    marg = {e: model.marginal(e) for e in inst.all_edges()}
     cond = {e: moments.edge(e) / p for e in marg}
     v_out = {v: moments.vertex(v)[1] / p for i in range(inst.ell) for v in inst.vertices(i)}
     v_in = {v: moments.vertex(v)[0] / p
@@ -285,30 +303,41 @@ def sa1_certificate(model: ShadowModel, covering_slack_floor,
     floor and all conditional in-degrees stay below the ceiling.  Both are
     read off the joint sums: P[ev] cancels from a slack once the source's
     in-flow is P[ev], and divides each event's largest in-flow once.
+
+    ``events=None`` is every edge with both signs; on a symmetric model the
+    first edge into each layer stands for, and is counted as, each edge into it.
     """
     inst = model.inst
     floor = Fraction(covering_slack_floor)
     ceiling = Fraction(packing_ceiling)
+    per_edge = events is None and model.symmetric
     if events is None:
-        events = [ConditionEvent(e, sign) for e in inst.all_edges() for sign in (True, False)]
+        edges = inst.first_edges() if per_edge else inst.all_edges()
+        events = [ConditionEvent(e, sign) for e in edges for sign in (True, False)]
     rep = ViolationReport()
     min_cov = None
     max_pack = None
     worst_cov = worst_pack = None
     skipped = checked = 0
+    # an event of an orbit met before (on a symmetric model, its layer and
+    # sign: S_m maps those events onto each other), like a vertex of a class
+    # met before, repeats its values, so the strict comparisons below, which
+    # keep the first event and vertex in order to reach an extreme, skip it
+    evaluated = set()
     for ev in events:
+        n = inst.n_edges_into(ev.edge[1][0]) if per_edge else 1
         p = model.event_probability(ev)
         if p == 0:
-            skipped += 1
+            skipped += n
             continue
-        checked += 1
+        checked += n
+        orbit = (ev.edge[1][0], ev.positive) if model.symmetric else ev
+        if orbit in evaluated:
+            continue
+        evaluated.add(orbit)
         moments = _event_moments(model, ev)
         top = None                      # the event's largest in-flow, first in order
         for i in range(inst.ell + 1):
-            # a vertex of a class met before has the same slack and packing,
-            # so the strict comparisons below, which keep the first vertex
-            # in (layer, rank) order to reach an extreme, need only the
-            # first vertex of each class
             for v, (inflow, out) in moments.first_vertices(i):
                 if v == inst.source:
                     inflow = p

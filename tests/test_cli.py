@@ -97,16 +97,15 @@ class TestCommands:
         assert data["checked_subtrees"] is True and data["subtree_failures"] == 0
 
     def test_first_edges_are_the_first_in_neighbours(self):
-        from mmda_lab.cli import _first_edges
         from mmda_lab.instances import LabeledInstance, make_params
         for m, eps in ((4, 1), (8, 1), (12, 1), (16, Fraction(1, 2)), (32, Fraction(1, 8))):
             inst = LabeledInstance(make_params(m, Fraction(1, 4), epsilon=eps))
-            assert _first_edges(inst) == [next(iter(inst.edges_into_layer(i)))
+            assert inst.first_edges() == [next(iter(inst.edges_into_layer(i)))
                                           for i in range(1, inst.ell + 1)]
         inst = LabeledInstance(make_params(48, Fraction(1, 4)))
         import time
         start = time.perf_counter()
-        edges = _first_edges(inst)
+        edges = inst.first_edges()
         assert time.perf_counter() - start < 0.01
         assert edges == [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0))]
         for u, v in edges:

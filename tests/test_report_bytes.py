@@ -52,6 +52,9 @@ GOLDEN = [
      "38263d3529d63495b828854fbce1f440a145dbdbcfcea72a6da028febc6087fc"),
     ("sa1-report --m 8", 0,
      "522c893bb7ea26b65101856fc7b2a7c6c7509cb0e6bec68213c6dfa9b8d4bec4"),
+    # every edge with both signs, as one first edge per layer counted per edge
+    ("sa1-report --m 8 --events all", 0,
+     "e0f965b2764c67f4c33e6baf7ead6aae061c92f99b4594ea7c2f0adfbc87ad36"),
     # between m=8 and the m=20 extremes of test_shadow_invariants: sizes at
     # which a bottom edge's triggers fall into far fewer groups
     ("sa1-report --m 12", 0,

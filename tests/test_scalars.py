@@ -488,8 +488,39 @@ def _carry_arguments(prec):
     return out
 
 
+def _log2_two_roundings(q, prec):
+    """log2_interval with the ends of both upper atanh bounds rounded at
+    prec and the larger kept, and whether those two ends differ: rounding
+    only the end of the larger bound must give the same Interval."""
+    e = floor_log2(q)
+    a, b = q.numerator << max(-e, 0), q.denominator << max(e, 0)
+    a_lo, a_hi = scalars._atanh_ratios(*scalars._round_ratio(a - b, a + b, prec + 16, False), prec)
+    _, a_hi2 = scalars._atanh_ratios(*scalars._round_ratio(a - b, a + b, prec + 16, True), prec)
+    l2_lo, l2_hi = _ln2_bounds(prec)
+
+    def end(at, l2, up):
+        den = at[1] * l2.numerator
+        return Fraction(*scalars._round_ratio(e * den + 2 * at[0] * l2.denominator, den, prec, up))
+    hi, hi2 = end(a_hi, l2_lo, True), end(a_hi2, l2_lo, True)
+    return Interval(end(a_lo, l2_hi, False), max(hi, hi2), prec), hi != hi2
+
+
 class TestEndpointIdentity:
     """The integer kernels return the Fractions of the Fraction formulas."""
+
+    @pytest.mark.parametrize("prec", (64, 256, 1024))
+    def test_log2_rounds_the_larger_upper_candidate(self, prec):
+        import random
+        # near 1 the two upper atanh bounds can round to different ends, so
+        # there the choice of the larger one shows
+        rng = random.Random(prec)
+        near_one = [1 + Fraction(rng.randrange(-10 ** 27, 10 ** 27), 10 ** 30) for _ in range(100)]
+        apart = 0
+        for q in _seeded_q(200, prec) + near_one + _EDGES:
+            iv, differ = _log2_two_roundings(q, prec)
+            assert scalars._log2_interval_cached.__wrapped__(q, prec) == iv, q
+            apart += differ
+        assert apart > 0
 
     @pytest.mark.parametrize("prec,qs", [(64, _seeded_q(12, 64) + _EDGES),
                                          (256, _seeded_q(12, 256) + _EDGES),

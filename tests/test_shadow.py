@@ -8,6 +8,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import mmda_lab.shadow as shadow_module
+
 from mmda_lab.instances import (Edge, InstanceError, LayeredInstance, Vertex, build_mmda,
                                 build_subtree_counterexample, make_params)
 from mmda_lab.relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
@@ -1008,6 +1010,46 @@ class TestClassEngine:
                 first.setdefault(walk.vertex_key(v), v)
         assert sorted(first.values()) == [v for i in range(inst8.ell + 1)
                                           for v, _ in moments.first_vertices(i)]
+
+
+def shuffled_orbit_events(inst, rng):
+    """Two or three events on distinct edges for each (layer, sign), in a
+    seeded shuffle after which each layer opens with a negative event: a
+    sweep that keyed its orbits on the layer alone would skip the positive
+    events, where the extremes lie, and one keyed on the edge would
+    evaluate every event."""
+    events = []
+    for i in range(1, inst.ell + 1):
+        edges = list(inst.edges_into_layer(i))
+        for sign in (True, False):
+            events += [ConditionEvent(e, sign) for e in rng.sample(edges, rng.choice((2, 3)))]
+    rng.shuffle(events)
+    for i in range(1, inst.ell + 1):
+        at = [j for j, ev in enumerate(events) if ev.edge[1][0] == i]
+        events.insert(at[0], events.pop(next(j for j in at if not events[j].positive)))
+    return events
+
+
+class TestOrbitSkip:
+    """sa1_certificate evaluates the first event of each (layer, sign) in
+    list order and counts the rest; walk_sa1 evaluates every event."""
+
+    @pytest.mark.parametrize("m,rho,seed", [(8, Fraction(1, 4), 8), (16, Fraction(1, 8), 16)])
+    def test_agrees_with_the_every_event_walk(self, m, rho, seed, monkeypatch):
+        model = shadow_model(build_mmda(make_params(m, rho)))
+        events = shuffled_orbit_events(model.inst, random.Random(seed))
+        evaluated, moments = [], shadow_module._event_moments
+        monkeypatch.setattr(shadow_module, "_event_moments",
+                            lambda model, ev: evaluated.append(ev) or moments(model, ev))
+        res = sa1_certificate(model, Fraction(1, 100), Fraction(8), events=events)
+        first = {}
+        for ev in events:
+            first.setdefault((ev.edge[1][0], ev.positive), ev)
+        assert evaluated == list(first.values())
+        assert (res.events_checked, res.events_skipped) == (len(events), 0)
+        assert (res.min_covering_slack, res.max_packing_sum,
+                res.worst_covering, res.worst_packing) == walk_sa1(model, events)
+        assert res.worst_covering[0].startswith("+") and res.worst_packing[0].startswith("+")
 
 
 class TestBatchedSampler:
