@@ -10,26 +10,22 @@ the gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .instances import ExplicitInstance, SantaView, Vertex
-from .integral import HallWitness, hall_infeasibility
+from .instances import ExplicitInstance, SantaView
+from .integral import hall_infeasibility
 from .reports import ViolationReport, check_ge, check_le
 from .scalars import as_fraction
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
-    player: Vertex | str
-    bundle: frozenset
-    weight: Fraction
+# a player, a frozenset of resources and its Fraction weight
+ConfigEntry = namedtuple("ConfigEntry", "player bundle weight")
 
 
-@dataclass
-class ConfigSolution:
-    entries: list
-    target: Fraction
+class ConfigSolution(namedtuple("ConfigSolution", "entries target")):
+    """Weighted bundles (a list of ConfigEntry) meant to reach ``target``."""
+    __slots__ = ()
 
     def player_weights(self) -> dict:
         out: dict = {}
@@ -85,10 +81,8 @@ def verify_config_solution(inst: ExplicitInstance,
     return rep
 
 
-@dataclass
-class DefeatReport:
-    witnesses: dict           # first-layer vertex -> HallWitness
-    all_infeasible: bool
+# witnesses: first-layer vertex -> HallWitness
+DefeatReport = namedtuple("DefeatReport", "witnesses all_infeasible")
 
 
 def sa1_defeats(inst: ExplicitInstance) -> DefeatReport:

@@ -14,7 +14,7 @@ counterexample, a hand-sized quality-1 example) share the same interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate, combinations, islice, repeat
@@ -84,32 +84,46 @@ def one_bits(mask: int) -> list[int]:
 # parameters and degree profile
 
 
-@dataclass(frozen=True)
 class InstanceParams:
-    m: int
-    rho: Fraction
-    epsilon: Fraction
+    """The parameters (m, rho, epsilon) of a labeled instance, checked on
+    construction; immutable, equal and hashed by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        if not 0 < self.rho <= Fraction(1, 4):
-            raise InstanceError(f"rho={self.rho} outside (0, 1/4]")
-        if not 0 < self.epsilon <= 1:
-            raise InstanceError(f"epsilon={self.epsilon} outside (0, 1]")
-        if self.rho * self.m < 1:
-            raise InstanceError(f"rho*m={self.rho * self.m} below 1")
-        for name, q in (("rho*m", self.rho * self.m),
-                        ("eps*rho*m", self.epsilon * self.rho * self.m),
-                        ("1/eps", 1 / self.epsilon)):
+    def __init__(self, m: int, rho, epsilon):
+        rho, epsilon = Fraction(rho), Fraction(epsilon)
+        if not 0 < rho <= Fraction(1, 4):
+            raise InstanceError(f"rho={rho} outside (0, 1/4]")
+        if not 0 < epsilon <= 1:
+            raise InstanceError(f"epsilon={epsilon} outside (0, 1]")
+        if rho * m < 1:
+            raise InstanceError(f"rho*m={rho * m} below 1")
+        for name, q in (("rho*m", rho * m), ("eps*rho*m", epsilon * rho * m),
+                        ("1/eps", 1 / epsilon)):
             if Fraction(q).denominator != 1:
                 raise InstanceError(f"divisibility violation: {name}={q} not integral")
+        self.__dict__.update(m=m, rho=rho, epsilon=epsilon)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("InstanceParams is immutable")
+
+    def _key(self) -> tuple:
+        return self.m, self.rho, self.epsilon
+
+    def __eq__(self, other):
+        if other.__class__ is not InstanceParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"InstanceParams(m={self.m!r}, rho={self.rho!r}, epsilon={self.epsilon!r})"
 
     def __str__(self) -> str:
         return f"m={self.m}, rho={self.rho}, eps={self.epsilon}"
 
-    # derived sizes, computed once; kept outside the fields, so equality
-    # and the hash do not see them
+    # derived sizes, computed once; kept outside the key, so equality and
+    # the hash do not see them
     @cached_property
     def rho_m(self) -> int:
         return int(self.rho * self.m)
@@ -164,14 +178,10 @@ def make_params(m: int, rho, epsilon=1) -> InstanceParams:
     return InstanceParams(m, rho, epsilon)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-layer degree data: k_i, gamma_i = k_i / delta_i^+, graph degrees."""
-
-    k: tuple[Scalar, ...]             # index 0..ell-1
-    gamma: tuple[Scalar, ...]         # index 0..ell-1
-    delta_plus: tuple[int, ...]       # index 0..ell-1
-    delta_minus: tuple[int, ...]      # index 1..ell (entry 0 unused = 0)
+# Per-layer degree data, tuples indexed by layer: k_i, gamma_i = k_i /
+# delta_i^+ and delta_i^+ over 0..ell-1 (scalars, scalars, ints), and the
+# graph in-degrees delta_i^- over 1..ell (entry 0 unused = 0)
+DegreeProfile = namedtuple("DegreeProfile", "k gamma delta_plus delta_minus")
 
 
 def _gamma_monomials(p: InstanceParams) -> tuple[Monomial, Monomial, Monomial]:
@@ -567,14 +577,9 @@ def build_mmda(params: InstanceParams) -> LabeledInstance:
     return LabeledInstance(params)
 
 
-@dataclass(frozen=True)
-class SantaView:
-    """Max-min allocation translation of a private-block gap instance."""
-
-    players: tuple
-    resources: tuple
-    values: dict        # (player, resource) -> Fraction; missing means 0
-    target: Fraction
+# Max-min allocation translation of a private-block gap instance; values
+# maps (player, resource) to a Fraction, missing means 0
+SantaView = namedtuple("SantaView", "players resources values target")
 
 
 def check_work(at: str, count: int, what: str, bound: int):

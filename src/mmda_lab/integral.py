@@ -5,23 +5,23 @@ sink-accessibility counting certificate that bounds achievable quality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, islice
 from operator import or_
 
 from .instances import InstanceError, InstanceParams, LayeredInstance, Vertex, _steps
-from .scalars import Monomial, Scalar, as_fraction, compare_certified
+from .scalars import Monomial, as_fraction, compare_certified
 
 
 def _ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-@dataclass(frozen=True)
-class IntegralSolution:
-    edges: frozenset
+class IntegralSolution(namedtuple("IntegralSolution", "edges")):
+    """An arborescence as its frozenset of edges."""
+    __slots__ = ()
 
     def out_degree(self, v: Vertex) -> int:
         return sum(1 for e in self.edges if e[0] == v)
@@ -35,9 +35,7 @@ class IntegralSolution:
         return [inst.source] + sorted(ins)
 
 
-@dataclass(frozen=True)
-class SolutionQuality:
-    alpha: Fraction
+SolutionQuality = namedtuple("SolutionQuality", "alpha")
 
 
 def solution_quality(inst: LayeredInstance, sol: IntegralSolution) -> SolutionQuality:
@@ -76,12 +74,7 @@ class _Budget:
         return self.left >= 0
 
 
-@dataclass
-class BruteforceResult:
-    solution: IntegralSolution
-    quality: SolutionQuality
-    complete: bool
-    nodes_used: int
+BruteforceResult = namedtuple("BruteforceResult", "solution quality complete nodes_used")
 
 
 def _feasible(inst: LayeredInstance, q: Fraction, budget: _Budget,
@@ -212,19 +205,14 @@ def bruteforce_best(inst: LayeredInstance, budget: int = 2_000_000) -> Bruteforc
 # counting certificate
 
 
-@dataclass(frozen=True)
-class CertificateVariant:
-    threshold: int
-    t1_size: int
-    t2_size: int
-    alpha_min: Scalar          # every feasible ratio-q solution has 1/q >= this
-    quality_bound: Scalar      # q <= this
+# every feasible ratio-q solution has 1/q >= alpha_min, so q <= quality_bound
+CertificateVariant = namedtuple("CertificateVariant",
+                                "threshold t1_size t2_size alpha_min quality_bound")
 
 
-@dataclass(frozen=True)
-class CountingCertificate:
-    theta: Fraction
-    variants: tuple
+class CountingCertificate(namedtuple("CountingCertificate", "theta variants")):
+    """The threshold fraction theta and a tuple of CertificateVariant."""
+    __slots__ = ()
 
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
@@ -276,12 +264,8 @@ def counting_certificate(p: InstanceParams) -> CountingCertificate:
 # reachable-supply infeasibility
 
 
-@dataclass(frozen=True)
-class HallWitness:
-    infeasible: bool
-    depth: int | None
-    demand: Fraction | None
-    supply: int | None
+# an infeasible subtree's depth, demand and supply; all None when feasible
+HallWitness = namedtuple("HallWitness", "infeasible depth demand supply")
 
 
 def hall_infeasibility(inst: LayeredInstance, root: Vertex,

@@ -11,7 +11,7 @@ taken from the monotone closed-form path counts, so both modes are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
@@ -380,11 +380,7 @@ def lifted_packing(inst: LabeledInstance,
     return rows
 
 
-@dataclass
-class HelperLemmaReport:
-    report: ViolationReport
-    largest_distance: int
-    xi_max: Fraction
+HelperLemmaReport = namedtuple("HelperLemmaReport", "report largest_distance xi_max")
 
 
 def check_helper_lemma(inst: LabeledInstance, xi: Fraction) -> HelperLemmaReport:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -48,9 +47,12 @@ class _CheckRow(dict):
     __slots__ = ("verdict",)
 
 
-@dataclass
 class ViolationReport:
-    checks: list[ConstraintCheck] = field(default_factory=list)
+    """The checks of one verifier, in order."""
+
+    def __init__(self, checks: list[ConstraintCheck] | None = None):
+        self.checks = [] if checks is None else checks
+        self._counted = None
 
     def add(self, check: ConstraintCheck):
         self.checks.append(check)
@@ -66,7 +68,7 @@ class ViolationReport:
     def _counts(self) -> tuple[int, int]:
         # (violations, undecided) in one pass, kept while checks, which are
         # only ever appended, stay the same list of the same length
-        checks, counted = self.checks, getattr(self, "_counted", None)
+        checks, counted = self.checks, self._counted
         if counted is None or counted[0] is not checks or counted[1] != len(checks):
             sat = Counter(map(attrgetter("verdict.satisfied"), checks))
             self._counted = counted = (checks, len(checks), sat[False], sat[None])

@@ -11,27 +11,33 @@ rounds of conditioning while the integral optimum stays at 3*eps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .reports import ViolationReport, check_ge, check_le
 
 
-@dataclass(frozen=True)
 class RAInstance:
-    players: tuple
-    values: dict            # resource -> Fraction
-    eligibility: dict       # player -> frozenset of resources
-    target: Fraction
+    """Players, resource values (resource -> Fraction), eligibility (player
+    -> frozenset of resources) and the target value; immutable."""
+
+    def __init__(self, players: tuple, values: dict, eligibility: dict, target: Fraction):
+        self.__dict__.update(players=players, values=values, eligibility=eligibility,
+                             target=target)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def resources(self):
         return sorted(self.values)
 
 
-@dataclass(frozen=True)
 class MatchingInstance(RAInstance):
-    k: int = 0
-    eps: Fraction = Fraction(0)
+    """The instance of ``build_lower_bound``, with its k and eps."""
+
+    def __init__(self, players, values, eligibility, target, k: int, eps: Fraction):
+        super().__init__(players, values, eligibility, target)
+        self.__dict__.update(k=k, eps=eps)
 
 
 def build_lower_bound(k: int, eps) -> MatchingInstance:
@@ -67,12 +73,7 @@ def integral_optimum(inst: RAInstance):
     return best, best_assign
 
 
-@dataclass
-class MatchingReport:
-    conditioned: tuple
-    per_player: dict
-    min_value: Fraction
-    meets_target: bool
+MatchingReport = namedtuple("MatchingReport", "conditioned per_player min_value meets_target")
 
 
 def verify_matching_distribution(inst: MatchingInstance,
@@ -122,11 +123,15 @@ def ra_instance_to_json(inst: RAInstance) -> dict:
 # canonical instances
 
 
-@dataclass(frozen=True)
 class CanonicalInstance(RAInstance):
-    bigs: frozenset = frozenset()           # resources of value target
-    coupling: dict = field(default_factory=dict)    # orig player -> coupling resource
-    split: dict = field(default_factory=dict)       # orig player -> (small side, big side)
+    """An instance split by ``canonicalize``: ``bigs`` are the resources of
+    value target, ``coupling`` maps each original player to its coupling
+    resource and ``split`` to its (small side, big side)."""
+
+    def __init__(self, players, values, eligibility, target, bigs: frozenset,
+                 coupling: dict, split: dict):
+        super().__init__(players, values, eligibility, target)
+        self.__dict__.update(bigs=bigs, coupling=coupling, split=split)
 
 
 def canonicalize(inst: RAInstance, alpha, T) -> CanonicalInstance:
@@ -164,14 +169,12 @@ def canonicalize(inst: RAInstance, alpha, T) -> CanonicalInstance:
 # lifted witnesses and the four-constraint LP
 
 
-@dataclass
-class SAWitness:
+class SAWitness(namedtuple("SAWitness", "singles pairs")):
     """One-round lifted values: singles y[(player, resource)] and pair
     values y2[(player, small resource)] joint with the player's single
     big resource."""
 
-    singles: dict
-    pairs: dict
+    __slots__ = ()
 
     def validate(self, canon: CanonicalInstance):
         for key, v in self.singles.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .instances import InstanceError, LabeledInstance, LayeredInstance
@@ -60,12 +60,8 @@ def _path_key(path: tuple) -> str:
     return ">".join(f"{v[0]}.{v[1]}" for v in path)
 
 
-@dataclass
-class SampledPathForest:
-    paths: list            # vertex tuples, all starting at the source
-    seed: int
-    truncated: bool
-    inst: LayeredInstance
+# paths: vertex tuples, all starting at the source
+SampledPathForest = namedtuple("SampledPathForest", "paths seed truncated inst")
 
 
 def expected_forest_paths(inst: LabeledInstance) -> int:
@@ -106,15 +102,14 @@ def sample_forest(inst: LabeledInstance, seed: int,
     return SampledPathForest(paths, seed, truncated, inst)
 
 
-@dataclass
-class LocalityAudit:
-    radius: int
-    congestion_bound: float
-    children: list          # (path, count, k_p) for non-sink-ending paths
-    children_violations: list
-    congestion: dict        # (path, vertex) -> count within radius
-    congestion_violations: list
-    max_congestion: int
+class LocalityAudit(namedtuple("LocalityAudit", "radius congestion_bound children "
+                               "children_violations congestion congestion_violations "
+                               "max_congestion")):
+    """``children`` holds (path, count, k_p) for each path ending at a
+    non-sink, ``congestion`` maps (path, vertex) to its count within the
+    radius, and each ``*_violations`` lists the entries over their bound."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

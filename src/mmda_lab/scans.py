@@ -9,7 +9,7 @@ rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import (DEFAULT_PRECISION, Interval, entropy_interval, iv_add,
@@ -114,23 +114,17 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    x: Fraction
-    sign: int | None          # -1 / 0 / +1, None when undecided at the cap
-    satisfied: bool | None
-    precision: int
+# sign: -1 / 0 / +1, and sign and satisfied None when undecided at the cap
+ScanPoint = namedtuple("ScanPoint", "x sign satisfied precision")
 
 
-@dataclass
-class SignReport:
-    name: str
-    required: str
-    points: list
-    certified_lo: Fraction | None
-    certified_hi: Fraction | None
-    delta: Fraction | None      # anchored margin for boundary scans
-    undecided: int
+class SignReport(namedtuple("SignReport", "name required points certified_lo "
+                            "certified_hi delta undecided")):
+    """A scan's points and its chosen satisfying run [certified_lo,
+    certified_hi], None when there is none: the run at the anchored end of
+    a boundary scan, whose margin is ``delta``, else the longest."""
+
+    __slots__ = ()
 
     @property
     def all_satisfied(self) -> bool:

@@ -13,11 +13,9 @@ cross-check the engine, not the other way round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .instances import (ClassSums, Edge, InstanceError, LabelCells, LabeledInstance,
                         LayeredInstance, SingleVertices)
@@ -197,23 +195,16 @@ class ShadowModel:
         return total / denom
 
 
-@dataclass(frozen=True)
-class ConditionEvent:
-    edge: Edge
-    positive: bool
+class ConditionEvent(namedtuple("ConditionEvent", "edge positive")):
+    """The event that ``edge`` is in the active set (``positive``) or not."""
+    __slots__ = ()
 
     def label(self) -> str:
         sign = "+" if self.positive else "-"
         return f"{sign}{self.edge[0][0]}.{self.edge[0][1]}>{self.edge[1][0]}.{self.edge[1][1]}"
 
 
-@dataclass
-class MomentReport:
-    event: ConditionEvent | None
-    marginals: dict
-    conditional: dict
-    vertex_out: dict
-    vertex_in: dict
+MomentReport = namedtuple("MomentReport", "event marginals conditional vertex_out vertex_in")
 
 
 def shadow_model(inst: LabeledInstance) -> ShadowModel:
@@ -282,16 +273,8 @@ def conditional_report(model: ShadowModel, event: ConditionEvent | None) -> Mome
     return MomentReport(event, marg, cond, v_out, v_in)
 
 
-@dataclass
-class SA1Report:
-    events_checked: int
-    events_skipped: int
-    min_covering_slack: Fraction | None
-    max_packing_sum: Fraction | None
-    worst_covering: tuple | None
-    worst_packing: tuple | None
-    passed: bool
-    report: ViolationReport
+SA1Report = namedtuple("SA1Report", "events_checked events_skipped min_covering_slack "
+                       "max_packing_sum worst_covering worst_packing passed report")
 
 
 def sa1_certificate(model: ShadowModel, covering_slack_floor,
@@ -387,6 +370,7 @@ class _SupportArrays:
     triggers are one contiguous stretch of its stream."""
 
     def __init__(self, model: ShadowModel):
+        import numpy as np      # only the sampler needs numpy, so only it loads it
         self.edges = list(model.inst.all_edges())
         self.index = {e: i for i, e in enumerate(self.edges)}
         self.thresholds = np.array([float(model.x_of(e)) for e in self.edges])
@@ -419,6 +403,7 @@ class _SupportArrays:
         one ``random`` call per stretch of ``Philox(key=[seed, i])`` yields,
         however the samples are grouped (Salmon et al., SC 2011).
         """
+        import numpy as np
         n, b = len(self.edges), stop - start
         bitgen = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
@@ -464,16 +449,13 @@ def _deviation(got: float, p: float, n: int) -> float:
     return dev / se
 
 
-@dataclass
-class EmpiricalReport:
-    n_samples: int
-    seed: int
-    rounds: int
-    counts: dict               # edge -> activations (as sets)
-    mult_sums: dict            # edge -> total multiplicity
-    event_counts: dict         # event label -> occurrences
-    event_joint: dict          # (event label, edge) -> joint activations
-    edges: list
+class EmpiricalReport(namedtuple("EmpiricalReport", "n_samples seed rounds counts "
+                                 "mult_sums event_counts event_joint edges")):
+    """Tallies of ``sample``: per edge its activations (as sets, ``counts``)
+    and total multiplicity, per event label its occurrences, and per (event
+    label, edge) their joint activations."""
+
+    __slots__ = ()
 
     def marginal(self, e: Edge) -> float:
         return self.counts[e] / self.n_samples
@@ -510,6 +492,7 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     step (exploratory only; the exact engine covers rounds=1).
     """
     check_seed(seed)
+    import numpy as np
     arrays = model._support_arrays
     edges, index = arrays.edges, arrays.index
     events = events or []

@@ -482,6 +482,58 @@ class TestRejectedInputs:
         assert done.returncode == EXIT_PASS and done.stderr == ""
 
 
+# every labeled command at parameters on and past the edges of their ranges,
+# and the explicit kinds and appendix commands at the smallest k
+BOUNDARY_CALLS = (
+    [[cmd, "--m", m, "--rho", rho, "--eps", eps]
+     for cmd in ("build", "bruteforce", *MMDA_ONLY_COMMANDS)
+     for m in ("0", "-4", "4", "5", "8")
+     for rho in ("0", "-1/4", "1/3", "1/4", "1/8")
+     for eps in ("0", "1/2", "3")]
+    + [[cmd, "--kind", kind, "--k", k] for cmd in ("build", "bruteforce")
+       for kind in ("config-gap", "subtree-cex") for k in ("-1", "0", "1", "2")]
+    + [[cmd, "--k", k] for cmd in ("appendixb", "appendixc") for k in ("-1", "0", "1", "2")])
+
+
+def _holds_record(obj) -> bool:
+    """Whether a payload holds a named tuple, which the writer would
+    silently turn into a list."""
+    if hasattr(type(obj), "_fields"):
+        return True
+    if isinstance(obj, dict):
+        return any(map(_holds_record, obj)) or any(map(_holds_record, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(_holds_record, obj))
+
+
+def test_boundary_calls_end_in_a_known_code(tmp_path, capsys, monkeypatch):
+    # in one seeded order, so that calls of different commands interleave
+    import random
+
+    from mmda_lab import cli
+    write = cli._dumps
+
+    def checked(obj):
+        assert not _holds_record(obj)
+        return write(obj)
+    monkeypatch.setattr(cli, "_dumps", checked)
+    calls = list(BOUNDARY_CALLS)
+    random.Random(8).shuffle(calls)
+    out = tmp_path / "report.json"
+    codes = []
+    for argv in calls:
+        out.unlink(missing_ok=True)
+        code = main([*argv, "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code in (EXIT_PASS, EXIT_USAGE, EXIT_UNDECIDED, EXIT_FAIL), argv
+        if code == EXIT_USAGE:
+            assert not out.exists(), argv
+        else:
+            assert json.loads(out.read_text())["command"] == argv[0]
+        codes.append(code)
+    # the one valid labeled instance, m=8, rho=1/4, eps=1/2, and k=2
+    assert len(codes) == 699 and codes.count(EXIT_USAGE) == 687
+
+
 LABELED_OPTIONS = ["--eps", "--m", "--rho"]
 EXPLICIT_OPTIONS = ["--instance-file", "--k", "--kind"]
 COMMON = ["--out"]

@@ -87,6 +87,18 @@ GOLDEN = [
      "6ce52b7c346c26180542b27df84ef974524ff1ae38f02a943573701108a199cd"),
     ("count-paths --m 8 --eps 1/2 --samples 100 --seed 5", 0,
      "c2dfe67e02ea24a740bcf5446fd87dc441da66ab487cf5550f615b073e368cfe"),
+    # the explicit instances and their appendix commands: bundles, Hall
+    # witnesses and an incomplete search, past the defaults
+    ("appendixb --k 5", 0,
+     "95060146933f10fdeb67fa5ab38d665e2f7f34af2f2c6da61c072bc763136509"),
+    ("appendixc --k 5 --budget 2000", 3,
+     "a0053c38119d750f6265c5d0c2cc48acd3ac578e2417d2f76e97b95532e34bb2"),
+    ("build --kind config-gap --k 3", 0,
+     "3e9b5bab2d1befbb7c8ce7ce66cc7b8fa6a815cd21c89bbfe133146d99b5b59a"),
+    ("build --kind subtree-cex --k 4", 0,
+     "6f65a96110eb00a788c5cad59b19223cd25c9da05e42b7bc593221566b0515bf"),
+    ("bruteforce --kind subtree-cex --k 4", 0,
+     "19a35833bf18e113897efed03aa767b3289b86d6527b2f1c8e9880a9e07715ff"),
 ]
 
 
