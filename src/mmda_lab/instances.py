@@ -302,11 +302,6 @@ class LabeledInstance(LayeredInstance):
             self._masks[i][r] = mask
             return r
 
-    def vertex_with_label(self, i: int, mask: int) -> Vertex:
-        if mask >> self.params.m or mask.bit_count() != self.params.label_size(i):
-            raise InstanceError(f"label {mask:#x} does not fit layer {i}")
-        return (i, self._rank(i, mask))
-
     def k_of(self, v: Vertex) -> Scalar:
         if self.is_sink(v):
             raise InstanceError("sinks carry no degree requirement")
@@ -758,6 +753,9 @@ def instance_from_json(data) -> LayeredInstance:
                                     f"of consecutive layers")
             out_adj.setdefault(u, []).append(v)
         k_map = {tuple(v): Fraction(entry["exact"]) for v, entry in data["k"]}
+        for v, k in k_map.items():
+            if k <= 0:
+                raise InstanceError(f"vertex {v} has requirement k={k}; k must be positive")
         if not all(v in k_map for layer in layers[:-1] for v in layer):
             raise InstanceError("a vertex outside the sink layer has no requirement k")
         return ExplicitInstance(layers, out_adj, k_map)

@@ -26,9 +26,6 @@ class IntegralSolution(namedtuple("IntegralSolution", "edges")):
     def out_degree(self, v: Vertex) -> int:
         return sum(1 for e in self.edges if e[0] == v)
 
-    def in_degree(self, v: Vertex) -> int:
-        return sum(1 for e in self.edges if e[1] == v)
-
     def selected_vertices(self, inst: LayeredInstance) -> list[Vertex]:
         """Source plus every vertex with in-degree one."""
         ins = {e[1] for e in self.edges}

@@ -44,17 +44,6 @@ class LayerSolution:
         return self.layer_values[e[1][0]]
 
 
-class SparseSolution:
-    """Edge values from a table; absent edges carry zero."""
-
-    def __init__(self, inst: LayeredInstance, table: dict[Edge, Fraction]):
-        self.inst = inst
-        self.table = table
-
-    def value(self, e: Edge) -> Scalar:
-        return self.table.get(e, Fraction(0))
-
-
 def assignment_solution(inst: LabeledInstance) -> LayerSolution:
     """x_e = gamma_{i-1} * prod_{j<i} (gamma_{j-1} delta_j^-) on layer i."""
     prof = inst.profile

@@ -22,16 +22,8 @@ class ConstraintCheck(namedtuple("ConstraintCheck", "constraint_id verdict")):
     """A constraint id and its verdict, which checks of equal operands share."""
     __slots__ = ()
 
-    def __new__(cls, constraint_id: str, kind: str, lhs: Scalar, rhs: Scalar,
-                satisfied: bool | None, certified: bool, factor: Scalar | None = None):
-        return tuple.__new__(cls, (constraint_id, Verdict(kind, lhs, rhs, satisfied,
-                                                          certified, factor)))
-
     kind, lhs, rhs, satisfied, certified, factor = (
         property(attrgetter("verdict." + name)) for name in Verdict._fields)
-
-    def to_json(self) -> dict:
-        return {"constraint_id": self.constraint_id, **_verdict_json(self.verdict, scalar_to_json)}
 
 
 def _verdict_json(v: Verdict, encode) -> dict:
@@ -56,14 +48,6 @@ class ViolationReport:
 
     def add(self, check: ConstraintCheck):
         self.checks.append(check)
-
-    @property
-    def violations(self) -> list[ConstraintCheck]:
-        return [c for c in self.checks if c.satisfied is False]
-
-    @property
-    def undecided(self) -> list[ConstraintCheck]:
-        return [c for c in self.checks if c.satisfied is None]
 
     def _counts(self) -> tuple[int, int]:
         # (violations, undecided) in one pass, kept while checks, which are

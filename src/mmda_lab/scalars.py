@@ -134,22 +134,10 @@ class Interval:
             self._hi = Fraction(*self._h)
             return self._hi
 
-    @property
-    def prec(self) -> int:
-        return self._prec
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def sign(self) -> int | None:
         """-1, 0, +1 when certified, None when the enclosure straddles 0."""
         lo, hi = self._l[0], self._h[0]  # the sign of each end's numerator
         return -1 if hi < 0 else 1 if lo > 0 else 0 if lo == 0 == hi else None
-
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
 
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
@@ -400,10 +388,9 @@ def _exp2_end(x: Fraction, prec: int, up: bool) -> Fraction:
     return _exp_bounds(arg, prec)[up] * (Fraction(1 << n) if n >= 0 else Fraction(1, 1 << -n))
 
 
-def exp2_interval(x: Interval, prec: int | None = None) -> Interval:
-    p = prec or x.prec
-    lo, hi = _exp2_end(x.lo, p, False), _exp2_end(x.hi, p, True)
-    return _outward(lo.numerator, lo.denominator, hi.numerator, hi.denominator, p)
+def exp2_interval(x: Interval, prec: int) -> Interval:
+    lo, hi = _exp2_end(x.lo, prec, False), _exp2_end(x.hi, prec, True)
+    return _outward(lo.numerator, lo.denominator, hi.numerator, hi.denominator, prec)
 
 
 def entropy_interval(x: Fraction, prec: int = DEFAULT_PRECISION) -> Interval:

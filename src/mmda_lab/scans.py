@@ -170,7 +170,7 @@ def scan_proof_function(name: str, lo, hi, resolution: int,
         if hi > lo else [lo] * 1
     points = []
     for x in grid:
-        p = DEFAULT_PRECISION
+        p = min(DEFAULT_PRECISION, cap)
         while True:
             try:
                 iv = fn(x, p, rho, eps)

@@ -222,10 +222,6 @@ def support_entries(inst: LabeledInstance) -> int:
     return inst.n_edges + into(1) * dp[1] * (1 + dp[2]) + into(2) * dp[2]
 
 
-def independent_model(inst: LayeredInstance, x=None) -> ShadowModel:
-    return ShadowModel(inst, x or assignment_solution(inst), IndependentFamily(inst))
-
-
 def _event_moments(model: ShadowModel, event: ConditionEvent | None) -> ClassSums:
     """Joint edge probabilities P[e in A and event] and their vertex in/out
     sums under one event (None: the marginals), over the label cells of the
@@ -441,19 +437,11 @@ class _SupportArrays:
         return shadow, pos, hit, active
 
 
-def _deviation(got: float, p: float, n: int) -> float:
-    dev = abs(got - p)
-    se = math.sqrt(p * (1 - p) / n)
-    if se == 0:
-        return math.inf if dev else 0.0
-    return dev / se
-
-
 class EmpiricalReport(namedtuple("EmpiricalReport", "n_samples seed rounds counts "
-                                 "mult_sums event_counts event_joint edges")):
-    """Tallies of ``sample``: per edge its activations (as sets, ``counts``)
-    and total multiplicity, per event label its occurrences, and per (event
-    label, edge) their joint activations."""
+                                 "event_counts event_joint edges")):
+    """Tallies of ``sample``: per edge its activations (as sets, ``counts``),
+    per event label its occurrences, and per (event label, edge) their joint
+    activations."""
 
     __slots__ = ()
 
@@ -464,22 +452,11 @@ class EmpiricalReport(namedtuple("EmpiricalReport", "n_samples seed rounds count
         """|empirical - p| in standard errors of the exact marginal p,
         sqrt(p (1 - p) / n).  Where p is 0 or 1 that error is 0, and any
         mismatch is an infinite deviation."""
-        return _deviation(self.marginal(e), p, self.n_samples)
-
-    def conditional(self, ev_label: str, e: Edge) -> float | None:
-        n = self.event_counts.get(ev_label, 0)
-        if n == 0:
-            return None
-        return self.event_joint.get((ev_label, e), 0) / n
-
-    def conditional_deviation(self, ev_label: str, e: Edge, p: float) -> float | None:
-        """As ``marginal_deviation``, for e given the event, over the event's
-        occurrences; None when the event never occurred."""
-        n = self.event_counts.get(ev_label, 0)
-        return _deviation(self.conditional(ev_label, e), p, n) if n else None
-
-    def mean_multiplicity(self, e: Edge) -> float:
-        return self.mult_sums[e] / self.n_samples
+        dev = abs(self.marginal(e) - p)
+        se = math.sqrt(p * (1 - p) / self.n_samples)
+        if se == 0:
+            return math.inf if dev else 0.0
+        return dev / se
 
 
 def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
@@ -500,14 +477,12 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     ev_edges = np.array([index[ev.edge] for ev in events], dtype=np.int64)
     ev_signs = np.array([ev.positive for ev in events], dtype=bool)
     counts = np.zeros(len(edges), dtype=np.int64)
-    mult_sums = np.zeros(len(edges), dtype=np.int64)
     ev_counts = np.zeros(len(events), dtype=np.int64)
     event_joint = np.zeros((len(events), len(edges)), dtype=np.int64)
     for start in range(0, n_samples, arrays.block):
         stop = min(start + arrays.block, n_samples)
-        _, pos, hit, present = arrays.draw(seed, start, stop, rounds)
+        *_, present = arrays.draw(seed, start, stop, rounds)
         counts += present.sum(axis=0)
-        mult_sums += np.bincount(arrays.indices[pos[hit]], minlength=len(edges))
         happened = present[:, ev_edges] == ev_signs
         ev_counts += happened.sum(axis=0)
         event_joint += happened.T.astype(np.int64) @ present
@@ -521,5 +496,4 @@ def sample(model: ShadowModel, seed: int, n_samples: int, rounds: int = 1,
     return EmpiricalReport(
         n_samples, seed, rounds,
         {e: int(c) for e, c in zip(edges, counts)},
-        {e: int(c) for e, c in zip(edges, mult_sums)},
         event_counts, joint, edges)

@@ -7,6 +7,12 @@ from mmda_lab.relaxations import SubtreeFamily, assignment_solution
 from mmda_lab.shadow import shadow_model
 
 
+def checks_where(rep, satisfied):
+    """The checks of a report with that verdict: False for its violations,
+    None for its undecided checks."""
+    return [c for c in rep.checks if c.satisfied is satisfied]
+
+
 @pytest.fixture(scope="session")
 def inst4():
     return build_mmda(make_params(4, Fraction(1, 4)))

@@ -158,6 +158,23 @@ class TestCommands:
         assert main(["bruteforce", "--m", "4", "--out", str(by_flags)]) == EXIT_PASS
         assert by_file.read_bytes() == by_flags.read_bytes()
 
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    @pytest.mark.parametrize("command", ["build", "bruteforce"])
+    def test_instance_file_rejects_a_requirement_below_one(self, tmp_path, capsys,
+                                                           command, k):
+        # -1 gave bruteforce quality -1 and exit 0; 0 a bare "Fraction(1, 0)"
+        built, out = tmp_path / "example.json", tmp_path / "report.json"
+        assert main(["build", "--kind", "example", "--out", str(built)]) == EXIT_PASS
+        data = json.loads(built.read_text())
+        vertex, requirement = data["instance"]["k"][0]
+        requirement["exact"] = k
+        built.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([command, "--instance-file", str(built), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: vertex {tuple(vertex)} has requirement "
+                                           f"k={k}; k must be positive\n")
+        assert not out.exists()
+
     def test_instance_file_is_refused_by_the_edge_bound(self, tmp_path, capsys):
         # the file builds the lazy m=40 instance; bruteforce counts its edges
         # in closed form and refuses it before any vertex is walked
@@ -435,8 +452,9 @@ class TestRejectedInputs:
         assert err == "error: f_packing is undefined at x=1: Fraction(1, 0)\n"
 
     def test_precision_cap_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
-        # no command reaches the cap at m <= 32, so the scan handler is made to
-        # compare two irrationals about 2**-100 apart: undecided at 64 bits
+        # the raise route (a scan point undecided at the cap is the other one):
+        # the scan handler is made to compare two irrationals about 2**-100
+        # apart, which raises PrecisionCapExceeded at 64 bits
         from mmda_lab import cli
         from mmda_lab.scalars import LT, Monomial, compare_certified, precision_cap
         a, b = Monomial({2: Fraction(1, 2)}), Monomial({2: Fraction(1, 2) + Fraction(1, 10 ** 30)})
@@ -455,6 +473,32 @@ class TestRejectedInputs:
         assert code == EXIT_UNDECIDED
         assert err == "error: comparison undecided at 64 bits\n" and stdout == ""
         assert not out.exists()
+
+    # f1_appendix is 0 at 2 and about -3e-78 at 2 + 10^-80: its sign needs 512 bits
+    NEAR_TWO = ["scan", "--fn", "f1_appendix", "--lo", "2",
+                "--hi", f"{2 * 10 ** 80 + 1}/{10 ** 80}", "--points", "2"]
+
+    @pytest.mark.parametrize("cap,code,undecided,precisions", [
+        (None, EXIT_PASS, 0, [256, 512]),
+        ("256", EXIT_UNDECIDED, 1, [256, 256]),
+        ("64", EXIT_UNDECIDED, 1, [64, 64])])
+    def test_scan_point_undecided_at_the_cap(self, tmp_path, monkeypatch, cap, code,
+                                             undecided, precisions):
+        # a real call, no handler replaced: the ladder starts at the cap when
+        # the cap is below 256, and a point still straddling 0 is undecided
+        from mmda_lab.scalars import precision_cap
+        if cap is not None:
+            monkeypatch.setenv("MMDA_LAB_PRECISION_CAP", cap)
+        precision_cap.cache_clear()
+        try:
+            got, data, _ = run(tmp_path, *self.NEAR_TWO)
+        finally:
+            precision_cap.cache_clear()
+        assert got == code
+        assert data["status"] == ("pass" if code == EXIT_PASS else "undecided")
+        assert data["undecided"] == undecided
+        assert [p["precision"] for p in data["points"]] == precisions
+        assert [p["sign"] for p in data["points"]] == [0, -1 if code == EXIT_PASS else None]
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-5", "63", "1.5e3"])
     def test_bad_precision_cap_is_a_usage_error(self, cap):
@@ -691,8 +735,8 @@ def same_as_json(obj):
 def _random_report(rng):
     """A report whose checks repeat verdicts (memo hits, vacuous rows, the
     same check twice) and also hold equal verdicts as distinct objects."""
-    from mmda_lab.reports import (ConstraintCheck, ViolationReport, check_eq, check_ge,
-                                  check_le, vacuous)
+    from mmda_lab.reports import (ConstraintCheck, Verdict, ViolationReport, check_eq,
+                                  check_ge, check_le, vacuous)
     from mmda_lab.scalars import Interval, Monomial, as_scalar
     operands = [0, 1, Fraction(1, 3), Fraction(7, 2), Monomial({2: Fraction(1, 2)}),
                 Monomial({3: Fraction(-1, 3)}), Interval(Fraction(1), Fraction(2)),
@@ -707,9 +751,9 @@ def _random_report(rng):
         elif pick == 1:
             check = rng.choice([check_le, check_ge, check_eq])(cid, lhs, rhs)
         elif pick == 2:
-            check = ConstraintCheck(cid, "bounds", as_scalar(lhs), as_scalar(rhs),
-                                    rng.choice([True, False, None]), rng.random() < 0.5,
-                                    rng.choice([None, Fraction(1, 2), operands[6]]))
+            check = ConstraintCheck(cid, Verdict(
+                "bounds", as_scalar(lhs), as_scalar(rhs), rng.choice([True, False, None]),
+                rng.random() < 0.5, rng.choice([None, Fraction(1, 2), operands[6]])))
         else:
             check = rng.choice(rep.checks) if rep.checks else check_le(cid, lhs, rhs)
         rep.add(check)

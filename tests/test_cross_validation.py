@@ -13,6 +13,7 @@ from mmda_lab.relaxations import (assignment_solution, closed_form_paths,
                                   count_paths_from, path_solution,
                                   verify_assignment, verify_path_hierarchy)
 from mmda_lab.shadow import ConditionEvent, conditional_report, shadow_model
+from conftest import checks_where
 from test_integral import check_structure
 
 
@@ -27,7 +28,7 @@ class TestHierarchyModesAgree:
         assert enu.summary() == {"checks": 97546, "violations": 168, "undecided": 0}
         # both modes fail on the same constraint class and nowhere else
         for rep in (sym, enu):
-            assert {c.constraint_id.split(":")[0] for c in rep.violations} \
+            assert {c.constraint_id.split(":")[0] for c in checks_where(rep, False)} \
                 == {"lifted-packing"}
 
     def test_depth3_disagreeing_rounds(self, inst4):
@@ -41,7 +42,7 @@ class TestHierarchyModesAgree:
         # the binding lifted-packing ratio at (1, 3) equals count / (1/prod)
         ps = path_solution(inst4, 2)
         enu = verify_path_hierarchy(inst4, ps, mode="enumerated")
-        worst = [c for c in enu.violations
+        worst = [c for c in checks_where(enu, False)
                  if c.constraint_id.startswith("lifted-packing")]
         assert worst
         ratios = {c.factor.as_fraction() for c in worst}

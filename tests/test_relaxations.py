@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mmda_lab.instances import ClassSums, InstanceError, LabelCells, build_mmda, make_params
+from mmda_lab.instances import (ClassSums, InstanceError, LabelCells, build_mmda, make_params,
+                                rank_colex)
 from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
                                   check_helper_lemma, class_path_counts, closed_form_paths,
                                   count_paths, count_paths_from,
@@ -13,6 +14,7 @@ from mmda_lab.relaxations import (SubtreeFamily, assignment_solution,
                                   verify_path_hierarchy, verify_subtree)
 from mmda_lab.reports import ViolationReport, check_ge, check_le, vacuous
 from mmda_lab.scalars import MONO_ONE, Monomial, as_fraction, compare_certified
+from conftest import checks_where
 
 
 class TestAssignmentSolution:
@@ -36,7 +38,7 @@ class TestVerifyAssignment:
     def test_depth3_feasible(self, inst8, sol8):
         rep = verify_assignment(inst8, sol8)
         assert rep.ok
-        assert not rep.violations and not rep.undecided
+        assert not checks_where(rep, False) and not checks_where(rep, None)
 
     def test_deep_feasible(self, inst16_deep):
         rep = verify_assignment(inst16_deep, assignment_solution(inst16_deep))
@@ -60,7 +62,7 @@ class TestVerifyAssignment:
 
     def test_all_zero_solution_violates_source(self, inst8):
         rep = _ref_verify_sparse(inst8, (), inst8.source)
-        bad = [c for c in rep.violations if c.constraint_id.startswith("covering:root")]
+        bad = [c for c in checks_where(rep, False) if c.constraint_id.startswith("covering:root")]
         assert bad and bad[0].lhs == 0
 
     def test_feasible_for_every_valid_param_set(self):
@@ -74,7 +76,7 @@ class TestVerifyAssignment:
                     params = make_params(m, Fraction(rho_m, m), epsilon=Fraction(1, d))
                     inst = build_mmda(params)
                     rep = verify_assignment(inst, assignment_solution(inst))
-                    assert rep.ok and not rep.undecided, params
+                    assert rep.ok and not checks_where(rep, None), params
 
 
 class TestSubtreeFamily:
@@ -153,7 +155,7 @@ class TestPathSolution:
 class TestPathCounting:
     def test_nested_pair_count(self, inst8):
         v = (1, 0)
-        u = (3, inst8.vertex_with_label(3, inst8.label(v))[1])
+        u = (3, rank_colex(inst8.label(v)))
         assert count_paths(inst8, v, u) == 15
         assert closed_form_paths(inst8, 1, 3, 2) == 15
 
@@ -266,7 +268,7 @@ class TestHelperLemma:
     def test_deep_instance_distance_two(self, inst16_deep):
         hl = check_helper_lemma(inst16_deep, Fraction(1, 3))
         assert hl.largest_distance >= 2
-        assert not hl.report.violations
+        assert not checks_where(hl.report, False)
 
     def test_depth3_distance_one_only(self, inst8):
         hl = check_helper_lemma(inst8, Fraction(1))
@@ -359,8 +361,8 @@ class TestRoundsFrontier:
         inst = build_mmda(make_params(m, Fraction(1, 4), eps))
         assert verify_path_hierarchy(inst, path_solution(inst, t_star), mode="symbolic").ok
         rep = verify_path_hierarchy(inst, path_solution(inst, t_star + 1), mode="symbolic")
-        assert not rep.undecided
-        assert [c.constraint_id for c in rep.violations] == failing
+        assert not checks_where(rep, None)
+        assert [c.constraint_id for c in checks_where(rep, False)] == failing
 
     def test_enumerated_agrees_at_m8(self, inst8_deep):
         # m = 8 is the finite-size exception (t*/ell = 1/6); the enumerated
@@ -369,15 +371,16 @@ class TestRoundsFrontier:
                                      mode="enumerated").ok
         rep = verify_path_hierarchy(inst8_deep, path_solution(inst8_deep, 2),
                                     mode="enumerated")
-        assert rep.violations and not rep.undecided
-        assert all(c.constraint_id.startswith("lifted-packing:") for c in rep.violations)
+        assert checks_where(rep, False) and not checks_where(rep, None)
+        assert all(c.constraint_id.startswith("lifted-packing:")
+                   for c in checks_where(rep, False))
 
 
 class TestPathHierarchy:
     def test_deep_t2_zero_violations(self, inst16_deep):
         ps = path_solution(inst16_deep, 2)
         rep = verify_path_hierarchy(inst16_deep, ps, mode="symbolic")
-        assert rep.ok, [c.constraint_id for c in rep.violations]
+        assert rep.ok, [c.constraint_id for c in checks_where(rep, False)]
 
     def test_lifted_covering_exact_equality(self, inst16_deep):
         ps = path_solution(inst16_deep, 2)
@@ -390,7 +393,7 @@ class TestPathHierarchy:
         # two rounds defeat the depth-3 instance: the checker must report
         # the lifted packing failure rather than certify it
         rep = verify_path_hierarchy(inst8, path_solution(inst8, 2), mode="symbolic")
-        ids = [c.constraint_id for c in rep.violations]
+        ids = [c.constraint_id for c in checks_where(rep, False)]
         assert ids == ["lifted-packing:(1,3)"]
 
     def test_enumerated_matches_symbolic_on_small_instance(self, inst4):
@@ -522,7 +525,7 @@ class TestSubtreeCheck:
         for f in inst.all_edges():
             got = verify_subtree(fam, f)
             assert got.ok == _ref_verify_sparse(inst, fam.support(f), f[1]).ok == True, f
-            assert not got.undecided
+            assert not checks_where(got, None)
 
     @pytest.mark.parametrize("m", [12, 16])
     def test_first_edges_agree_with_oracle(self, m):
@@ -554,7 +557,8 @@ class TestSubtreeCheck:
         f = ((layer - 1, 0), (layer, 0))
         got, want = verify_subtree(fam, f), _ref_verify_sparse(inst8, fam.support(f), f[1])
         assert got.ok == want.ok == (kind is None)
-        assert {c.kind for c in got.violations} == {c.kind for c in want.violations} <= {kind}
+        assert ({c.kind for c in checks_where(got, False)}
+                == {c.kind for c in checks_where(want, False)} <= {kind})
 
     def test_closed_form_equals_support(self, inst8, family8):
         # x^{(f)} from the labels equals the listed support, zero elsewhere

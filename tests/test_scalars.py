@@ -113,7 +113,7 @@ class TestModeConversions:
         # an integer or a dyadic rational is enclosed exactly
         for x in (3, Fraction(3), Fraction(5, 8)):
             iv = to_interval(x, 64)
-            assert iv.lo == iv.hi == x and iv.prec == 64
+            assert iv.lo == iv.hi == x and iv._prec == 64
         # a non-dyadic rational is bracketed by its two roundings
         third = to_interval(Fraction(1, 3), 64)
         assert third.lo == round_dyadic(Fraction(1, 3), 64, up=False)
@@ -121,7 +121,7 @@ class TestModeConversions:
         assert third.lo < Fraction(1, 3) < third.hi
         assert to_interval(Monomial.from_int(12), 64) == to_interval(12, 64)
         root = to_interval(self.SQRT2, 64)
-        assert root.lo ** 2 < 2 < root.hi ** 2 and root.width < Fraction(1, 1 << 50)
+        assert root.lo ** 2 < 2 < root.hi ** 2 and root.hi - root.lo < Fraction(1, 1 << 50)
         # an interval is opaque: returned as is, at its own precision
         assert to_interval(self.IV, 64) is self.IV
 
@@ -198,8 +198,9 @@ class TestLog2Binomial:
     def test_known_values(self):
         assert near(log2_interval(Fraction(math.comb(8, 2))), math.log2(28))
         assert near(log2_interval(Fraction(math.comb(4, 2))), math.log2(6))
-        assert log2_interval(Fraction(math.comb(5, 0))).contains(0)
-        assert log2_interval(Fraction(math.comb(7, 7))).contains(0)
+        for n, k in ((5, 0), (7, 7)):
+            iv = log2_interval(Fraction(math.comb(n, k)))
+            assert iv.lo <= 0 <= iv.hi
 
     def test_enclosure_contains_exact_binomial(self):
         # exp2 of the enclosure must contain the integer C(n, k); a sign
@@ -207,7 +208,7 @@ class TestLog2Binomial:
         for n in range(0, 65):
             for k in range(0, n + 1):
                 iv = log2_interval(Fraction(math.comb(n, k)), 64)
-                back = exp2_interval(iv)
+                back = exp2_interval(iv, 64)
                 assert back.lo <= math.comb(n, k) <= back.hi, (n, k)
 
     def test_domain_error(self):
@@ -219,11 +220,13 @@ class TestLog2Binomial:
 
 class TestEntropy:
     def test_endpoints_exact_zero(self):
-        assert entropy_interval(Fraction(0)).contains(0)
+        iv = entropy_interval(Fraction(0))
+        assert iv.lo <= 0 <= iv.hi
         assert entropy_interval(Fraction(1)).hi == 0
 
     def test_half_is_one(self):
-        assert entropy_interval(Fraction(1, 2)).contains(1)
+        iv = entropy_interval(Fraction(1, 2))
+        assert iv.lo <= 1 <= iv.hi
 
     def test_symmetry(self):
         for num, den in [(1, 3), (1, 7), (2, 9), (5, 11)]:
@@ -237,7 +240,8 @@ class TestEntropy:
 class TestIntervals:
     def test_log2_powers_of_two_exact_containment(self):
         for k in (-6, -1, 0, 1, 5, 30):
-            assert log2_interval(Fraction(2) ** k).contains(k)
+            iv = log2_interval(Fraction(2) ** k)
+            assert iv.lo <= k <= iv.hi
 
     def test_log2_product_rule(self):
         a, b = Fraction(7, 5), Fraction(28)
@@ -249,10 +253,11 @@ class TestIntervals:
         one = Interval(Fraction(1), Fraction(1))
         x = to_interval(Fraction(1, 15), DEFAULT_PRECISION)
         out = iv_mul(one, x)
-        assert out.contains(Fraction(1, 15))
+        assert out.lo <= Fraction(1, 15) <= out.hi
 
     def test_exp2_three(self):
-        assert exp2_interval(Interval(Fraction(3), Fraction(3))).contains(8)
+        iv = exp2_interval(Interval(Fraction(3), Fraction(3)), DEFAULT_PRECISION)
+        assert iv.lo <= 8 <= iv.hi
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -376,7 +381,7 @@ class TestSeriesOracle:
         for m in ms:
             iv = m.log2_interval(prec)
             got = exp2_interval(iv, prec)
-            assert (got.lo, got.hi, got.prec) == (ref_end(iv.lo, False), ref_end(iv.hi, True), prec)
+            assert _ends(got) == (ref_end(iv.lo, False), ref_end(iv.hi, True), prec)
 
     @pytest.mark.parametrize("x,prec", _oracle_arguments())
     def test_atanh_bounds_equal_reference(self, x, prec):
@@ -529,7 +534,7 @@ class TestEndpointIdentity:
     def test_log2_interval_equals_reference(self, prec, qs):
         for q in qs:
             got = log2_interval(q, prec)
-            assert (got.lo, got.hi, got.prec) == (*_ref_log2_interval(q, prec), prec), q
+            assert _ends(got) == (*_ref_log2_interval(q, prec), prec), q
 
     @pytest.mark.parametrize("prec,xs", [(64, _seeded_q(12, 65) + _EDGES[1:]),
                                          (256, _seeded_q(12, 257) + _EDGES[1:]),
@@ -539,7 +544,7 @@ class TestEndpointIdentity:
         for x in xs:
             x = x if x < 1 else 1 / x
             got = entropy_interval(x, prec)
-            assert (got.lo, got.hi, got.prec) == (*_ref_entropy_interval(x, prec), prec), x
+            assert _ends(got) == (*_ref_entropy_interval(x, prec), prec), x
 
     @pytest.mark.parametrize("prec", (64, 256, 1024))
     def test_atanh_carry_fallback(self, prec):
@@ -761,27 +766,27 @@ def _ref_outward(lo, hi, prec):
 
 
 def _ref_iv_add(a, b):
-    return _ref_outward(a.lo + b.lo, a.hi + b.hi, max(a.prec, b.prec))
+    return _ref_outward(a.lo + b.lo, a.hi + b.hi, max(a._prec, b._prec))
 
 
 def _ref_iv_neg(a):
-    return -a.hi, -a.lo, a.prec
+    return -a.hi, -a.lo, a._prec
 
 
 def _ref_iv_mul(a, b):
     cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _ref_outward(min(cands), max(cands), max(a.prec, b.prec))
+    return _ref_outward(min(cands), max(cands), max(a._prec, b._prec))
 
 
 def _ref_iv_scale(a, q):
     if q >= 0:
-        return _ref_outward(a.lo * q, a.hi * q, a.prec)
-    return _ref_outward(a.hi * q, a.lo * q, a.prec)
+        return _ref_outward(a.lo * q, a.hi * q, a._prec)
+    return _ref_outward(a.hi * q, a.lo * q, a._prec)
 
 
 def _ref_iv_div(a, b):
     cands = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return _ref_outward(min(cands), max(cands), max(a.prec, b.prec))
+    return _ref_outward(min(cands), max(cands), max(a._prec, b._prec))
 
 
 def _ref_compare(a, b):
@@ -793,7 +798,7 @@ def _ref_compare(a, b):
 
 
 def _ends(iv):
-    return iv.lo, iv.hi, iv.prec
+    return iv.lo, iv.hi, iv._prec
 
 
 def _is_power_of_two(d):
@@ -837,7 +842,7 @@ class TestIntegerIntervals:
                "square": iv_pow_int(a, 2)}
         want = {"add": _ref_iv_add(a, b), "mul": _ref_iv_mul(a, b),
                 "scale": _ref_iv_scale(a, q),
-                "square": _ref_outward(*_ref_pow_range(a.lo, a.hi, 2), a.prec)}
+                "square": _ref_outward(*_ref_pow_range(a.lo, a.hi, 2), a._prec)}
         if b.lo <= 0 <= b.hi:
             with pytest.raises(ZeroDivisionError):
                 iv_div(a, b)
@@ -874,7 +879,7 @@ class TestIntervalFace:
         # a kernel's result holds no Fraction until an end is read
         with pytest.raises(AttributeError):
             iv._lo
-        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction and type(iv.prec) is int
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction and type(iv._prec) is int
         assert iv.lo is iv.lo and iv.hi is iv.hi
         given = Interval(Fraction(-2, 6), 3)
         assert _ends(given) == (Fraction(-1, 3), Fraction(3), DEFAULT_PRECISION)
@@ -897,17 +902,18 @@ class TestIntervalFace:
 
     def test_immutable(self):
         iv = Interval(Fraction(1), Fraction(2))
-        for name in ("lo", "hi", "prec", "width", "other"):
+        for name in ("lo", "hi", "other"):
             with pytest.raises(AttributeError):
                 setattr(iv, name, Fraction(0))
-        assert (iv.lo, iv.hi, iv.prec) == (1, 2, DEFAULT_PRECISION)
+        assert (iv.lo, iv.hi, iv._prec) == (1, 2, DEFAULT_PRECISION)
 
     def test_inverted_ends_rejected(self):
         for lo, hi in [(Fraction(1), Fraction(0)), (Fraction(-1, 3), Fraction(-1, 2)),
                        (Fraction(1, 1 << 70) + Fraction(1, 3), Fraction(1, 3))]:
             with pytest.raises(ValueError, match="inverted interval"):
                 Interval(lo, hi)
-        assert Interval(Fraction(1, 3), Fraction(1, 3)).width == 0
+        third = Interval(Fraction(1, 3), Fraction(1, 3))
+        assert third.lo == third.hi
 
 
 def _ref_pow_range(lo, hi, n):
@@ -959,7 +965,8 @@ class TestPowInt:
             for q in qs:
                 a = to_interval(q, prec)
                 for n in range(65):
-                    assert iv_pow_int(a, n).contains(q ** n), (q, n, prec)
+                    got = iv_pow_int(a, n)
+                    assert got.lo <= q ** n <= got.hi, (q, n, prec)
 
     @pytest.mark.parametrize("prec", (256, 1024))
     def test_contains_mpmath(self, prec):
@@ -972,6 +979,8 @@ class TestPowInt:
                 a = m.to_interval(prec)
                 for n in (2, 3, 17, 64):
                     want = _from_mpf(mpmath.power(x, n))
-                    assert iv_pow_int(a, n).contains(want), (m, n)
+                    got = iv_pow_int(a, n)
+                    assert got.lo <= want <= got.hi, (m, n)
                     # a negative base at odd and even n
-                    assert iv_pow_int(iv_neg(a), n).contains(want if n % 2 == 0 else -want)
+                    got, w = iv_pow_int(iv_neg(a), n), want if n % 2 == 0 else -want
+                    assert got.lo <= w <= got.hi

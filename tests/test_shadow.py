@@ -11,14 +11,12 @@ import pytest
 import mmda_lab.shadow as shadow_module
 
 from mmda_lab.instances import (Edge, InstanceError, LayeredInstance, Vertex, build_mmda,
-                                build_subtree_counterexample, make_params)
-from mmda_lab.relaxations import (LayerSolution, SparseSolution, SubtreeFamily,
-                                  assignment_solution)
-from mmda_lab.scalars import as_fraction
+                                build_subtree_counterexample, make_params, rank_colex)
+from mmda_lab.relaxations import LayerSolution, SubtreeFamily, assignment_solution
+from mmda_lab.scalars import Scalar, as_fraction
 from mmda_lab.shadow import (SEED_LIMIT, ConditionEvent, EmpiricalReport, IndependentFamily,
                              ShadowModel, _event_moments, check_seed, conditional_report,
-                             independent_model, sa1_certificate, sample, shadow_model,
-                             support_entries)
+                             sa1_certificate, sample, shadow_model, support_entries)
 
 
 # --- test-local references ---------------------------------------------------
@@ -49,6 +47,17 @@ def support_transpose(fam) -> dict:
         for e, val in fam.support(f):
             out.setdefault(e, {})[f] = val
     return out
+
+
+class SparseSolution:
+    """Edge values from a table; absent edges carry zero."""
+
+    def __init__(self, inst: LayeredInstance, table: dict[Edge, Fraction]):
+        self.inst = inst
+        self.table = table
+
+    def value(self, e: Edge) -> Scalar:
+        return self.table.get(e, Fraction(0))
 
 
 class CounterexampleFamily:
@@ -117,7 +126,7 @@ def two_layer_rounding_control(inst) -> TwoLayerControl:
     c_small = math.comb(2 * inst.params.rho_m, inst.params.rho_m)
     v = (1, 0)
     e1 = (inst.source, v)
-    t = (3, inst.vertex_with_label(3, inst.label(v))[1])
+    t = (3, rank_colex(inst.label(v)))
     q = Fraction(1, c_small)
     # P[(u,t) in A | (s,v) kept]: u is covered unless every kept parent
     # dropped it; v is a parent of every such u since S_t = S_v
@@ -240,7 +249,6 @@ def oracle_sample(model, seed, n_samples, rounds=1, events=None):
         supp_p.append(np.array([p for _, p in pairs]))
     events = events or []
     counts = np.zeros(n_edges, dtype=np.int64)
-    mult_sums = np.zeros(n_edges, dtype=np.int64)
     event_counts = {ev.label(): 0 for ev in events}
     event_joint = np.zeros((len(events), n_edges), dtype=np.int64)
     for i in range(n_samples):
@@ -256,15 +264,13 @@ def oracle_sample(model, seed, n_samples, rounds=1, events=None):
             shadows = np.flatnonzero(nxt)
         present = mult > 0
         counts += present
-        mult_sums += mult
         for j, ev in enumerate(events):
             if bool(present[index[ev.edge]]) == ev.positive:
                 event_counts[ev.label()] += 1
                 event_joint[j] += present
     joint = {(ev.label(), e): int(event_joint[j][index[e]])
              for j, ev in enumerate(events) for e in edges if event_joint[j][index[e]]}
-    return ({e: int(counts[index[e]]) for e in edges},
-            {e: int(mult_sums[index[e]]) for e in edges}, event_counts, joint)
+    return {e: int(counts[index[e]]) for e in edges}, event_counts, joint
 
 
 def oracle_draw(model, seed, index):
@@ -381,10 +387,9 @@ def layer_events(inst):
 def assert_sample_matches_oracle(model, seed, n_samples, rounds=1):
     events = layer_events(model.inst)
     emp = sample(model, seed=seed, n_samples=n_samples, rounds=rounds, events=events)
-    counts, mult_sums, event_counts, joint = oracle_sample(
+    counts, event_counts, joint = oracle_sample(
         model, seed=seed, n_samples=n_samples, rounds=rounds, events=events)
     assert emp.counts == counts
-    assert emp.mult_sums == mult_sums
     assert emp.event_counts == event_counts
     assert emp.event_joint == joint
 
@@ -496,7 +501,7 @@ class TestNullEvents:
         # edges[0] never appears, edges[1] always does
         x = SparseSolution(inst4, {e: Fraction(1) if i == 1 else Fraction(1, 3)
                                    for i, e in enumerate(edges) if i})
-        return independent_model(inst4, x)
+        return ShadowModel(inst4, x, IndependentFamily(inst4))
 
     def null_events(self, model):
         edges = list(model.inst.all_edges())
@@ -740,8 +745,6 @@ class TestConditionalReports:
             assert model8.expected_multiplicity(e, ev) >= mr.conditional[e]
 
     def test_zero_probability_event_rejected(self, inst8):
-        sol = assignment_solution(inst8)
-        model = independent_model(inst8, sol)
         dead = SparseSolution(inst8, {})
         m2 = ShadowModel(inst8, dead, IndependentFamily(inst8))
         with pytest.raises(Exception):
@@ -751,7 +754,7 @@ class TestConditionalReports:
 
 class TestNegativeControls:
     def test_independent_covering_slack_is_x(self, inst8):
-        model = independent_model(inst8)
+        model = ShadowModel(inst8, assignment_solution(inst8), IndependentFamily(inst8))
         e1 = ((0, 0), (1, 0))
         mr = conditional_report(model, ConditionEvent(e1, True))
         out = sum((mr.conditional[((1, 0), w)]
@@ -767,8 +770,8 @@ class TestNegativeControls:
         # only at m=16 does its slack fall below the floor of 1/100
         from mmda_lab.cli import SA1_CEILING, SA1_FLOOR
         inst = build_mmda(make_params(m, Fraction(1, 4)))
-        res = sa1_certificate(independent_model(inst), SA1_FLOOR, SA1_CEILING,
-                              events=layer_events(inst))
+        model = ShadowModel(inst, assignment_solution(inst), IndependentFamily(inst))
+        res = sa1_certificate(model, SA1_FLOOR, SA1_CEILING, events=layer_events(inst))
         assert res.events_checked == 6
         assert res.min_covering_slack == slack
         assert res.worst_covering == ("+1.0>2.0", (2, 0))
@@ -850,7 +853,7 @@ class TestSampling:
     def test_reproducible(self, model8):
         a = sample(model8, seed=5, n_samples=300)
         b = sample(model8, seed=5, n_samples=300)
-        assert a.counts == b.counts and a.mult_sums == b.mult_sums
+        assert a == b
 
     def test_seed_changes_results(self, model8):
         a = sample(model8, seed=5, n_samples=300)
@@ -871,7 +874,7 @@ class TestSampling:
 
     def test_deviation_in_exact_standard_errors(self, inst4):
         e, f = list(inst4.all_edges())[:2]
-        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100}, {e: 0, f: 100}, {}, {}, [e, f])
+        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100}, {}, {}, [e, f])
         assert emp.marginal_deviation(e, 0.25) == 0.25 / math.sqrt(0.25 * 0.75 / 100)
         # an exact marginal of 0 or 1 leaves no room: equal or infinitely off
         assert emp.marginal_deviation(e, 0.0) == 0.0
@@ -880,25 +883,27 @@ class TestSampling:
         assert emp.marginal_deviation(f, 0.0) == math.inf
 
     def test_conditional_deviation_in_exact_standard_errors(self, inst4):
+        from test_acceptance import conditional_deviation
         e, f = list(inst4.all_edges())[:2]
-        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100}, {e: 0, f: 100},
+        emp = EmpiricalReport(100, 0, 1, {e: 0, f: 100},
                               {"ev": 40, "never": 0}, {("ev", f): 40}, [e, f])
         # over the event's 40 occurrences: e never hit, f always
-        assert emp.conditional_deviation("ev", e, 0.25) == 0.25 / math.sqrt(0.25 * 0.75 / 40)
-        assert emp.conditional_deviation("ev", f, 0.5) == 0.5 / math.sqrt(0.5 * 0.5 / 40)
-        assert emp.conditional_deviation("ev", e, 0.0) == 0.0
-        assert emp.conditional_deviation("ev", f, 1.0) == 0.0
-        assert emp.conditional_deviation("ev", e, 1.0) == math.inf
-        assert emp.conditional_deviation("ev", f, 0.0) == math.inf
-        assert emp.conditional_deviation("never", e, 0.25) is None
+        assert conditional_deviation(emp, "ev", e, 0.25) == 0.25 / math.sqrt(0.25 * 0.75 / 40)
+        assert conditional_deviation(emp, "ev", f, 0.5) == 0.5 / math.sqrt(0.5 * 0.5 / 40)
+        assert conditional_deviation(emp, "ev", e, 0.0) == 0.0
+        assert conditional_deviation(emp, "ev", f, 1.0) == 0.0
+        assert conditional_deviation(emp, "ev", e, 1.0) == math.inf
+        assert conditional_deviation(emp, "ev", f, 0.0) == math.inf
+        assert conditional_deviation(emp, "never", e, 0.25) is None
 
     def test_empirical_multiplicity_tracks_3x(self, inst8, model8):
         # bottom edges have E[n_e] = 3 x_e exactly; the sample mean should
         # sit within a few standard errors of 0.2
-        emp = sample(model8, seed=13, n_samples=4000)
+        arrays = model8._support_arrays
+        _, pos, hit, _ = arrays.draw(13, 0, 4000, rounds=1)
         w = inst8.out_neighbors((1, 0))[0]
         t = inst8.out_neighbors(w)[0]
-        mean = emp.mean_multiplicity((w, t))
+        mean = np.count_nonzero(arrays.indices[pos[hit]] == arrays.index[w, t]) / 4000
         assert abs(mean - 0.2) <= 0.05
 
 
@@ -952,7 +957,7 @@ class TestOrbitQuotient:
         edges = list(inst4.all_edges())
         x = SparseSolution(inst4, {e: Fraction(1, 2 + i % 5)
                                    for i, e in enumerate(edges) if i % 3})
-        model = independent_model(inst4, x)
+        model = ShadowModel(inst4, x, IndependentFamily(inst4))
         for e in edges[::4]:
             if model.marginal(e) != 0:
                 assert_report_matches_hand_sums(model, ConditionEvent(e, True))
@@ -990,7 +995,7 @@ class TestClassEngine:
         # ell=6: labels grow for four layers and shrink for two; the
         # assignment values are irrational here, so the base is rational
         x = LayerSolution(inst8_deep, [None, *(Fraction(1, i + 1) for i in range(1, 7))])
-        model = independent_model(inst8_deep, x)
+        model = ShadowModel(inst8_deep, x, IndependentFamily(inst8_deep))
         for ev in layer_events(inst8_deep)[::3]:
             assert class_first_vertices(model, ev) == OrbitWalk(model, ev).first_vertices()
 
@@ -1060,10 +1065,9 @@ class TestBatchedSampler:
             e = next(iter(inst8.edges_into_layer(i)))
             events += [ConditionEvent(e, True), ConditionEvent(e, False)]
         emp = sample(model8, seed=21, n_samples=300, rounds=rounds, events=events)
-        counts, mult_sums, event_counts, joint = oracle_sample(
+        counts, event_counts, joint = oracle_sample(
             model8, seed=21, n_samples=300, rounds=rounds, events=events)
         assert emp.counts == counts
-        assert emp.mult_sums == mult_sums
         assert emp.event_counts == event_counts
         assert emp.event_joint == joint
         assert sum(event_counts.values()) > 300
@@ -1081,7 +1085,7 @@ class TestBatchedSampler:
         assert_sample_matches_oracle(model4, SEED_LIMIT - 1, 50, rounds=2)
 
     @pytest.mark.parametrize("build", [
-        lambda inst4: independent_model(inst4),
+        lambda inst4: ShadowModel(inst4, assignment_solution(inst4), IndependentFamily(inst4)),
         lambda inst4: counterexample_shadow_model(build_subtree_counterexample(2))],
         ids=["independent", "shared-sink"])
     def test_other_supports_match_oracle(self, inst4, build):
